@@ -15,6 +15,7 @@ report-only and never fail the verification exit code.
 from __future__ import annotations
 
 import cmath
+import io
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -746,10 +747,13 @@ def emit_report(reports: Sequence[IdentityReport], format: str = "json") -> str:
         ]
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
     if format == "csv":
-        lines = ["id,params,status,residual"]
-        for r in reports:
-            lines.append(f"{r.id},{_params_str(r)},{r.status},{r.residual}")
-        return "\n".join(lines) + "\n"
+        import csv  # on first use: it would add to every import of the package
+
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(["id", "params", "status", "residual"])
+        writer.writerows([r.id, _params_str(r), r.status, str(r.residual)] for r in reports)
+        return buffer.getvalue()
     if format == "markdown":
         lines = ["| id | params | status | residual |", "| --- | --- | --- | --- |"]
         for r in reports:

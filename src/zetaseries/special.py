@@ -8,6 +8,18 @@ function, Euler-sum forms of its values, a trilogarithm functional
 equation check, and Fourier-type series for the periodic Bernoulli
 polynomials.
 
+Every coefficient series reads one cached row of scaled coefficients
+|c*(k, j)| j!, j = 0..J, built per (k, J) by an exact integer kernel over
+the common denominator lcm(1..J)^(k-2) and rounded once to doubles:
+``li_new_series`` (and through it ``bernoulli_fourier`` and the real-line
+Li routes of the trilogarithm check) and ``zeta_star`` read row s+2.
+The classical binomial series and the modified Hurwitz zeta share one
+inner table: for alpha = 1, beta = 0 and s >= 1 it reads the integer
+numerators of row s+1 through the identity
+sum_{m=0}^{k} C(k, m) (-1)^{m+1} / (m+1)^s = -|c*(s+1, k+1)| k!;
+otherwise it sums the alternating binomial terms over an integer common
+denominator.
+
 Two displayed forms evaluated here required sign/term repairs that are
 validated against independent oracles in the test suite:
 
@@ -30,8 +42,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate
 
-from .coeffs import s2star_harmonic, s2star_scaled
 from .exactnum import binomial, factorial
 from .harmonicnums import harmonic
 from .reports import IdentityReport, numeric_compare
@@ -90,12 +102,29 @@ def li_direct_sum(s: int, z, terms: int) -> EvalResult:
     return EvalResult(total, terms, last, "direct")
 
 
-def _scaled_coeff(s: int, j: int) -> float:
-    """|c*(s+2, j)| * j! as a double: harmonic closed forms where they
-    exist (s <= 4), exact recurrence values otherwise."""
-    if s + 2 <= 6:
-        return float(s2star_harmonic(s + 2, j) * (-1) ** (j - 1) * factorial(j))
-    return float(s2star_scaled(s + 2, j))
+def _scaled_numerators(k: int, J: int) -> tuple:
+    """Integer numerators N_k(j), j = 0..J, over the common denominator
+    D = lcm(1..J)^(k-2), with N_k(j) / D = |c*(k, j)| j! (k >= 2).
+
+    Prefix-sum form of the coefficient recurrence:
+    scaled(k, j) = scaled(k, j-1) + scaled(k-1, j)/j, scaled(2, j) = 1,
+    so row k costs O(k J) big-integer operations.
+    """
+    lcm = math.lcm(*range(1, J + 1))
+    quotients = [lcm // j for j in range(1, J + 1)]
+    row = [0] + [1] * J
+    for _ in range(k - 2):
+        row = [0, *accumulate(n * q for n, q in zip(row[1:], quotients))]
+    return row, lcm ** (k - 2)
+
+
+@cache
+def _scaled_row(k: int, J: int) -> tuple:
+    """|c*(k, j)| j! for j = 0..J as correctly rounded doubles.  Only the
+    floats are cached: the big-integer numerators would outweigh them
+    many times over."""
+    numerators, denominator = _scaled_numerators(k, J)
+    return tuple(n / denominator for n in numerators)
 
 
 def li_new_series(s: int, z, J: int) -> EvalResult:
@@ -124,13 +153,14 @@ def li_new_series(s: int, z, J: int) -> EvalResult:
             "direct_fallback",
             domain_warning=True,
         )
+    scaled = _scaled_row(s + 2, J)
     prefactor = 1.0 / (1 - z)
     total = 0.0 * w
     power = 1.0 + 0.0 * w
     last = 0.0
     for j in range(1, J + 1):
         power *= w
-        term = (-1) ** (j - 1) * _scaled_coeff(s, j) * power * prefactor
+        term = (-1) ** (j - 1) * scaled[j] * power * prefactor
         total += term
         last = abs(term)
     return EvalResult(total, J, last, "coeff_series", domain_warning=warning)
@@ -145,24 +175,6 @@ def classic_inner_sum(s: int, k: int) -> Fraction:
     return total
 
 
-@cache
-def _classic_inner_table(s: int, K: int) -> tuple:
-    """classic_inner_sum(s, k) for k = 0..K as doubles, accumulated in
-    exact integer arithmetic over a common denominator (the alternating
-    binomial sums cancel far below double precision termwise)."""
-    common = math.lcm(*range(1, K + 2)) ** s
-    weights = [(-1) ** (m + 1) * (common // (m + 1) ** s) for m in range(K + 1)]
-    out = []
-    for k in range(K + 1):
-        acc = 0
-        c = 1
-        for m in range(k + 1):
-            acc += c * weights[m]
-            c = c * (k - m) // (m + 1)
-        out.append(float(Fraction(acc, common)))
-    return tuple(out)
-
-
 def li_classic_series(s: int, z: float, K: int) -> EvalResult:
     """Li_s(z) = sum_{k=0}^{K} (-z/(1-z))^{k+1}
     sum_{m=0}^{k} C(k, m) (-1)^{m+1} / (m+1)^s."""
@@ -170,7 +182,7 @@ def li_classic_series(s: int, z: float, K: int) -> EvalResult:
         raise ValueError("z = 1 is a pole of the binomial series")
     if z == 0:
         return EvalResult(0.0, 0, 0.0, "classic_series")
-    inner = _classic_inner_table(s, K)
+    inner = _phi_inner_table(s, Fraction(1), Fraction(0), K)
     w = -z / (1 - z)
     warning = abs(w) >= 1
     total = 0.0 * w
@@ -186,12 +198,27 @@ def li_classic_series(s: int, z: float, K: int) -> EvalResult:
 
 @cache
 def _phi_inner_table(s: int, alpha: Fraction, beta: Fraction, K: int) -> tuple:
+    """sum_{m=0}^{k} C(k, m) (-1)^{m+1} / (alpha (m+1) + beta)^s for
+    k = 0..K as doubles.
+
+    For alpha = 1, beta = 0 and s >= 1 these are the classical inner sums,
+    read from the scaled-coefficient numerators through the identity
+    classic_inner_sum(s, k) = -|c*(s+1, k+1)| k!.  Otherwise they are
+    accumulated in exact integer arithmetic over a common denominator
+    (the alternating binomial sums cancel far below double precision
+    termwise).
+    """
+    if alpha == 1 and beta == 0 and s >= 1:
+        numerators, denominator = _scaled_numerators(s + 1, K + 1)
+        return tuple(-numerators[k + 1] / (denominator * (k + 1)) for k in range(K + 1))
+    terms = [(alpha * (m + 1) + beta) ** -s for m in range(K + 1)]
+    common = math.lcm(*(t.denominator for t in terms))
+    # after i passes row[n] = sum_m C(i, m) weight[n + m], so row[0] is the k = i sum
+    row = [(-1) ** (m + 1) * t.numerator * (common // t.denominator) for m, t in enumerate(terms)]
     out = []
-    for k in range(K + 1):
-        acc = Fraction(0)
-        for m in range(k + 1):
-            acc += binomial(k, m) * Fraction((-1) ** (m + 1)) / (alpha * (m + 1) + beta) ** s
-        out.append(float(acc))
+    while row:
+        out.append(row[0] / common)
+        row = [x + y for x, y in zip(row, row[1:])]
     return tuple(out)
 
 
@@ -236,9 +263,10 @@ def zeta_star(s: int, J: int = 120, method: str = "series") -> float:
             return math.log(2)
         return (1 - 2.0 ** (1 - s)) * zeta_ref(s)
     if method == "series":
+        scaled = _scaled_row(s + 2, J)
         total = 0.0
         for j in range(1, J + 1):
-            total += _scaled_coeff(s, j) / 2.0 ** (j + 1)
+            total += math.ldexp(scaled[j], -(j + 1))
         return total
     raise ValueError("method must be 'series' or 'closed'")
 
@@ -263,7 +291,7 @@ def zeta_star_harmonic_form(s: int, J: int = 120) -> float:
         else:
             h2, h3, h4 = (float(harmonic(j, r)) for r in (2, 3, 4))
             poly = h1**4 + 6 * h1**2 * h2 + 3 * h2**2 + 8 * h1 * h3 + 6 * h4
-        total += poly / (_HARMONIC_FORM_DENOM[s] * 2.0**j)
+        total += math.ldexp(poly / _HARMONIC_FORM_DENOM[s], -j)
     return total
 
 
@@ -283,16 +311,16 @@ def zeta_star_euler_form(s: int, J: int = 200) -> float:
         h1 = float(harmonic(j, 1))
         h2 = float(harmonic(j, 2))
         if s == 3:
-            total += h1 * h2 / 2.0 ** (j + 1)
+            total += math.ldexp(h1 * h2, -(j + 1))
         elif s == 4:
             h4 = float(harmonic(j, 4))
-            total += (h1**2 * h2 + h4) / 2.0 ** (j + 2)
+            total += math.ldexp(h1**2 * h2 + h4, -(j + 2))
         else:
             h3 = float(harmonic(j, 3))
             h4 = float(harmonic(j, 4))
-            total += h1**3 * h2 / (12 * 2.0**j)
-            total += h2 * h3 / (6 * 2.0**j)
-            total += h1 * h4 / 2.0 ** (j + 2)
+            total += math.ldexp(h1**3 * h2 / 12, -j)
+            total += math.ldexp(h2 * h3 / 6, -j)
+            total += math.ldexp(h1 * h4, -(j + 2))
     return total
 
 

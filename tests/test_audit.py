@@ -182,6 +182,16 @@ def test_emit_csv_schema():
     assert exact_rows and all(row[3] == "0" for row in exact_rows)
 
 
+@pytest.mark.parametrize("suite", audit.suite_names())
+def test_emit_csv_round_trip(suite):
+    reports = audit.run_suite(suite)
+    rows = list(csv.reader(io.StringIO(audit.emit_report(reports, "csv"))))
+    assert len(rows) - 1 == len(json.loads(audit.emit_report(reports, "json")))
+    for row, report in zip(rows[1:], reports):
+        params = ";".join(f"{k}={v}" for k, v in report.params)
+        assert row == [report.id, params, report.status, str(report.residual)]
+
+
 def test_emit_markdown_schema():
     reports = audit.run_suite("fourier")
     lines = audit.emit_report(reports, "markdown").splitlines()

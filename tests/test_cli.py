@@ -129,6 +129,13 @@ def test_zetastar_methods(capsys):
     assert float(euler) == pytest.approx(float(closed), abs=5e-6)
 
 
+def test_zetastar_series_past_j_1023(capsys):
+    code, out = run_cli(capsys, "zetastar", "--s", "7", "--terms", "2500")
+    _, closed = run_cli(capsys, "zetastar", "--s", "7", "--method", "closed")
+    assert code == 0
+    assert float(out) == pytest.approx(float(closed), abs=1e-12)
+
+
 def test_fourier_value(capsys):
     _, out = run_cli(capsys, "fourier", "--order", "1", "--x", "5/4")
     assert float(out) == pytest.approx(-0.25, abs=1e-6)

@@ -61,13 +61,18 @@ def test_base_cases():
     assert s2star_rec(5, 0) == 0
 
 
-@given(st.integers(1, 12), st.integers(1, 30))
+@given(st.integers(2, 12), st.integers(1, 30))
 def test_recurrence_property(k, j):
+    # the displayed recurrence holds for k >= 2; rows 0 and 1 are base rows
     lhs = s2star_rec(k, j)
     rhs = -Fraction(1, j) * s2star_rec(k, j - 1) + Fraction(1, j) * s2star_rec(k - 1, j)
-    if k == 1 and j == 1:
-        rhs += 1
     assert lhs == rhs
+
+
+def test_base_rows():
+    for j in range(31):
+        assert s2star_rec(0, j) == (1 if j == 0 else 0)
+        assert s2star_rec(1, j) == (1 if j == 1 else 0)
 
 
 def test_closed_sum_direct_oracle():

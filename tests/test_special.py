@@ -8,6 +8,8 @@ import pytest
 from zetaseries.coeffs import s2star_scaled
 from zetaseries.exactnum import binomial
 from zetaseries.special import (
+    _phi_inner_table,
+    _scaled_row,
     bernoulli_closed_logforms,
     bernoulli_fourier,
     classic_inner_sum,
@@ -74,6 +76,42 @@ def test_classic_inner_sum_scaled_coefficient_identity():
             assert direct == -s2star_scaled(s + 1, k + 1) / (k + 1)
 
 
+def test_scaled_row_matches_exact_coefficients_bit_for_bit():
+    for J in (100, 400):
+        for k in range(2, 11):
+            row = _scaled_row(k, J)
+            assert len(row) == J + 1 and row[0] == 0.0
+            for j in range(1, J + 1):
+                assert row[j] == float(s2star_scaled(k, j))
+
+
+@pytest.mark.parametrize(
+    "s, alpha, beta",
+    [(2, 2, 1), (3, 3, 2), (1, 2, 1), (3, 1, Fraction(-5, 2)), (2, 1, 0), (0, 1, 0), (-1, 2, 1)],
+)
+def test_phi_inner_table_matches_fraction_reference(s, alpha, beta):
+    # (3, 1, -5/2) has negative alpha (m+1) + beta at m = 0, 1 with odd s
+    alpha, beta = Fraction(alpha), Fraction(beta)
+    K = 40
+    table = _phi_inner_table(s, alpha, beta, K)
+    for k in range(K + 1):
+        exact = sum(
+            binomial(k, m) * Fraction((-1) ** (m + 1)) / (alpha * (m + 1) + beta) ** s
+            for m in range(k + 1)
+        )
+        assert table[k] == float(exact)
+
+
+def test_li_classic_series_order_zero():
+    # Li_0(z) = z / (1 - z)
+    assert li_classic_series(0, -0.5, 60).value == pytest.approx(-1 / 3, abs=1e-15)
+
+
+def test_li_new_series_long_row():
+    result = li_new_series(6, -0.25, 3000)
+    assert result.value == pytest.approx(li_direct_sum(6, -0.25, 200).value, abs=1e-14)
+
+
 def test_three_way_li_agreement():
     for s in range(1, 6):
         for z in (-0.8, -0.5, -0.1, 0.2, 0.4):
@@ -113,6 +151,14 @@ def test_zeta_star_harmonic_polynomial_form():
         assert zeta_star_harmonic_form(s, 120) == pytest.approx(
             zeta_star(s, method="closed"), abs=1e-8
         )
+
+
+def test_zeta_star_forms_beyond_double_exponent_range():
+    # 2.0 ** j overflows from j = 1024 on; the sums must not
+    J = 1100
+    assert zeta_star(2, J, "series") == pytest.approx(zeta_star(2, method="closed"), abs=1e-12)
+    assert zeta_star_harmonic_form(2, J) == pytest.approx(zeta_star(2, method="closed"), abs=1e-12)
+    assert zeta_star_euler_form(3, J) == pytest.approx(zeta_star(3, method="closed"), abs=1e-12)
 
 
 def test_zeta_star_euler_forms_match_display_decimals():
