@@ -102,7 +102,7 @@ def _series_compare(identity_id: str, params: Mapping, lhs: TruncSeries, rhs: Tr
                 identity_id,
                 frozen,
                 "fail",
-                f"{diff.numerator}/{diff.denominator}" if diff.denominator != 1 else str(diff.numerator),
+                str(diff),
                 witness=(f"[z^{i}] {lhs.coeff(i)}", f"[z^{i}] {rhs.coeff(i)}"),
             )
     return IdentityReport(identity_id, frozen, "exact_pass", "0")
@@ -500,23 +500,19 @@ def _suite_special(overrides=None) -> list:
         lambda p: special.trilog_functional_eq_check(p["z"]),
     ))
 
-    def _li(s, x):
-        if x < 0.5:
-            return special.li_new_series(s, x, 400).value
-        return special.li_direct_sum(s, x, 4000).value
-
     def _trilog_printed(p):
         z = p["z"]
         u = -z / (1 - z)
         v = 1 / (1 - z)
         log1mz = math.log(1 - z)
-        lhs = _li(3, z)
+        li = special._li_auto
+        lhs = li(3, z, 400)
         rhs = (
             -log1mz**3 / 6
             + log1mz**2 * math.log(u) / 2
-            - log1mz * (_li(2, v) + _li(2, u))
-            - _li(3, v)
-            - _li(3, u)
+            - log1mz * (li(2, v, 400) + li(2, u, 400))
+            - li(3, v, 400)
+            - li(3, u, 400)
             - special.zeta_ref(3)
         )
         return numeric_compare("special.trilog_printed_sign", p, lhs, rhs, 1e-7)
@@ -705,19 +701,27 @@ def assert_ids(name: str) -> frozenset:
     return frozenset(spec.id for spec in _build(name) if spec.assert_pass)
 
 
+def _evaluate(spec: IdentitySpec, point: dict) -> IdentityReport:
+    report = spec.evaluate(point)
+    if report.id != spec.id:
+        # suite_passes filters by spec id, so a stray id escapes the exit code
+        raise RuntimeError(f"spec {spec.id!r} emitted a report with id {report.id!r}")
+    return report
+
+
 def run_suite(name: str, overrides=None, threads: int = 1) -> list:
     """Evaluate every grid point of every identity in the suite.
 
     The report list is sorted by (id, params) and is identical across
-    runs and thread counts.
+    runs and thread counts.  Every report must carry its spec's id.
     """
     specs = _build(name, overrides)
-    tasks = [(spec.evaluate, point) for spec in specs for point in spec.points]
+    tasks = [(spec, point) for spec in specs for point in spec.points]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(lambda t: t[0](t[1]), tasks))
+            reports = list(pool.map(lambda t: _evaluate(*t), tasks))
     else:
-        reports = [evaluate(point) for evaluate, point in tasks]
+        reports = [_evaluate(spec, point) for spec, point in tasks]
     reports.sort(key=lambda r: r.sort_key())
     return reports
 

@@ -29,12 +29,6 @@ __all__ = ["main", "build_parser"]
 _FORMATS = ("frac", "decimal", "csv", "json", "markdown")
 
 
-def _fraction_str(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
 def _decimal_str(value: float) -> str:
     return f"{float(value):.15g}"
 
@@ -42,7 +36,7 @@ def _decimal_str(value: float) -> str:
 def _exact_str(value: Fraction, format: str) -> str:
     if format == "decimal":
         return _decimal_str(float(value))
-    return _fraction_str(value)
+    return str(value)
 
 
 def _table_cell(k: int, j: int, scaled: bool) -> Fraction:
@@ -104,7 +98,7 @@ def cmd_series(args) -> str:
     elif args.format == "decimal":
         cells = [_decimal_str(float(result.coeff(n))) for n in range(result.order + 1)]
     else:
-        cells = [_fraction_str(Fraction(result.coeff(n))) for n in range(result.order + 1)]
+        cells = [str(Fraction(result.coeff(n))) for n in range(result.order + 1)]
     if args.format == "json":
         return json.dumps(cells, separators=(",", ":")) + "\n"
     if args.format == "markdown":
@@ -137,7 +131,12 @@ def cmd_polylog(args) -> str:
 
 
 def cmd_zetastar(args) -> str:
-    value = special.zeta_star(args.s, args.terms, args.method)
+    if args.method == "harmonic":
+        value = special.zeta_star_harmonic_form(args.s, args.terms)
+    elif args.method == "euler":
+        value = special.zeta_star_euler_form(args.s, args.terms)
+    else:
+        value = special.zeta_star(args.s, args.terms, args.method)
     return _decimal_str(value) + "\n"
 
 
@@ -254,13 +253,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.func is cmd_zetastar and args.method == "harmonic":
-            document = _decimal_str(special.zeta_star_harmonic_form(args.s, args.terms)) + "\n"
-            code = 0
-        elif args.func is cmd_zetastar and args.method == "euler":
-            document = _decimal_str(special.zeta_star_euler_form(args.s, args.terms)) + "\n"
-            code = 0
-        elif args.func is cmd_verify:
+        if args.func is cmd_verify:
             document, code = cmd_verify(args)
         else:
             document = args.func(args)

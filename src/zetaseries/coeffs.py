@@ -74,20 +74,21 @@ def s2star_sum(k: int, j: int) -> Fraction:
     return total / factorial(j)
 
 
-def _harmonic_bracket(k: int, j: int) -> Fraction:
-    """The harmonic-number polynomial multiplying (-1)^{j-1}/(c k!) j!."""
-    h1 = harmonic(j, 1)
+def _harmonic_bracket(k: int, j: int, value=Fraction):
+    """The harmonic-number polynomial multiplying (-1)^{j-1}/(c j!), with
+    the harmonic numbers converted by ``value`` (exact by default)."""
+    h1 = value(harmonic(j, 1))
     if k == 2:
-        return Fraction(1)
+        return value(1)
     if k == 3:
         return h1
-    h2 = harmonic(j, 2)
+    h2 = value(harmonic(j, 2))
     if k == 4:
         return h1**2 + h2
-    h3 = harmonic(j, 3)
+    h3 = value(harmonic(j, 3))
     if k == 5:
         return h1**3 + 3 * h1 * h2 + 2 * h3
-    h4 = harmonic(j, 4)
+    h4 = value(harmonic(j, 4))
     return h1**4 + 6 * h1**2 * h2 + 3 * h2**2 + 8 * h1 * h3 + 6 * h4
 
 

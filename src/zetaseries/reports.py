@@ -38,13 +38,6 @@ def _freeze_params(params: Mapping[str, object]) -> Tuple[Tuple[str, object], ..
     return tuple(sorted(params.items()))
 
 
-def _fraction_str(value) -> str:
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
 def exact_compare(identity_id: str, params: Mapping[str, object], lhs, rhs) -> IdentityReport:
     """Compare two exact rationals; residual is lhs - rhs as "num/den"."""
     residual = Fraction(lhs) - Fraction(rhs)
@@ -54,7 +47,7 @@ def exact_compare(identity_id: str, params: Mapping[str, object], lhs, rhs) -> I
         identity_id,
         _freeze_params(params),
         "fail",
-        _fraction_str(residual),
+        str(residual),
         witness=(str(lhs), str(rhs)),
     )
 

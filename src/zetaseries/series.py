@@ -1,29 +1,30 @@
-"""Truncated formal power series, univariate and bivariate.
+"""Truncated formal power series and the transform constructions.
 
 ``TruncSeries`` is a dense series with a fixed truncation order; the
 coefficient type is duck-typed (Fraction for exact work, complex for
 root-of-unity constructions).  Binary operations truncate to the smaller
 operand order, so every retained coefficient is exact in rational mode.
 
-``BivarTruncSeries`` nests a z-series inside each power of an outer
-variable w, supporting the [w^u] extractions used by the introduction
-examples.
+The introduction examples a-f extract [w^u] from bracketed sums
+sum_j c*(k+2, j) D_j(wz) / (1 - w), where D_j is a series in wz alone
+(times 1/(1 - wz) for examples d and e).  That extraction collapses to
+the diagonal: [w^u] D(wz) / (1 - w) = sum_{n<=u} d_n z^n, and the extra
+1/(1 - wz) turns d_n into its partial sums.  So each example is the sum
+over j of c*(k+2, j) times the diagonal coefficients of D_j.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 from .coeffs import s2star_rec
 from .exactnum import binomial, factorial, root_of_unity
-from .harmonicnums import harmonic_t
 from .stirling import stirling1_unsigned, stirling2
 
 __all__ = [
     "TruncSeries",
-    "BivarTruncSeries",
-    "geom_derivative",
     "transform_forward",
     "transform_zeta",
     "intro_example",
@@ -102,14 +103,6 @@ class TruncSeries:
 
     def __repr__(self):
         return f"TruncSeries({list(self.coeffs)!r})"
-
-    def agrees_with(self, other: "TruncSeries") -> bool:
-        """Coefficientwise equality through the smaller order."""
-        n = min(self.order, other.order)
-        return self.coeffs[: n + 1] == other.coeffs[: n + 1]
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -230,13 +223,6 @@ class TruncSeries:
             acc = acc * x + c
         return acc
 
-    def as_fraction_strings(self) -> list[str]:
-        """Exact coefficients rendered as ``num/den`` strings."""
-        return [
-            f"{c.numerator}/{c.denominator}" if isinstance(c, Fraction) else repr(c)
-            for c in self.coeffs
-        ]
-
 
 def _zero_like(coeffs) -> object:
     for c in coeffs:
@@ -244,103 +230,9 @@ def _zero_like(coeffs) -> object:
     return Fraction(0)
 
 
-class BivarTruncSeries:
-    """Truncated series in w whose coefficients are TruncSeries in z."""
-
-    __slots__ = ("wcoeffs",)
-
-    def __init__(self, wcoeffs: Sequence[TruncSeries]):
-        if not wcoeffs:
-            raise ValueError("bivariate series needs at least the w^0 slice")
-        self.wcoeffs = tuple(wcoeffs)
-
-    @property
-    def order_w(self) -> int:
-        return len(self.wcoeffs) - 1
-
-    @property
-    def order_z(self) -> int:
-        return self.wcoeffs[0].order
-
-    @classmethod
-    def zero(cls, order_w: int, order_z: int) -> "BivarTruncSeries":
-        return cls([TruncSeries.zero(order_z) for _ in range(order_w + 1)])
-
-    @classmethod
-    def from_w(cls, series: TruncSeries, order_z: int) -> "BivarTruncSeries":
-        """Embed a series in w alone."""
-        return cls(
-            [
-                TruncSeries([c] + [0 * c] * order_z)
-                for c in series.coeffs
-            ]
-        )
-
-    @classmethod
-    def from_z(cls, series: TruncSeries, order_w: int) -> "BivarTruncSeries":
-        """Embed a series in z alone (w^0 slice only)."""
-        zero = TruncSeries.zero(series.order)
-        return cls([series] + [zero] * order_w)
-
-    @classmethod
-    def from_diagonal(cls, diag: Sequence, order_w: int, order_z: int) -> "BivarTruncSeries":
-        """Series sum_n d_n (wz)^n from its diagonal coefficients."""
-        out = []
-        for a in range(order_w + 1):
-            coeffs = [_zero_like(diag) if diag else Fraction(0)] * (order_z + 1)
-            if a <= order_z and a < len(diag):
-                coeffs[a] = diag[a]
-            out.append(TruncSeries(coeffs))
-        return cls(out)
-
-    def __add__(self, other):
-        n = min(self.order_w, other.order_w)
-        return BivarTruncSeries(
-            [self.wcoeffs[i] + other.wcoeffs[i] for i in range(n + 1)]
-        )
-
-    def scale(self, factor) -> "BivarTruncSeries":
-        return BivarTruncSeries([s.scale(factor) for s in self.wcoeffs])
-
-    def __mul__(self, other):
-        if not isinstance(other, BivarTruncSeries):
-            return self.scale(other)
-        order_w = min(self.order_w, other.order_w)
-        order_z = min(self.order_z, other.order_z)
-        out = [TruncSeries.zero(order_z) for _ in range(order_w + 1)]
-        for i, a in enumerate(self.wcoeffs[: order_w + 1]):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.wcoeffs[: order_w - i + 1]):
-                if b.is_zero():
-                    continue
-                out[i + j] = out[i + j] + (a.truncate(order_z) * b.truncate(order_z))
-        return BivarTruncSeries(out)
-
-    __rmul__ = __mul__
-
-    def extract_w(self, u: int) -> TruncSeries:
-        """[w^u] of the bivariate series, as an exact z-series."""
-        if not 0 <= u <= self.order_w:
-            raise ValueError(f"w-power {u} outside truncation order {self.order_w}")
-        return self.wcoeffs[u]
-
-
 # ---------------------------------------------------------------------
 # transforms and the introduction examples
 # ---------------------------------------------------------------------
-
-
-def geom_derivative(t, j: int, order: int) -> TruncSeries:
-    """Truncated series of t^j j! / (1 - t z)^{j+1}, the j-th derivative
-    of the geometric series 1/(1 - t z)."""
-    t = t if isinstance(t, (complex, float)) else Fraction(t)
-    out = []
-    power = t**j
-    for n in range(order + 1):
-        out.append(factorial(j) * binomial(n + j, j) * power)
-        power = power * t
-    return TruncSeries(out)
 
 
 def transform_forward(G: TruncSeries, m: int) -> TruncSeries:
@@ -413,16 +305,21 @@ def _diag_exp_shifted(j: int, order: int) -> list:
 
 def intro_example(example_id: str, k: int, u: int, *, t=None, r=None, a=None, b=None):
     """Bracketed bivariate constructions of the introduction, collapsed
-    by [w^u] extraction (examples a-f, exact) or by root-of-unity
-    multisection in fractional powers (example g, complex doubles).
+    by [w^u] extraction to diagonal sums (examples a-f, exact) or by
+    root-of-unity multisection in fractional powers (example g, complex
+    doubles).
 
     Returns the truncated z-series whose coefficients match the direct
     left-hand sums.
     """
     if u < 1:
         raise ValueError("truncation order u must be >= 1")
-    if example_id in "abcdef":
-        return _intro_example_exact(example_id, k, u, t=t, r=r)
+    if example_id in _INTRO_DIAGONALS:
+        scalar = {"d": t, "e": r}.get(example_id, 1)
+        if scalar is None:
+            raise ValueError(f"example {example_id} needs the scalar {'t' if example_id == 'd' else 'r'}")
+        c, diagonal = Fraction(scalar), _INTRO_DIAGONALS[example_id]
+        return _diagonal_sum(k, u, lambda j: diagonal(c, j, u))
     if example_id == "g":
         if a is None or b is None or a < 2 or not 0 <= b < a:
             raise ValueError("example g requires a >= 2 and 0 <= b < a")
@@ -430,40 +327,30 @@ def intro_example(example_id: str, k: int, u: int, *, t=None, r=None, a=None, b=
     raise ValueError(f"unknown introduction example {example_id!r}")
 
 
-def _intro_example_exact(example_id: str, k: int, u: int, *, t=None, r=None) -> TruncSeries:
-    w_geom = BivarTruncSeries.from_w(TruncSeries.geometric(1, u), u)
-    wz_geom = BivarTruncSeries.from_diagonal([Fraction(1)] * (u + 1), u, u)
-    total = BivarTruncSeries.zero(u, u)
+def _diagonal_sum(k: int, u: int, diagonal) -> TruncSeries:
+    """sum_{j=1}^{u} c*(k+2, j) diagonal(j), where diagonal(j) lists the
+    coefficients n = 0..u of the j-th summand's diagonal."""
+    out = [Fraction(0)] * (u + 1)
     for j in range(1, u + 1):
         coeff = s2star_rec(k + 2, j)
         if coeff == 0:
             continue
-        if example_id == "a":
-            term = BivarTruncSeries.from_diagonal(_diag_geom_pow(Fraction(1), j, u), u, u) * w_geom
-        elif example_id == "b":
-            term = BivarTruncSeries.from_diagonal(_diag_exp_pow(Fraction(1), j, u), u, u) * w_geom
-        elif example_id == "c":
-            term = BivarTruncSeries.from_diagonal(_diag_geom_pow2(j, u), u, u) * w_geom
-        elif example_id == "d":
-            if t is None:
-                raise ValueError("example d needs the scalar t")
-            term = (
-                BivarTruncSeries.from_diagonal(_diag_geom_pow(Fraction(t), j, u), u, u)
-                * wz_geom
-                * w_geom
-            )
-        elif example_id == "e":
-            if r is None:
-                raise ValueError("example e needs the scalar r")
-            term = (
-                BivarTruncSeries.from_diagonal(_diag_exp_pow(Fraction(r), j, u), u, u)
-                * wz_geom
-                * w_geom
-            )
-        else:  # "f"
-            term = BivarTruncSeries.from_diagonal(_diag_exp_shifted(j, u), u, u) * w_geom
-        total = total + term.scale(coeff)
-    return total.extract_w(u)
+        for n, d in enumerate(diagonal(j)):
+            if d:
+                out[n] += coeff * d
+    return TruncSeries(out)
+
+
+# diagonal builders (scalar c, j, u) of the summands of examples a-f;
+# d and e carry the extra 1/(1 - wz), hence the partial sums
+_INTRO_DIAGONALS = {
+    "a": _diag_geom_pow,
+    "b": _diag_exp_pow,
+    "c": lambda c, j, u: _diag_geom_pow2(j, u),
+    "d": lambda c, j, u: list(accumulate(_diag_geom_pow(c, j, u))),
+    "e": lambda c, j, u: list(accumulate(_diag_exp_pow(c, j, u))),
+    "f": lambda c, j, u: _diag_exp_shifted(j, u),
+}
 
 
 def _intro_example_progression(s: int, u: int, a: int, b: int) -> TruncSeries:
@@ -474,13 +361,9 @@ def _intro_example_progression(s: int, u: int, a: int, b: int) -> TruncSeries:
     prefactor is stripped by reading off powers y^{an+b}.
     """
     bigu = a * u + b
-    # [w^U] of (w y)^j j!/(1-w y)^{j+1} / (1-w) is sum_{n=j}^{U} C(n,j) y^n;
-    # the alternating j-sum cancels violently, so collapse it exactly first.
-    inner = [Fraction(0)] * (bigu + 1)
-    for j in range(1, bigu + 1):
-        coeff = s2star_rec(s + 2, j) * factorial(j)
-        for n in range(j, bigu + 1):
-            inner[n] += coeff * binomial(n, j)
+    # the [w^U] slice is example a in y; its alternating j-sum cancels
+    # violently, so collapse it exactly first
+    inner = _diagonal_sum(s, bigu, lambda j: _diag_geom_pow(1, j, bigu)).coeffs
     y_acc = [0j] * (bigu + 1)
     for m in range(a):
         omega_m = root_of_unity(a, m)
@@ -530,16 +413,8 @@ def stirling1_egf_check(k: int, order: int) -> tuple[TruncSeries, TruncSeries]:
 
 def exp_harmonic_series(k: int, order: int) -> TruncSeries:
     """Truncated series with coefficient H_n^{(k)}/n! at z^n, built from
-    sum_j c*(k+2, j) z^j e^z (j+1+z)/(j+1)."""
-    out = [Fraction(0)] * (order + 1)
-    for j in range(1, order + 1):
-        coeff = s2star_rec(k + 2, j)
-        if coeff == 0:
-            continue
-        diag = _diag_exp_shifted(j, order)
-        for n in range(order + 1):
-            out[n] += coeff * diag[n]
-    return TruncSeries(out)
+    sum_j c*(k+2, j) z^j e^z (j+1+z)/(j+1) (introduction example f)."""
+    return _diagonal_sum(k, order, lambda j: _diag_exp_shifted(j, order))
 
 
 def dilog_functional_eq_check(order: int):

@@ -44,6 +44,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import accumulate
 
+from .coeffs import _HARMONIC_DENOM, _harmonic_bracket
 from .exactnum import binomial, factorial
 from .harmonicnums import harmonic
 from .reports import IdentityReport, numeric_compare
@@ -133,7 +134,7 @@ def li_new_series(s: int, z, J: int) -> EvalResult:
     Convergent for |z/(1-z)| < 1 (Re z < 1/2 on the real line).  On or
     beyond that boundary the call is flagged with domain_warning and,
     when |z| < 1 still permits it, evaluated by direct summation
-    instead; otherwise the truncated formal sum is returned as-is.
+    instead; otherwise it raises ValueError, since both series diverge.
     """
     if s < 1:
         raise ValueError("li_new_series requires s >= 1")
@@ -142,8 +143,9 @@ def li_new_series(s: int, z, J: int) -> EvalResult:
     if z == 0:
         return EvalResult(0.0, 0, 0.0, "coeff_series")
     w = z / (1 - z)
-    warning = abs(w) >= 1
-    if warning and abs(z) < 1:
+    if abs(w) >= 1:
+        if abs(z) >= 1:
+            raise ValueError("Li_s(z) series diverge for |z/(1-z)| >= 1 and |z| >= 1")
         terms = max(J, int(math.log(1e-14) / math.log(abs(z))) + 1)
         fallback = li_direct_sum(s, z, terms)
         return EvalResult(
@@ -163,7 +165,7 @@ def li_new_series(s: int, z, J: int) -> EvalResult:
         term = (-1) ** (j - 1) * scaled[j] * power * prefactor
         total += term
         last = abs(term)
-    return EvalResult(total, J, last, "coeff_series", domain_warning=warning)
+    return EvalResult(total, J, last, "coeff_series")
 
 
 def classic_inner_sum(s: int, k: int) -> Fraction:
@@ -175,25 +177,29 @@ def classic_inner_sum(s: int, k: int) -> Fraction:
     return total
 
 
-def li_classic_series(s: int, z: float, K: int) -> EvalResult:
-    """Li_s(z) = sum_{k=0}^{K} (-z/(1-z))^{k+1}
-    sum_{m=0}^{k} C(k, m) (-1)^{m+1} / (m+1)^s."""
+def _binomial_series(inner: tuple, z, method: str) -> EvalResult:
+    """sum_{k=0}^{K} (-z/(1-z))^{k+1} inner[k], the binomial double series
+    shared by li_classic_series and hurwitz_phi (K + 1 = len(inner))."""
     if z == 1:
         raise ValueError("z = 1 is a pole of the binomial series")
     if z == 0:
-        return EvalResult(0.0, 0, 0.0, "classic_series")
-    inner = _phi_inner_table(s, Fraction(1), Fraction(0), K)
+        return EvalResult(0.0, 0, 0.0, method)
     w = -z / (1 - z)
-    warning = abs(w) >= 1
     total = 0.0 * w
     power = 1.0 + 0.0 * w
     last = 0.0
-    for k in range(K + 1):
+    for value in inner:
         power *= w
-        term = power * inner[k]
+        term = power * value
         total += term
         last = abs(term)
-    return EvalResult(total, K + 1, last, "classic_series", domain_warning=warning)
+    return EvalResult(total, len(inner), last, method, domain_warning=abs(w) >= 1)
+
+
+def li_classic_series(s: int, z: float, K: int) -> EvalResult:
+    """Li_s(z) = sum_{k=0}^{K} (-z/(1-z))^{k+1}
+    sum_{m=0}^{k} C(k, m) (-1)^{m+1} / (m+1)^s."""
+    return _binomial_series(_phi_inner_table(s, Fraction(1), Fraction(0), K), z, "classic_series")
 
 
 @cache
@@ -232,22 +238,7 @@ def hurwitz_phi(z: float, s: int, alpha, beta, K: int) -> EvalResult:
     for m in range(1, K + 2):
         if alpha * m + beta == 0:
             raise ZeroDivisionError(f"denominator alpha*{m} + beta = 0")
-    if z == 1:
-        raise ValueError("z = 1 is a pole of the binomial series")
-    if z == 0:
-        return EvalResult(0.0, 0, 0.0, "phi_series")
-    inner = _phi_inner_table(s, alpha, beta, K)
-    w = -z / (1 - z)
-    warning = abs(w) >= 1
-    total = 0.0
-    power = 1.0
-    last = 0.0
-    for k in range(K + 1):
-        power *= w
-        term = power * inner[k]
-        total += term
-        last = abs(term)
-    return EvalResult(total, K + 1, last, "phi_series", domain_warning=warning)
+    return _binomial_series(_phi_inner_table(s, alpha, beta, K), z, "phi_series")
 
 
 def zeta_star(s: int, J: int = 120, method: str = "series") -> float:
@@ -271,27 +262,16 @@ def zeta_star(s: int, J: int = 120, method: str = "series") -> float:
     raise ValueError("method must be 'series' or 'closed'")
 
 
-_HARMONIC_FORM_DENOM = {1: 2, 2: 4, 3: 12, 4: 48}
-
-
 def zeta_star_harmonic_form(s: int, J: int = 120) -> float:
     """The displayed harmonic-polynomial series for the alternating zeta
-    values, s = 1..4 (e.g. s = 2: sum_j (H_j^2 + H_j^{(2)})/(4*2^j))."""
-    if s not in _HARMONIC_FORM_DENOM:
+    values, s = 1..4 (e.g. s = 2: sum_j (H_j^2 + H_j^{(2)})/(4*2^j)), whose
+    numerators are the brackets of the closed forms of c*(s+2, j)."""
+    if not 1 <= s <= 4:
         raise ValueError("harmonic-polynomial forms exist for s in 1..4")
+    denominator = 2 * _HARMONIC_DENOM[s + 2]
     total = 0.0
     for j in range(1, J + 1):
-        h1 = float(harmonic(j, 1))
-        if s == 1:
-            poly = h1
-        elif s == 2:
-            poly = h1**2 + float(harmonic(j, 2))
-        elif s == 3:
-            poly = h1**3 + 3 * h1 * float(harmonic(j, 2)) + 2 * float(harmonic(j, 3))
-        else:
-            h2, h3, h4 = (float(harmonic(j, r)) for r in (2, 3, 4))
-            poly = h1**4 + 6 * h1**2 * h2 + 3 * h2**2 + 8 * h1 * h3 + 6 * h4
-        total += math.ldexp(poly / _HARMONIC_FORM_DENOM[s], -j)
+        total += math.ldexp(_harmonic_bracket(s + 2, j, float) / denominator, -j)
     return total
 
 
@@ -362,7 +342,7 @@ def trilog_functional_eq_check(z: float, J: int = 400) -> IdentityReport:
         + zeta_ref(3)
     )
     tolerance = 1e-7 if z > -0.85 else 1e-5
-    return numeric_compare("trilog_functional_eq", {"z": z, "J": J}, lhs, rhs, tolerance)
+    return numeric_compare("special.trilog_functional_eq", {"z": z, "J": J}, lhs, rhs, tolerance)
 
 
 def bernoulli_fourier(order: int, x: float, J: int = 60) -> float:
@@ -370,11 +350,14 @@ def bernoulli_fourier(order: int, x: float, J: int = 60) -> float:
     polylogarithm at the unit-circle points e^{+-2 pi i x}:
 
     -(2 pi i)^{-n} (Li_n(e^{2 pi i x}) + (-1)^n Li_n(e^{-2 pi i x})).
+
+    The coefficient series needs |z/(1-z)| = 1/(2 |sin pi x|) < 1, that is
+    {x} in (1/6, 5/6); elsewhere this raises ValueError.
     """
     if order < 1:
         raise ValueError("bernoulli_fourier requires order >= 1")
-    if x == int(x):
-        raise ValueError("the series for B_1 jumps at integer x")
+    if not 1 / 6 < x % 1 < 5 / 6:
+        raise ValueError("the coefficient series converges only for {x} in (1/6, 5/6)")
     plus = li_new_series(order, cmath.exp(2j * math.pi * x), J).value
     minus = li_new_series(order, cmath.exp(-2j * math.pi * x), J).value
     value = -(plus + (-1) ** order * minus) / (2j * math.pi) ** order

@@ -1,14 +1,17 @@
 """Verification registry: completeness, determinism, serialization, policy."""
 
 import csv
+import dataclasses
+import hashlib
 import io
 import json
 
 import pytest
 
-from zetaseries import audit
+from zetaseries import audit, special
+from zetaseries.cli import main
 from zetaseries.coeffs import s2star_rec, s2star_scaled
-from zetaseries.reports import IdentityReport
+from zetaseries.reports import IdentityReport, exact_compare
 
 # Static manifest of every registered identity, by suite.  A new identity
 # must be added here deliberately; a dropped one fails loudly.
@@ -105,6 +108,47 @@ def test_assert_policy_matches_manifest():
                 assert identity not in asserted
             else:
                 assert identity in asserted
+
+
+# sha256 prefixes of emit_report(run_suite(suite), "json"): any change to a
+# report's bytes must be deliberate
+REPORT_SHA256 = {
+    "core": "6f2e802debb3fdbd",
+    "fourier": "ac2d7a3f2d36f761",
+    "harmonic": "9a538a72809b8305",
+    "msums": "16ab4fca89f980e5",
+    "series": "63da0f20ced58cd6",
+    "special": "52b763d651465bce",
+}
+
+
+@pytest.mark.parametrize("suite", audit.suite_names())
+def test_emitted_ids_are_registered(suite):
+    emitted = {r.id for r in audit.run_suite(suite)}
+    assert emitted == set(audit.registered_ids(suite))
+
+
+@pytest.mark.parametrize("suite", audit.suite_names())
+def test_json_report_bytes_pinned(suite):
+    document = audit.emit_report(audit.run_suite(suite), "json")
+    assert hashlib.sha256(document.encode()).hexdigest()[:16] == REPORT_SHA256[suite]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_suite_rejects_report_with_foreign_id(monkeypatch, threads):
+    stray = audit.IdentitySpec("fake.spec", "exact", ({"n": 1},), lambda p: exact_compare("fake.other", p, 1, 1))
+    monkeypatch.setitem(audit._SUITES, "fake", lambda overrides=None: [stray])
+    with pytest.raises(RuntimeError, match="fake.other"):
+        audit.run_suite("fake", threads=threads)
+
+
+def test_failing_trilog_check_fails_verify(monkeypatch, capsys):
+    check = special.trilog_functional_eq_check
+    monkeypatch.setattr(
+        special, "trilog_functional_eq_check", lambda z: dataclasses.replace(check(z), status="fail")
+    )
+    assert main(["verify", "--suite", "special"]) == 1
+    capsys.readouterr()
 
 
 def test_unknown_suite_raises():

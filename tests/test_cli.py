@@ -115,6 +115,18 @@ def test_polylog_pole_exits_one(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("polylog", "--s", "2", "--z", "2"),
+    ("fourier", "--order", "2", "--x", "1/10"),
+])
+def test_divergent_evaluation_exits_one(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def test_zetastar_value(capsys):
     code, out = run_cli(capsys, "zetastar", "--s", "1", "--terms", "80")
     assert code == 0

@@ -138,23 +138,25 @@ def test_intro_example_f_matches_display():
 
 
 def test_intro_examples_direct_sums():
-    u = 10
-    for k in (1, 2):
+    u = 24
+    for k in range(4):
         a = intro_example("a", k, u)
         b = intro_example("b", k, u)
         c = intro_example("c", k, u)
-        d = intro_example("d", k, u, t=Fraction(1, 3))
-        e = intro_example("e", k, u, r=Fraction(1, 2))
         f = intro_example("f", k, u)
         for n in range(1, u + 1):
             assert a.coeff(n) == Fraction(1, n**k)
             assert b.coeff(n) == Fraction(1, n**k * factorial(n))
             assert c.coeff(n) == harmonic(n, k)
-            assert d.coeff(n) == harmonic_t(n, k, Fraction(1, 3))
-            assert e.coeff(n) == sum(
-                Fraction(1, 2) ** m / (m**k * factorial(m)) for m in range(1, n + 1)
-            )
             assert f.coeff(n) == harmonic(n, k) / factorial(n)
+        for t in (Fraction(1, 3), Fraction(-2)):
+            d = intro_example("d", k, u, t=t)
+            assert all(d.coeff(n) == harmonic_t(n, k, t) for n in range(1, u + 1))
+        for r in (Fraction(1, 2), Fraction(3)):
+            e = intro_example("e", k, u, r=r)
+            for n in range(1, u + 1):
+                assert e.coeff(n) == sum(r**m / (m**k * factorial(m)) for m in range(1, n + 1))
+        assert exp_harmonic_series(k, u) == f
 
 
 def test_intro_example_g_progression():
@@ -175,6 +177,10 @@ def test_intro_example_rejects_bad_input():
         intro_example("g", 1, 3, a=1, b=0)
     with pytest.raises(ValueError):
         intro_example("d", 1, 3)  # missing t
+    with pytest.raises(ValueError):
+        intro_example("e", 1, 3)  # missing r
+    with pytest.raises(ValueError):
+        intro_example("ab", 1, 3)
 
 
 # --- multisection ---------------------------------------------------------

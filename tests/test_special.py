@@ -64,6 +64,14 @@ def test_li_new_series_rejects_pole():
         li_new_series(2, 1, 100)
 
 
+@pytest.mark.parametrize("z", [2.0, 1 + 1j, complex(math.cos(0.2 * math.pi), math.sin(0.2 * math.pi))])
+def test_li_new_series_rejects_divergent_points(z):
+    # |z| >= 1 and |z/(1-z)| >= 1: neither the coefficient series nor the
+    # direct sum converges, so no partial sum is returned
+    with pytest.raises(ValueError):
+        li_new_series(2, z, 400)
+
+
 def test_classic_inner_sum_scaled_coefficient_identity():
     # sum_{m=0}^{k} C(k,m) (-1)^{m+1} / (m+1)^s = -scaled(s+1, k+1)/(k+1)
     for s in range(1, 6):
@@ -188,6 +196,12 @@ def test_bernoulli_fourier_vs_polynomial():
             want = float(bernoulli_poly(order, Fraction(x).limit_denominator(10**6) % 1))
             want /= math.factorial(order)
             assert bernoulli_fourier(order, x, 60) == pytest.approx(want, abs=1e-5)
+
+
+@pytest.mark.parametrize("x", [0.1, 1.9, -0.1, 2.0, 1 / 6])
+def test_bernoulli_fourier_rejects_outside_domain(x):
+    with pytest.raises(ValueError):
+        bernoulli_fourier(2, x, 60)
 
 
 def test_bernoulli_closed_logforms():
