@@ -1,11 +1,14 @@
 """Identity registry and verification runner.
 
-Every identity the library claims is registered here as a named,
-parameterized :class:`IdentitySpec` inside one of six suites (core,
-harmonic, series, special, msums, fourier).  ``run_suite`` sweeps the
-parameter grids — optionally across threads — and returns a
-deterministic, sorted list of :class:`IdentityReport` records;
-``emit_report`` serializes them byte-stably as JSON, CSV, or markdown.
+Every identity the library claims is registered here as an
+:class:`IdentitySpec` inside one of six suites (core, harmonic, series,
+special, msums, fourier): an id, a grid of points, a ``sides`` function
+giving the identity's two sides at a point, and a tolerance (``None``
+compares exactly, coefficientwise for truncated series).  ``run_suite``
+sweeps the grids — optionally across threads — and returns a
+deterministic, sorted list of :class:`IdentityReport` records, each built
+by ``IdentitySpec.evaluate`` under its spec's id; ``emit_report``
+serializes them byte-stably as JSON, CSV, or markdown.
 
 Specs carry an ``assert_pass`` flag: suites that document known-broken
 printed forms (all of msums, plus the *_printed variants elsewhere) are
@@ -52,7 +55,7 @@ from .harmonic import (
 from .reports import IdentityReport, exact_compare, numeric_compare
 from .series import (
     TruncSeries,
-    dilog_functional_eq_check,
+    dilog_functional_eq_sides,
     exp_harmonic_series,
     intro_example,
     multisection,
@@ -76,21 +79,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IdentitySpec:
-    id: str
-    mode: str  # "exact" or "numeric(<tolerance>)"
-    points: Tuple[dict, ...]
-    evaluate: Callable[[dict], IdentityReport]
-    assert_pass: bool = True
-
-
-def _grid(overrides: Optional[Mapping], key: str, default: Sequence) -> list:
-    if overrides and key in overrides:
-        return list(overrides[key])
-    return list(default)
-
-
 def _series_compare(identity_id: str, params: Mapping, lhs: TruncSeries, rhs: TruncSeries) -> IdentityReport:
     """Coefficientwise exact comparison of two truncated series."""
     frozen = tuple(sorted(params.items()))
@@ -106,6 +94,29 @@ def _series_compare(identity_id: str, params: Mapping, lhs: TruncSeries, rhs: Tr
                 witness=(f"[z^{i}] {lhs.coeff(i)}", f"[z^{i}] {rhs.coeff(i)}"),
             )
     return IdentityReport(identity_id, frozen, "exact_pass", "0")
+
+
+@dataclass(frozen=True)
+class IdentitySpec:
+    id: str
+    points: Tuple[dict, ...]
+    sides: Callable[[dict], tuple]  # point -> (lhs, rhs)
+    tolerance: Optional[float] = None  # None: exact
+    assert_pass: bool = True
+
+    def evaluate(self, point: dict) -> IdentityReport:
+        lhs, rhs = self.sides(point)
+        if self.tolerance is not None:
+            return numeric_compare(self.id, point, lhs, rhs, self.tolerance)
+        if isinstance(lhs, TruncSeries):
+            return _series_compare(self.id, point, lhs, rhs)
+        return exact_compare(self.id, point, lhs, rhs)
+
+
+def _grid(overrides: Optional[Mapping], key: str, default: Sequence) -> list:
+    if overrides and key in overrides:
+        return list(overrides[key])
+    return list(default)
 
 
 # ---------------------------------------------------------------------
@@ -167,129 +178,119 @@ def table3_expression(variant: str, k: int, j: int) -> Fraction:
 
 
 def _suite_core(overrides=None) -> list:
-    specs = []
-    points = [{"k": k, "j": j} for k in _grid(overrides, "k", range(2, 11)) for j in _grid(overrides, "j", range(1, 26))]
-    specs.append(IdentitySpec(
-        "core.rec_vs_sum", "exact", tuple(points),
-        lambda p: exact_compare("core.rec_vs_sum", p, s2star_rec(p["k"], p["j"]), s2star_sum(p["k"], p["j"])),
-    ))
-    points = [{"k": k, "j": j} for k in range(2, 7) for j in _grid(overrides, "j", range(1, 26))]
-    specs.append(IdentitySpec(
-        "core.rec_vs_harmonic", "exact", tuple(points),
-        lambda p: exact_compare("core.rec_vs_harmonic", p, s2star_rec(p["k"], p["j"]), s2star_harmonic(p["k"], p["j"])),
-    ))
-    points = [{"k": k, "j": j} for k in range(0, 9) for j in range(1, 9)]
-    specs.append(IdentitySpec(
-        "core.rec_vs_ogf", "exact", tuple(points),
-        lambda p: exact_compare("core.rec_vs_ogf", p, s2star_rec(p["k"], p["j"]), s2star_ogf_coeff(p["k"], p["j"])),
-    ))
-    points = [{"k": k, "j": j} for k in range(0, 9) for j in _grid(overrides, "j", range(1, 26))]
-    specs.append(IdentitySpec(
-        "core.rec_vs_heuristic", "exact", tuple(points),
-        lambda p: exact_compare("core.rec_vs_heuristic", p, s2star_rec(p["k"] + 2, p["j"]), s2star_heuristic(p["k"], p["j"])),
-    ))
-    points = [{"k": k, "j": j} for k in range(0, 7) for j in range(1, 13)]
-    specs.append(IdentitySpec(
-        "core.rec_vs_reverse_binomial", "exact", tuple(points),
-        lambda p: exact_compare("core.rec_vs_reverse_binomial", p, s2star_rec(p["k"] + 2, p["j"]), s2star_reverse_binomial(p["k"], p["j"])),
-    ))
-    points = [{"k": k, "j": j} for k in range(0, 7) for j in range(0, 9)]
-    specs.append(IdentitySpec(
-        "core.table1", "exact", tuple(points),
-        lambda p: exact_compare("core.table1", p, s2star_rec(p["k"], p["j"]), TABLE1[p["k"]][p["j"]]),
-    ))
-    points = [{"k": k, "j": j} for k in range(0, 7) for j in range(1, 9)]
-    specs.append(IdentitySpec(
-        "core.table2", "exact", tuple(points),
-        lambda p: exact_compare("core.table2", p, s2star_scaled(p["k"], p["j"]), TABLE2[p["k"]][p["j"]]),
-    ))
-    points = [{"variant": v, "k": k, "j": j} for v in ("t0", "t1") for k in range(2, 8) for j in _grid(overrides, "j", range(1, 21))]
-    specs.append(IdentitySpec(
-        "core.table3_remainder", "exact", tuple(points),
-        lambda p: exact_compare("core.table3_remainder", p, remainder_t(p["variant"], p["k"], p["j"]), table3_expression(p["variant"], p["k"], p["j"])),
-    ))
+    j_grid = _grid(overrides, "j", range(1, 26))
 
-    def _sign(p):
+    def grid(ks, js):
+        return tuple({"k": k, "j": j} for k in ks for j in js)
+
+    def sign(p):
         value = s2star_rec(p["k"], p["j"])
-        expected_sign = (-1) ** (p["j"] - 1)
-        ok = value != 0 and (value > 0) == (expected_sign > 0)
-        return IdentityReport(
-            "core.sign_pattern", tuple(sorted(p.items())),
-            "exact_pass" if ok else "fail",
-            "0" if ok else "1",
-            None if ok else (str(value), f"sign {expected_sign}"),
-        )
+        return (value > 0) - (value < 0), (-1) ** (p["j"] - 1)
 
-    points = [{"k": k, "j": j} for k in range(2, 9) for j in _grid(overrides, "j", range(1, 26))]
-    specs.append(IdentitySpec("core.sign_pattern", "exact", tuple(points), _sign))
-    return specs
+    return [
+        IdentitySpec(
+            "core.rec_vs_sum", grid(_grid(overrides, "k", range(2, 11)), j_grid),
+            lambda p: (s2star_rec(p["k"], p["j"]), s2star_sum(p["k"], p["j"])),
+        ),
+        IdentitySpec(
+            "core.rec_vs_harmonic", grid(range(2, 7), j_grid),
+            lambda p: (s2star_rec(p["k"], p["j"]), s2star_harmonic(p["k"], p["j"])),
+        ),
+        IdentitySpec(
+            "core.rec_vs_ogf", grid(range(0, 9), range(1, 9)),
+            lambda p: (s2star_rec(p["k"], p["j"]), s2star_ogf_coeff(p["k"], p["j"])),
+        ),
+        IdentitySpec(
+            "core.rec_vs_heuristic", grid(range(0, 9), j_grid),
+            lambda p: (s2star_rec(p["k"] + 2, p["j"]), s2star_heuristic(p["k"], p["j"])),
+        ),
+        IdentitySpec(
+            "core.rec_vs_reverse_binomial", grid(range(0, 7), range(1, 13)),
+            lambda p: (s2star_rec(p["k"] + 2, p["j"]), s2star_reverse_binomial(p["k"], p["j"])),
+        ),
+        IdentitySpec(
+            "core.table1", grid(range(0, 7), range(0, 9)),
+            lambda p: (s2star_rec(p["k"], p["j"]), TABLE1[p["k"]][p["j"]]),
+        ),
+        IdentitySpec(
+            "core.table2", grid(range(0, 7), range(1, 9)),
+            lambda p: (s2star_scaled(p["k"], p["j"]), TABLE2[p["k"]][p["j"]]),
+        ),
+        IdentitySpec(
+            "core.table3_remainder",
+            tuple({"variant": v, "k": k, "j": j} for v in ("t0", "t1") for k in range(2, 8)
+                  for j in _grid(overrides, "j", range(1, 21))),
+            lambda p: (remainder_t(p["variant"], p["k"], p["j"]), table3_expression(p["variant"], p["k"], p["j"])),
+        ),
+        IdentitySpec("core.sign_pattern", grid(range(2, 9), j_grid), sign),
+    ]
 
 
 def _suite_harmonic(overrides=None) -> list:
-    specs = []
-    points = [{"n": n, "k": k} for n in _grid(overrides, "n", range(1, 26)) for k in range(1, 9)]
-    specs.append(IdentitySpec(
-        "harmonic.npow_inverse", "exact", tuple(points),
-        lambda p: exact_compare("harmonic.npow_inverse", p, npow_inverse(p["n"], p["k"]), Fraction(1, p["n"] ** p["k"])),
-    ))
-    points = [{"n": n, "k": k} for n in range(1, 21) for k in range(0, 9)]
-    specs.append(IdentitySpec(
-        "harmonic.npow_forward", "exact", tuple(points),
-        lambda p: exact_compare("harmonic.npow_forward", p, npow_forward(p["n"], p["k"]), Fraction(p["n"] ** p["k"])),
-    ))
-    points = [{"n": n, "k": k} for n in range(0, 16) for k in range(1, 6)]
-    specs.append(IdentitySpec(
-        "harmonic.via_rec", "exact", tuple(points),
-        lambda p: exact_compare("harmonic.via_rec", p, harmonic_via_rec(p["n"], p["k"]), harmonic(p["n"], p["k"])),
-    ))
-    points = [{"k": k, "j": j, "variant": v} for k in range(1, 7) for j in _grid(overrides, "j", range(1, 21)) for v in (1, 2)]
-    specs.append(IdentitySpec(
-        "harmonic.hnum_int", "exact", tuple(points),
-        lambda p: exact_compare("harmonic.hnum_int", p, s2star_from_hnum_int(p["k"], p["j"], p["variant"]), s2star_rec(p["k"] + 2, p["j"])),
-    ))
+    j_grid = _grid(overrides, "j", range(1, 21))
 
-    def _hnum_real(p):
-        if p["r"] == 0.0:
-            got = s2star_from_hnum_real(p["k"], p["j"], 0.0, p["variant"])
-            return numeric_compare("harmonic.hnum_real", p, got, float(s2star_rec(p["k"] + 2, p["j"])), 1e-12)
-        v1 = s2star_from_hnum_real(p["k"], p["j"], p["r"], 1)
-        v2 = s2star_from_hnum_real(p["k"], p["j"], p["r"], 2)
-        return numeric_compare("harmonic.hnum_real", p, v1, v2, 1e-12)
+    def hnum_real(p):
+        k, j, r = p["k"], p["j"], p["r"]
+        if r == 0.0:
+            return s2star_from_hnum_real(k, j, 0.0, p["variant"]), float(s2star_rec(k + 2, j))
+        return s2star_from_hnum_real(k, j, r, 1), s2star_from_hnum_real(k, j, r, 2)
 
-    points = [{"k": k, "j": j, "r": r, "variant": v}
-              for k in (2, 3) for j in range(1, 13) for r in (0.0, 0.25, 0.5) for v in (1,)]
-    specs.append(IdentitySpec("harmonic.hnum_real", "numeric(1e-12)", tuple(points), _hnum_real))
-    points = [{"k": k, "j": j} for k in range(0, 6) for j in _grid(overrides, "j", range(1, 21))]
-    specs.append(IdentitySpec(
-        "harmonic.exp_conv", "exact", tuple(points),
-        lambda p: exact_compare("harmonic.exp_conv", p, exp_harmonic_conv(p["k"], p["j"]) * p["j"], s2star_rec(p["k"] + 2, p["j"])),
-    ))
-    specs.append(IdentitySpec(
-        "harmonic.exp_inv", "exact", tuple(points),
-        lambda p: exact_compare("harmonic.exp_inv", p, exp_harmonic_inv(p["k"], p["j"]), harmonic(p["j"], p["k"] + 1) / factorial(p["j"])),
-    ))
-    points = [{"n": n, "k": k, "which": w} for n in _grid(overrides, "n", range(1, 13)) for k in range(1, 6) for w in (1, 2)]
-    specs.append(IdentitySpec(
-        "harmonic.rec_corollary_exact", "exact", tuple(points),
-        lambda p: exact_compare("harmonic.rec_corollary_exact", p, harmonic_rec_corollary(p["n"], p["k"], p["which"]), harmonic(p["n"], p["k"])),
-    ))
-
-    def _rec3(p):
-        got = harmonic_rec_corollary(p["n"], p["k"], 3, r=p["r"])
-        return numeric_compare("harmonic.rec_corollary_real", p, float(got), float(harmonic(p["n"], p["k"])), 1e-9)
-
-    points = [{"n": n, "k": k, "r": r} for n in range(1, 13) for k in (2, 3) for r in (0.0, 0.25, 0.5)]
-    specs.append(IdentitySpec("harmonic.rec_corollary_real", "numeric(1e-9)", tuple(points), _rec3))
-    points = [{"n": n, "k": k} for n in range(0, 21) for k in range(1, 6)]
-    specs.append(IdentitySpec(
-        "harmonic.binomial_form", "exact", tuple(points),
-        lambda p: exact_compare("harmonic.binomial_form", p, harmonic_binomial_form(p["n"], p["k"]), harmonic(p["n"], p["k"])),
-    ))
-    specs.append(IdentitySpec(
-        "harmonic.powers_of_n", "exact", tuple(points),
-        lambda p: exact_compare("harmonic.powers_of_n", p, harmonic_powers_of_n(p["n"], p["k"]), harmonic(p["n"], p["k"])),
-    ))
-    return specs
+    exp_points = tuple({"k": k, "j": j} for k in range(0, 6) for j in j_grid)
+    form_points = tuple({"n": n, "k": k} for n in range(0, 21) for k in range(1, 6))
+    return [
+        IdentitySpec(
+            "harmonic.npow_inverse",
+            tuple({"n": n, "k": k} for n in _grid(overrides, "n", range(1, 26)) for k in range(1, 9)),
+            lambda p: (npow_inverse(p["n"], p["k"]), Fraction(1, p["n"] ** p["k"])),
+        ),
+        IdentitySpec(
+            "harmonic.npow_forward", tuple({"n": n, "k": k} for n in range(1, 21) for k in range(0, 9)),
+            lambda p: (npow_forward(p["n"], p["k"]), Fraction(p["n"] ** p["k"])),
+        ),
+        IdentitySpec(
+            "harmonic.via_rec", tuple({"n": n, "k": k} for n in range(0, 16) for k in range(1, 6)),
+            lambda p: (harmonic_via_rec(p["n"], p["k"]), harmonic(p["n"], p["k"])),
+        ),
+        IdentitySpec(
+            "harmonic.hnum_int",
+            tuple({"k": k, "j": j, "variant": v} for k in range(1, 7) for j in j_grid for v in (1, 2)),
+            lambda p: (s2star_from_hnum_int(p["k"], p["j"], p["variant"]), s2star_rec(p["k"] + 2, p["j"])),
+        ),
+        IdentitySpec(
+            "harmonic.hnum_real",
+            tuple({"k": k, "j": j, "r": r, "variant": 1}
+                  for k in (2, 3) for j in range(1, 13) for r in (0.0, 0.25, 0.5)),
+            hnum_real, tolerance=1e-12,
+        ),
+        IdentitySpec(
+            "harmonic.exp_conv", exp_points,
+            lambda p: (exp_harmonic_conv(p["k"], p["j"]) * p["j"], s2star_rec(p["k"] + 2, p["j"])),
+        ),
+        IdentitySpec(
+            "harmonic.exp_inv", exp_points,
+            lambda p: (exp_harmonic_inv(p["k"], p["j"]), harmonic(p["j"], p["k"] + 1) / factorial(p["j"])),
+        ),
+        IdentitySpec(
+            "harmonic.rec_corollary_exact",
+            tuple({"n": n, "k": k, "which": w}
+                  for n in _grid(overrides, "n", range(1, 13)) for k in range(1, 6) for w in (1, 2)),
+            lambda p: (harmonic_rec_corollary(p["n"], p["k"], p["which"]), harmonic(p["n"], p["k"])),
+        ),
+        IdentitySpec(
+            "harmonic.rec_corollary_real",
+            tuple({"n": n, "k": k, "r": r} for n in range(1, 13) for k in (2, 3) for r in (0.0, 0.25, 0.5)),
+            lambda p: (float(harmonic_rec_corollary(p["n"], p["k"], 3, r=p["r"])), float(harmonic(p["n"], p["k"]))),
+            tolerance=1e-9,
+        ),
+        IdentitySpec(
+            "harmonic.binomial_form", form_points,
+            lambda p: (harmonic_binomial_form(p["n"], p["k"]), harmonic(p["n"], p["k"])),
+        ),
+        IdentitySpec(
+            "harmonic.powers_of_n", form_points,
+            lambda p: (harmonic_powers_of_n(p["n"], p["k"]), harmonic(p["n"], p["k"])),
+        ),
+    ]
 
 
 _INTRO_DIRECT = {
@@ -319,62 +320,34 @@ def _make_gf(name: str, order: int) -> Tuple[TruncSeries, Callable[[int], Fracti
 
 
 def _suite_series(overrides=None) -> list:
-    specs = []
-
-    def _tz(p):
+    def transform(p):
         order = p["order"]
         G, g_of = _make_gf(p["gf"], order)
-        got = transform_zeta(G, p["k"])
         want = TruncSeries([Fraction(0)] + [g_of(n) / Fraction(n ** p["k"]) for n in range(1, order + 1)])
-        return _series_compare("series.transform_zeta", p, got, want)
+        return transform_zeta(G, p["k"]), want
 
-    points = [{"gf": g, "k": k, "order": _grid(overrides, "order", [30])[0]}
-              for g in ("geometric", "geometric_sq", "exp", "li2_over_1mz") for k in (1, 2, 3)]
-    specs.append(IdentitySpec("series.transform_zeta", "exact", tuple(points), _tz))
-
-    def _round_trip(p):
+    def round_trip(p):
         order = p["order"]
         G, _ = _make_gf(p["gf"], order)
         back = transform_forward(transform_zeta(G, p["k"]), p["k"])
-        want = TruncSeries([Fraction(0)] + [G.coeff(n) for n in range(1, order + 1)])
-        return _series_compare("series.round_trip", p, back, want)
+        return back, TruncSeries([Fraction(0)] + [G.coeff(n) for n in range(1, order + 1)])
 
-    points = [{"gf": g, "k": k, "order": 20} for g in ("geometric", "exp") for k in (1, 2)]
-    specs.append(IdentitySpec("series.round_trip", "exact", tuple(points), _round_trip))
-
-    def _intro(p):
+    def intro(p):
         t = parse_rational(p["t"]) if "t" in p else None
         r = parse_rational(p["r"]) if "r" in p else None
-        got = intro_example(p["id"], p["k"], p["u"], t=t, r=r)
         direct = _INTRO_DIRECT[p["id"]]
-        want = TruncSeries(
-            [Fraction(0)] + [direct(n, p["k"], t, r) for n in range(1, p["u"] + 1)]
-        )
-        return _series_compare("series.intro_exact", p, got, want)
+        want = TruncSeries([Fraction(0)] + [direct(n, p["k"], t, r) for n in range(1, p["u"] + 1)])
+        return intro_example(p["id"], p["k"], p["u"], t=t, r=r), want
 
-    u = _grid(overrides, "u", [12])[0]
-    points = []
-    for k in (1, 2, 3):
-        points += [{"id": e, "k": k, "u": u} for e in "abcf"]
-        points += [{"id": "d", "k": k, "u": u, "t": "1/3"}, {"id": "d", "k": k, "u": u, "t": "-2"}]
-        points += [{"id": "e", "k": k, "u": u, "r": "1/2"}, {"id": "e", "k": k, "u": u, "r": "3"}]
-    specs.append(IdentitySpec("series.intro_exact", "exact", tuple(points), _intro))
-
-    def _intro_g(p):
+    def progression(p):
         a, b, s, u = p["a"], p["b"], p["s"], p["u"]
         got = intro_example("g", s, u, a=a, b=b)
         worst = abs(got.coeff(0) - ((1.0 / b**s) if b > 0 else 0.0))
         for n in range(1, u + 1):
             worst = max(worst, abs(got.coeff(n) - 1.0 / (a * n + b) ** s))
-        return numeric_compare("series.intro_progression", p, worst, 0.0, 1e-10)
+        return worst, 0.0
 
-    points = [
-        {"a": a, "b": b, "s": s, "u": _grid(overrides, "u", [12])[0]}
-        for a in (2, 3, 4) for b in range(a) for s in (1, 2)
-    ]
-    specs.append(IdentitySpec("series.intro_progression", "numeric(1e-10)", tuple(points), _intro_g))
-
-    def _multisection(p):
+    def multisection_error(p):
         order = p["order"]
         F = TruncSeries([Fraction(n + 1) for n in range(order + 1)])
         got = multisection(F, p["a"], p["b"])
@@ -382,159 +355,140 @@ def _suite_series(overrides=None) -> list:
         for n in range(order + 1):
             want = float(F.coeff(n)) if n % p["a"] == p["b"] else 0.0
             worst = max(worst, abs(got.coeff(n) - want))
-        return numeric_compare("series.multisection", p, worst, 0.0, 1e-10)
+        return worst, 0.0
 
-    points = [{"a": a, "b": b, "order": 64} for a in range(2, 9) for b in (0, 1, a - 1)]
-    specs.append(IdentitySpec("series.multisection", "numeric(1e-10)", tuple(points), _multisection))
+    def exp_log(p):
+        S = TruncSeries([Fraction(1)] + [Fraction((-1) ** n * (n + 2), 2 * n + 1) for n in range(1, p["order"] + 1)])
+        return S.log().exp(), S
 
-    def _exp_log(p):
-        coeffs = [Fraction(1)] + [Fraction((-1) ** n * (n + 2), 2 * n + 1) for n in range(1, p["order"] + 1)]
-        S = TruncSeries(coeffs)
-        return _series_compare("series.exp_log_roundtrip", p, S.log().exp(), S)
-
-    specs.append(IdentitySpec("series.exp_log_roundtrip", "exact", ({"order": 15},), _exp_log))
-
-    def _egf(p):
+    def egf_printed(p):
         lhs, rhs = stirling1_egf_check(p["k"], p["order"])
-        return _series_compare("series.stirling1_egf", p, lhs, rhs)
+        return lhs, rhs.scale(Fraction((-1) ** p["k"]))
 
-    points = [{"k": k, "order": 12} for k in range(0, 5)]
-    specs.append(IdentitySpec("series.stirling1_egf", "exact", tuple(points), _egf))
-
-    def _egf_printed(p):
-        lhs, rhs = stirling1_egf_check(p["k"], p["order"])
-        return _series_compare("series.stirling1_egf_printed_sign", p, lhs, rhs.scale(Fraction((-1) ** p["k"])))
-
-    specs.append(IdentitySpec(
-        "series.stirling1_egf_printed_sign", "exact", tuple({"k": k, "order": 8} for k in (1, 2, 3)),
-        _egf_printed, assert_pass=False,
-    ))
-
-    def _dilog(p):
-        passed, witness = dilog_functional_eq_check(p["order"])
-        if passed:
-            return IdentityReport("series.dilog_functional_eq", tuple(sorted(p.items())), "exact_pass", "0")
-        n, lhs, rhs = witness
-        return IdentityReport(
-            "series.dilog_functional_eq", tuple(sorted(p.items())), "fail",
-            str(Fraction(lhs) - Fraction(rhs)), (f"[z^{n}] {lhs}", f"[z^{n}] {rhs}"),
-        )
-
-    specs.append(IdentitySpec(
-        "series.dilog_functional_eq", "exact", tuple({"order": o} for o in (10, 40)), _dilog,
-    ))
-
-    def _exp_harm(p):
-        got = exp_harmonic_series(p["k"], p["order"])
-        want = TruncSeries([harmonic(n, p["k"]) / factorial(n) for n in range(p["order"] + 1)])
-        return _series_compare("series.exp_harmonic", p, got, want)
-
-    specs.append(IdentitySpec(
-        "series.exp_harmonic", "exact", tuple({"k": k, "order": 20} for k in (1, 2, 3)), _exp_harm,
-    ))
-
-    def _h1_egf(p):
+    def h1_egf(p):
         order = p["order"]
         h1 = TruncSeries([harmonic(n, 1) / factorial(n) for n in range(order + 1)])
         exp_neg = TruncSeries([Fraction(0)] + [Fraction(-1)] + [Fraction(0)] * (order - 1)).exp()
-        lhs = h1 * exp_neg
         rhs = TruncSeries([Fraction(0)] + [-Fraction((-1) ** n, factorial(n) * n) for n in range(1, order + 1)])
-        return _series_compare("series.h1_egf", p, lhs, rhs)
+        return h1 * exp_neg, rhs
 
-    specs.append(IdentitySpec("series.h1_egf", "exact", ({"order": 20},), _h1_egf))
-    return specs
+    u = _grid(overrides, "u", [12])[0]
+    intro_points = []
+    for k in (1, 2, 3):
+        intro_points += [{"id": e, "k": k, "u": u} for e in "abcf"]
+        intro_points += [{"id": "d", "k": k, "u": u, "t": "1/3"}, {"id": "d", "k": k, "u": u, "t": "-2"}]
+        intro_points += [{"id": "e", "k": k, "u": u, "r": "1/2"}, {"id": "e", "k": k, "u": u, "r": "3"}]
+    return [
+        IdentitySpec(
+            "series.transform_zeta",
+            tuple({"gf": g, "k": k, "order": _grid(overrides, "order", [30])[0]}
+                  for g in ("geometric", "geometric_sq", "exp", "li2_over_1mz") for k in (1, 2, 3)),
+            transform,
+        ),
+        IdentitySpec(
+            "series.round_trip", tuple({"gf": g, "k": k, "order": 20} for g in ("geometric", "exp") for k in (1, 2)),
+            round_trip,
+        ),
+        IdentitySpec("series.intro_exact", tuple(intro_points), intro),
+        IdentitySpec(
+            "series.intro_progression",
+            tuple({"a": a, "b": b, "s": s, "u": u} for a in (2, 3, 4) for b in range(a) for s in (1, 2)),
+            progression, tolerance=1e-10,
+        ),
+        IdentitySpec(
+            "series.multisection", tuple({"a": a, "b": b, "order": 64} for a in range(2, 9) for b in (0, 1, a - 1)),
+            multisection_error, tolerance=1e-10,
+        ),
+        IdentitySpec("series.exp_log_roundtrip", ({"order": 15},), exp_log),
+        IdentitySpec(
+            "series.stirling1_egf", tuple({"k": k, "order": 12} for k in range(0, 5)),
+            lambda p: stirling1_egf_check(p["k"], p["order"]),
+        ),
+        IdentitySpec(
+            "series.stirling1_egf_printed_sign", tuple({"k": k, "order": 8} for k in (1, 2, 3)),
+            egf_printed, assert_pass=False,
+        ),
+        IdentitySpec(
+            "series.dilog_functional_eq", tuple({"order": o} for o in (10, 40)),
+            lambda p: dilog_functional_eq_sides(p["order"]),
+        ),
+        IdentitySpec(
+            "series.exp_harmonic", tuple({"k": k, "order": 20} for k in (1, 2, 3)),
+            lambda p: (
+                exp_harmonic_series(p["k"], p["order"]),
+                TruncSeries([harmonic(n, p["k"]) / factorial(n) for n in range(p["order"] + 1)]),
+            ),
+        ),
+        IdentitySpec("series.h1_egf", ({"order": 20},), h1_egf),
+    ]
 
 
 def _suite_special(overrides=None) -> list:
-    specs = []
     J = _grid(overrides, "J", [400])[0]
 
-    def _three_way(p):
+    def three_way(p):
         v1 = special.li_new_series(p["s"], p["z"], J).value
         v2 = special.li_classic_series(p["s"], p["z"], J).value
         v3 = special.li_direct_sum(p["s"], p["z"], J).value
-        worst = max(abs(v1 - v2), abs(v1 - v3), abs(v2 - v3))
-        return numeric_compare("special.li_three_way", p, worst, 0.0, 1e-10)
+        return max(abs(v1 - v2), abs(v1 - v3), abs(v2 - v3)), 0.0
 
-    points = [{"s": s, "z": z} for s in range(1, 6) for z in (-0.8, -0.5, -0.1, 0.2, 0.4)]
-    specs.append(IdentitySpec("special.li_three_way", "numeric(1e-10)", tuple(points), _three_way))
-
-    specs.append(IdentitySpec(
-        "special.zeta_star_series", "numeric(1e-8)", tuple({"s": s} for s in range(1, 7)),
-        lambda p: numeric_compare(
-            "special.zeta_star_series", p,
-            special.zeta_star(p["s"], 120, "series"), special.zeta_star(p["s"], method="closed"), 1e-8,
-        ),
-    ))
-    specs.append(IdentitySpec(
-        "special.zeta_star_harmonic_form", "numeric(1e-8)", tuple({"s": s} for s in range(1, 5)),
-        lambda p: numeric_compare(
-            "special.zeta_star_harmonic_form", p,
-            special.zeta_star_harmonic_form(p["s"], 120), special.zeta_star(p["s"], method="closed"), 1e-8,
-        ),
-    ))
-    specs.append(IdentitySpec(
-        "special.zeta_star_euler_form", "numeric(5e-6)", tuple({"s": s} for s in (3, 4, 5)),
-        lambda p: numeric_compare(
-            "special.zeta_star_euler_form", p,
-            special.zeta_star_euler_form(p["s"], 200), special.zeta_star(p["s"], method="closed"), 5e-6,
-        ),
-    ))
-
-    def _euler4_printed(p):
-        log2 = math.log(2)
-        total = log2**4 / 24
+    def euler4_printed(p):
+        total = math.log(2) ** 4 / 24
         for j in range(1, 201):
             h1 = float(harmonic(j, 1))
             total += (h1**2 * float(harmonic(j, 2)) + h1 * float(harmonic(j, 3))) / 2.0 ** (j + 2)
-        return numeric_compare(
-            "special.euler_form_s4_printed", p, total, special.zeta_star(4, method="closed"), 5e-6
-        )
+        return total, special.zeta_star(4, method="closed")
 
-    specs.append(IdentitySpec(
-        "special.euler_form_s4_printed", "numeric(5e-6)", ({"s": 4},), _euler4_printed, assert_pass=False,
-    ))
-    specs.append(IdentitySpec(
-        "special.trilog_functional_eq", "numeric(1e-7)",
-        tuple({"z": z} for z in (-0.5, -0.1, -0.9)),
-        lambda p: special.trilog_functional_eq_check(p["z"]),
-    ))
+    def trilog_printed(p):
+        # the printed closing sign, -zeta(3) in place of +zeta(3)
+        lhs, rhs = special.trilog_functional_eq_sides(p["z"], 400)
+        return lhs, rhs - 2 * special.zeta_ref(3)
 
-    def _trilog_printed(p):
-        z = p["z"]
-        u = -z / (1 - z)
-        v = 1 / (1 - z)
-        log1mz = math.log(1 - z)
-        li = special._li_auto
-        lhs = li(3, z, 400)
-        rhs = (
-            -log1mz**3 / 6
-            + log1mz**2 * math.log(u) / 2
-            - log1mz * (li(2, v, 400) + li(2, u, 400))
-            - li(3, v, 400)
-            - li(3, u, 400)
-            - special.zeta_ref(3)
-        )
-        return numeric_compare("special.trilog_printed_sign", p, lhs, rhs, 1e-7)
-
-    specs.append(IdentitySpec(
-        "special.trilog_printed_sign", "numeric(1e-7)", ({"z": -0.5},), _trilog_printed, assert_pass=False,
-    ))
-
-    def _hurwitz(p):
+    def hurwitz(p):
         got = special.hurwitz_phi(p["z"], p["s"], p["alpha"], p["beta"], 200).value
-        direct = sum(
-            p["z"] ** n / (p["alpha"] * n + p["beta"]) ** p["s"] for n in range(1, 400)
-        )
-        return numeric_compare("special.hurwitz_direct", p, got, direct, 1e-9)
+        return got, sum(p["z"] ** n / (p["alpha"] * n + p["beta"]) ** p["s"] for n in range(1, 400))
 
-    points = [
-        {"z": 0.4, "s": 2, "alpha": 1, "beta": 0},
-        {"z": -0.5, "s": 1, "alpha": 2, "beta": 1},
-        {"z": 0.3, "s": 3, "alpha": 3, "beta": 2},
+    def closed(p):
+        return special.zeta_star(p["s"], method="closed")
+
+    return [
+        IdentitySpec(
+            "special.li_three_way",
+            tuple({"s": s, "z": z} for s in range(1, 6) for z in (-0.8, -0.5, -0.1, 0.2, 0.4)),
+            three_way, tolerance=1e-10,
+        ),
+        IdentitySpec(
+            "special.zeta_star_series", tuple({"s": s} for s in range(1, 7)),
+            lambda p: (special.zeta_star(p["s"], 120, "series"), closed(p)), tolerance=1e-8,
+        ),
+        IdentitySpec(
+            "special.zeta_star_harmonic_form", tuple({"s": s} for s in range(1, 5)),
+            lambda p: (special.zeta_star_harmonic_form(p["s"], 120), closed(p)), tolerance=1e-8,
+        ),
+        IdentitySpec(
+            "special.zeta_star_euler_form", tuple({"s": s} for s in (3, 4, 5)),
+            lambda p: (special.zeta_star_euler_form(p["s"], 200), closed(p)), tolerance=5e-6,
+        ),
+        IdentitySpec(
+            "special.euler_form_s4_printed", ({"s": 4},), euler4_printed, tolerance=5e-6, assert_pass=False,
+        ),
+        IdentitySpec(
+            "special.trilog_functional_eq", tuple({"z": z, "J": 400} for z in (-0.5, -0.1, -0.9)),
+            lambda p: special.trilog_functional_eq_sides(p["z"], p["J"]), tolerance=1e-7,
+        ),
+        IdentitySpec(
+            "special.trilog_printed_sign", ({"z": -0.5},), trilog_printed, tolerance=1e-7, assert_pass=False,
+        ),
+        IdentitySpec(
+            "special.hurwitz_direct",
+            (
+                {"z": 0.4, "s": 2, "alpha": 1, "beta": 0},
+                {"z": -0.5, "s": 1, "alpha": 2, "beta": 1},
+                {"z": 0.3, "s": 3, "alpha": 3, "beta": 2},
+            ),
+            hurwitz, tolerance=1e-9,
+        ),
     ]
-    specs.append(IdentitySpec("special.hurwitz_direct", "numeric(1e-9)", tuple(points), _hurwitz))
-    return specs
 
 
 def _bernoulli_oracle(order: int, x: float) -> float:
@@ -543,134 +497,118 @@ def _bernoulli_oracle(order: int, x: float) -> float:
 
 
 def _suite_fourier(overrides=None) -> list:
-    specs = []
-
-    specs.append(IdentitySpec(
-        "fourier.b1_value", "numeric(1e-6)", ({"x": 1.25, "J": 60},),
-        lambda p: numeric_compare("fourier.b1_value", p, special.bernoulli_fourier(1, p["x"], p["J"]), -0.25, 1e-6),
-    ))
-    points = [{"order": n, "x": x, "J": 60} for n in (1, 2, 3) for x in (0.25, 1.25, 2.75)]
-    specs.append(IdentitySpec(
-        "fourier.series_vs_poly", "numeric(1e-5)", tuple(points),
-        lambda p: numeric_compare(
-            "fourier.series_vs_poly", p,
-            special.bernoulli_fourier(p["order"], p["x"], p["J"]),
-            _bernoulli_oracle(p["order"], p["x"]), 1e-5,
-        ),
-    ))
-
-    def _convergence(p):
+    def convergence(p):
         oracle = _bernoulli_oracle(p["order"], p["x"])
         devs = [abs(special.bernoulli_fourier(p["order"], p["x"], J) - oracle) for J in (20, 40, 80)]
-        excess = max(0.0, devs[1] - 1.1 * devs[0]) + max(0.0, devs[2] - 1.1 * devs[1])
-        return numeric_compare("fourier.convergence", p, excess, 0.0, 0.0)
+        return max(0.0, devs[1] - 1.1 * devs[0]) + max(0.0, devs[2] - 1.1 * devs[1]), 0.0
 
-    points = [{"order": n, "x": x} for n in (1, 2, 3) for x in (0.2, 1.25, 2.75)]
-    specs.append(IdentitySpec("fourier.convergence", "numeric(0)", tuple(points), _convergence))
-
-    def _closed(p):
+    def closed_logforms(p):
         value = special.bernoulli_closed_logforms(p["order"], p["x"])
+        # the closed forms are real: an imaginary part beyond rounding fails at any tolerance
         if abs(value.imag) > 1e-9:
-            return numeric_compare("fourier.closed_logforms", p, abs(value.imag), 0.0, 1e-9)
-        return numeric_compare(
-            "fourier.closed_logforms", p, value.real, _bernoulli_oracle(p["order"], p["x"]), 1e-8
-        )
+            return value, math.inf
+        return value.real, _bernoulli_oracle(p["order"], p["x"])
 
-    points = [{"order": n, "x": x} for n in (1, 2) for x in (0.25, 0.3, 0.75)]
-    specs.append(IdentitySpec("fourier.closed_logforms", "numeric(1e-8)", tuple(points), _closed))
-
-    def _printed(p):
+    def printed(p):
         # the displayed bracket series: coefficient series without the j!
         # factor, summed at E = e^{2 pi i (x-1/2)} and its conjugate
         n, x = p["order"], p["x"]
         E = cmath.exp(2j * math.pi * (x - 0.5))
         total = 0j
         for j in range(1, 61):
-            coeff = complex(s2star_rec(n + 2, j))
             plus = E**j / (1 + E) ** (j + 1)
             minus = (1 / E) ** j / (1 + 1 / E) ** (j + 1)
-            if n % 2 == 0:
-                total += coeff * (plus + minus)
-            else:
-                total += coeff * (plus - minus)
-        k2 = (n - 2) // 2 if n % 2 == 0 else (n - 1) // 2
+            total += complex(s2star_rec(n + 2, j)) * (plus + minus if n % 2 == 0 else plus - minus)
         if n % 2 == 0:
-            value = ((-1) ** (k2 + 1) / (2 * math.pi) ** n) * total
+            value = ((-1) ** (n // 2) / (2 * math.pi) ** n) * total
         else:
-            value = ((-1) ** k2 / ((2 * math.pi) ** n * 1j)) * total
-        return numeric_compare(
-            "fourier.printed_series_reading", p, value.real, _bernoulli_oracle(n, x), 1e-5
-        )
+            value = ((-1) ** ((n - 1) // 2) / ((2 * math.pi) ** n * 1j)) * total
+        return value.real, _bernoulli_oracle(n, x)
 
-    points = [{"order": n, "x": 0.25} for n in (1, 2)]
-    specs.append(IdentitySpec(
-        "fourier.printed_series_reading", "numeric(1e-5)", tuple(points), _printed, assert_pass=False,
-    ))
-    return specs
+    return [
+        IdentitySpec(
+            "fourier.b1_value", ({"x": 1.25, "J": 60},),
+            lambda p: (special.bernoulli_fourier(1, p["x"], p["J"]), -0.25), tolerance=1e-6,
+        ),
+        IdentitySpec(
+            "fourier.series_vs_poly",
+            tuple({"order": n, "x": x, "J": 60} for n in (1, 2, 3) for x in (0.25, 1.25, 2.75)),
+            lambda p: (
+                special.bernoulli_fourier(p["order"], p["x"], p["J"]), _bernoulli_oracle(p["order"], p["x"])
+            ),
+            tolerance=1e-5,
+        ),
+        IdentitySpec(
+            "fourier.convergence", tuple({"order": n, "x": x} for n in (1, 2, 3) for x in (0.2, 1.25, 2.75)),
+            convergence, tolerance=0.0,
+        ),
+        IdentitySpec(
+            "fourier.closed_logforms", tuple({"order": n, "x": x} for n in (1, 2) for x in (0.25, 0.3, 0.75)),
+            closed_logforms, tolerance=1e-8,
+        ),
+        IdentitySpec(
+            "fourier.printed_series_reading", tuple({"order": n, "x": 0.25} for n in (1, 2)),
+            printed, tolerance=1e-5, assert_pass=False,
+        ),
+    ]
 
 
 def _suite_msums(overrides=None) -> list:
-    specs = []
     k_grid = _grid(overrides, "k", range(4, 9))
     d_grid = _grid(overrides, "d", range(1, 5))
     n_grid = _grid(overrides, "n", range(0, 13))
 
-    def _def_vs_alt(p):
+    def def_vs_alt(p):
         spec = msums.MSumSpec(p["k"], p["d"], p["n"], p["reading"])
-        return exact_compare("msums.def_vs_alt", p, msums.m_def(spec), msums.m_alt(spec))
+        return msums.m_def(spec), msums.m_alt(spec)
 
-    points = [{"k": k, "d": d, "n": n, "reading": rd}
-              for k in k_grid for d in d_grid for n in n_grid for rd in ("unsigned", "signed")]
-    specs.append(IdentitySpec("msums.def_vs_alt", "exact", tuple(points), _def_vs_alt, assert_pass=False))
+    def discrepancy(p):
+        # the three documented values at k = 3, d = 1, n = 1, compared as one vector
+        got = [
+            msums.m_alt(msums.MSumSpec(3, 1, 1)),
+            msums.m_def(msums.MSumSpec(3, 1, 1, "unsigned")),
+            msums.m_recurrence_residual(3, 1, 1, "alt"),
+        ]
+        return TruncSeries(got), TruncSeries([Fraction(-1), Fraction(1), Fraction(-191, 32)])
 
-    def _recurrence(p):
-        residual = msums.m_recurrence_residual(p["k"], p["d"], p["n"], p["source"])
-        return exact_compare("msums.recurrence", p, residual, Fraction(0))
-
-    points = [{"k": k, "d": d, "n": n, "source": s}
-              for k in (3, 4, 5) for d in (1, 2, 3) for n in range(0, 7)
-              for s in ("def_unsigned", "def_signed", "alt")]
-    specs.append(IdentitySpec("msums.recurrence", "exact", tuple(points), _recurrence, assert_pass=False))
-
-    points = [{"which": w, "k": k, "n": n, "source": s}
-              for w in range(1, 7) for k in (5, 6, 7) for n in (0, 1, 2, 3)
-              for s in ("def_unsigned", "alt")]
-    specs.append(IdentitySpec(
-        "msum_almost_linear", "exact", tuple(points),
-        lambda p: msums.almost_linear_check(p["which"], p["k"], p["n"], source=p["source"]),
-        assert_pass=False,
-    ))
-
-    def _general(p):
-        coeffs = [Fraction(c) for c in p["coeffs"].split(",")] if p["coeffs"] else []
-        return msums.general_relations_check(
-            p["family"], coeffs, Fraction(p["d"]), p["k"], p["n"], p["source"]
-        )
-
-    points = [
-        {"family": 1, "coeffs": "0", "d": "1", "k": 5, "n": 2, "source": "alt"},
-        {"family": 1, "coeffs": "1", "d": "2", "k": 6, "n": 3, "source": "def_unsigned"},
-        {"family": 2, "coeffs": "0,0", "d": "1", "k": 5, "n": 2, "source": "alt"},
-        {"family": 2, "coeffs": "1,-1", "d": "1", "k": 6, "n": 2, "source": "alt"},
-        {"family": 3, "coeffs": "1,-1,0", "d": "2", "k": 6, "n": 3, "source": "alt"},
+    return [
+        IdentitySpec(
+            "msums.def_vs_alt",
+            tuple({"k": k, "d": d, "n": n, "reading": rd}
+                  for k in k_grid for d in d_grid for n in n_grid for rd in ("unsigned", "signed")),
+            def_vs_alt, assert_pass=False,
+        ),
+        IdentitySpec(
+            "msums.recurrence",
+            tuple({"k": k, "d": d, "n": n, "source": s}
+                  for k in (3, 4, 5) for d in (1, 2, 3) for n in range(0, 7)
+                  for s in ("def_unsigned", "def_signed", "alt")),
+            lambda p: (msums.m_recurrence_residual(p["k"], p["d"], p["n"], p["source"]), 0),
+            assert_pass=False,
+        ),
+        IdentitySpec(
+            "msum_almost_linear",
+            tuple({"which": w, "k": k, "n": n, "source": s, **({"m": "0"} if w == 6 else {})}
+                  for w in range(1, 7) for k in (5, 6, 7) for n in (0, 1, 2, 3) for s in ("def_unsigned", "alt")),
+            lambda p: msums.almost_linear_sides(p["which"], p["k"], p["n"], Fraction(p.get("m", 0)), p["source"]),
+            assert_pass=False,
+        ),
+        IdentitySpec(
+            "msum_general_relation",
+            (
+                {"family": 1, "coeffs": "0", "d": "1", "k": 5, "n": 2, "source": "alt"},
+                {"family": 1, "coeffs": "1", "d": "2", "k": 6, "n": 3, "source": "def_unsigned"},
+                {"family": 2, "coeffs": "0,0", "d": "1", "k": 5, "n": 2, "source": "alt"},
+                {"family": 2, "coeffs": "1,-1", "d": "1", "k": 6, "n": 2, "source": "alt"},
+                {"family": 3, "coeffs": "1,-1,0", "d": "2", "k": 6, "n": 3, "source": "alt"},
+            ),
+            lambda p: msums.general_relation_sides(
+                p["family"], p["coeffs"].split(","), p["d"], p["k"], p["n"], p["source"]
+            ),
+            assert_pass=False,
+        ),
+        IdentitySpec("msums.documented_discrepancy", ({"k": 3, "d": 1, "n": 1},), discrepancy),
     ]
-    specs.append(IdentitySpec("msum_general_relation", "exact", tuple(points), _general, assert_pass=False))
-
-    def _discrepancy(p):
-        alt = msums.m_alt(msums.MSumSpec(3, 1, 1))
-        deff = msums.m_def(msums.MSumSpec(3, 1, 1, "unsigned"))
-        residual = msums.m_recurrence_residual(3, 1, 1, "alt")
-        ok = alt == -1 and deff == 1 and residual == Fraction(-191, 32)
-        return IdentityReport(
-            "msums.documented_discrepancy", tuple(sorted(p.items())),
-            "exact_pass" if ok else "fail", "0" if ok else "1",
-            None if ok else (f"alt={alt} def={deff}", f"residual={residual}"),
-        )
-
-    specs.append(IdentitySpec(
-        "msums.documented_discrepancy", "exact", ({"k": 3, "d": 1, "n": 1},), _discrepancy,
-    ))
-    return specs
 
 
 _SUITES = {
@@ -701,27 +639,19 @@ def assert_ids(name: str) -> frozenset:
     return frozenset(spec.id for spec in _build(name) if spec.assert_pass)
 
 
-def _evaluate(spec: IdentitySpec, point: dict) -> IdentityReport:
-    report = spec.evaluate(point)
-    if report.id != spec.id:
-        # suite_passes filters by spec id, so a stray id escapes the exit code
-        raise RuntimeError(f"spec {spec.id!r} emitted a report with id {report.id!r}")
-    return report
-
-
 def run_suite(name: str, overrides=None, threads: int = 1) -> list:
     """Evaluate every grid point of every identity in the suite.
 
     The report list is sorted by (id, params) and is identical across
-    runs and thread counts.  Every report must carry its spec's id.
+    runs and thread counts.
     """
     specs = _build(name, overrides)
     tasks = [(spec, point) for spec in specs for point in spec.points]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(lambda t: _evaluate(*t), tasks))
+            reports = list(pool.map(lambda t: t[0].evaluate(t[1]), tasks))
     else:
-        reports = [_evaluate(spec, point) for spec, point in tasks]
+        reports = [spec.evaluate(point) for spec, point in tasks]
     reports.sort(key=lambda r: r.sort_key())
     return reports
 

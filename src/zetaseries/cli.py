@@ -7,7 +7,8 @@ harmonic numbers (``harmonic``), the truncated-series constructions
 identity verification suites (``verify``).
 
 Exit codes: 0 success, 1 domain error in the requested evaluation,
-2 unknown verification suite.  Exact values print as fractions unless
+2 unknown verification suite.  Negative fractions may follow their flag
+directly (``--z -1/2``).  Exact values print as fractions unless
 ``--format decimal`` is given, in which case 15 significant digits.
 """
 
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -249,9 +251,21 @@ def _emit(document: str, output: Optional[str]) -> None:
         sys.stdout.write(document)
 
 
+def _bind_negative_fractions(argv: Sequence[str]) -> list:
+    """argparse reads a token like ``-1/2`` as an option, so bind each one
+    to the flag before it (``--z -1/2`` becomes ``--z=-1/2``)."""
+    bound = []
+    for token in argv:
+        if bound and bound[-1].startswith("--") and re.fullmatch(r"-\d+/\d+", token):
+            bound[-1] += "=" + token
+        else:
+            bound.append(token)
+    return bound
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_bind_negative_fractions(sys.argv[1:] if argv is None else argv))
     try:
         if args.func is cmd_verify:
             document, code = cmd_verify(args)

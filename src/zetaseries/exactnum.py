@@ -4,7 +4,7 @@ All exact computation in this package is carried out over
 :class:`fractions.Fraction`, which keeps values in canonical form
 (positive denominator, gcd-reduced) after every operation.  The helpers
 here wrap the handful of integer/complex primitives the rest of the
-package needs, with hard errors instead of silent NaN propagation.
+package needs, raising ValueError on arguments outside their domain.
 """
 
 from __future__ import annotations
@@ -18,19 +18,12 @@ Rational = Fraction
 
 __all__ = [
     "Rational",
-    "rational",
     "parse_rational",
     "binomial",
     "factorial",
     "falling_factorial",
     "root_of_unity",
-    "require_finite",
 ]
-
-
-def rational(numerator, denominator=1) -> Fraction:
-    """Exact rational from integers (or anything Fraction accepts)."""
-    return Fraction(numerator, denominator)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -71,10 +64,3 @@ def root_of_unity(a: int, m: int) -> complex:
     if a < 1:
         raise ValueError("root_of_unity requires a >= 1")
     return cmath.exp(2j * cmath.pi * m / a)
-
-
-def require_finite(z: complex) -> complex:
-    """Reject NaN/inf components; numeric error states are hard errors."""
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ArithmeticError(f"non-finite complex value: {z!r}")
-    return z

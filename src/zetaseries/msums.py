@@ -28,7 +28,9 @@ __all__ = [
     "m_alt",
     "m_value",
     "m_recurrence_residual",
+    "almost_linear_sides",
     "almost_linear_check",
+    "general_relation_sides",
     "general_relations_check",
     "zeta5_diagnostic",
 ]
@@ -107,10 +109,10 @@ def m_recurrence_residual(k: int, d: int, n: int, source: str) -> Fraction:
     )
 
 
-def almost_linear_check(which: int, k: int, n: int, m=Fraction(0), source: str = "alt") -> IdentityReport:
-    """Residual report for one of the six displayed almost-linear
+def almost_linear_sides(which: int, k: int, n: int, m=Fraction(0), source: str = "alt") -> tuple:
+    """Both sides of one of the six displayed almost-linear
     harmonic-number recurrences (the undefined orders written p-3 and
-    p-4 are read as k-3 and k-4)."""
+    p-4 are read as k-3 and k-4); the sixth has a free constant m."""
     if which not in range(1, 7):
         raise ValueError("which must be in 1..6")
     m = Fraction(m)
@@ -139,19 +141,25 @@ def almost_linear_check(which: int, k: int, n: int, m=Fraction(0), source: str =
             - 10 * m * M(4)
             + m * M(5)
         )
+    return lhs, rhs
+
+
+def almost_linear_check(which: int, k: int, n: int, m=Fraction(0), source: str = "alt") -> IdentityReport:
+    """Residual report of ``almost_linear_sides``."""
+    lhs, rhs = almost_linear_sides(which, k, n, m, source)
     params = {"which": which, "k": k, "n": n, "source": source}
     if which == 6:
-        params["m"] = str(m)
+        params["m"] = str(Fraction(m))
     return exact_compare("msum_almost_linear", params, lhs, rhs)
 
 
 _FAMILY_SIZES = {1: 1, 2: 2, 3: 3}
 
 
-def general_relations_check(
+def general_relation_sides(
     family: int, coeffs: Sequence, d, k: int, n: int, source: str = "alt"
-) -> IdentityReport:
-    """Residual report for the parameterized relations the displayed
+) -> tuple:
+    """Both sides of the parameterized relations the displayed
     recurrences specialize, with free constants a1 / b1,b2 / c1,c2,c3
     and a common scale d != 0."""
     if family not in _FAMILY_SIZES:
@@ -195,10 +203,18 @@ def general_relations_check(
             - (10 * c1 - 10 * c2 + 9 * c3 + 10 * d) * M(4)
             + (c1 - c2 + c3 + d) * M(5)
         )
+    return lhs, rhs
+
+
+def general_relations_check(
+    family: int, coeffs: Sequence, d, k: int, n: int, source: str = "alt"
+) -> IdentityReport:
+    """Residual report of ``general_relation_sides``."""
+    lhs, rhs = general_relation_sides(family, coeffs, d, k, n, source)
     params = {
         "family": family,
-        "coeffs": ",".join(str(c) for c in coeffs),
-        "d": str(d),
+        "coeffs": ",".join(str(Fraction(c)) for c in coeffs),
+        "d": str(Fraction(d)),
         "k": k,
         "n": n,
         "source": source,

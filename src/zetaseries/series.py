@@ -31,6 +31,7 @@ __all__ = [
     "multisection",
     "stirling1_egf_check",
     "exp_harmonic_series",
+    "dilog_functional_eq_sides",
     "dilog_functional_eq_check",
 ]
 
@@ -215,13 +216,6 @@ class TruncSeries:
             out.append(coeff * p)
             p = p * c
         return TruncSeries(out)
-
-    def eval(self, x):
-        """Horner evaluation of the truncated polynomial at x."""
-        acc = 0 * x
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
 
 def _zero_like(coeffs) -> object:
@@ -417,19 +411,27 @@ def exp_harmonic_series(k: int, order: int) -> TruncSeries:
     return _diagonal_sum(k, order, lambda j: _diag_exp_shifted(j, order))
 
 
-def dilog_functional_eq_check(order: int):
-    """Exact truncated-series verification of
+def dilog_functional_eq_sides(order: int) -> tuple[TruncSeries, TruncSeries]:
+    """Both sides of
 
-    Li_2(z) = -(1/2) log(1-z)^2 - Li_2(-z/(1-z)).
+    Li_2(z) = -(1/2) log(1-z)^2 - Li_2(-z/(1-z))
 
-    Returns (passed, first_mismatch) with the witness coefficient pair.
+    as exact truncated series of the given order.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    lhs = TruncSeries.polylog(2, order)
     log1mz = TruncSeries.log_one_minus_z(order)
     inner = TruncSeries([Fraction(0)] + [Fraction(-1)] * order)  # -z/(1-z)
     rhs = (log1mz * log1mz).scale(Fraction(-1, 2)) - TruncSeries.polylog(2, order).compose(inner)
+    return TruncSeries.polylog(2, order), rhs
+
+
+def dilog_functional_eq_check(order: int):
+    """Exact truncated-series verification of ``dilog_functional_eq_sides``.
+
+    Returns (passed, first_mismatch) with the witness coefficient pair.
+    """
+    lhs, rhs = dilog_functional_eq_sides(order)
     for n in range(order + 1):
         if lhs.coeff(n) != rhs.coeff(n):
             return False, (n, lhs.coeff(n), rhs.coeff(n))

@@ -11,8 +11,8 @@ polynomials.
 Every coefficient series reads one cached row of scaled coefficients
 |c*(k, j)| j!, j = 0..J, built per (k, J) by an exact integer kernel over
 the common denominator lcm(1..J)^(k-2) and rounded once to doubles:
-``li_new_series`` (and through it ``bernoulli_fourier`` and the real-line
-Li routes of the trilogarithm check) and ``zeta_star`` read row s+2.
+``li_new_series`` (and through it ``bernoulli_fourier`` and the
+trilogarithm functional equation) and ``zeta_star`` read row s+2.
 The classical binomial series and the modified Hurwitz zeta share one
 inner table: for alpha = 1, beta = 0 and s >= 1 it reads the integer
 numerators of row s+1 through the identity
@@ -60,6 +60,7 @@ __all__ = [
     "zeta_star",
     "zeta_star_harmonic_form",
     "zeta_star_euler_form",
+    "trilog_functional_eq_sides",
     "trilog_functional_eq_check",
     "bernoulli_fourier",
     "bernoulli_closed_logforms",
@@ -179,12 +180,16 @@ def classic_inner_sum(s: int, k: int) -> Fraction:
 
 def _binomial_series(inner: tuple, z, method: str) -> EvalResult:
     """sum_{k=0}^{K} (-z/(1-z))^{k+1} inner[k], the binomial double series
-    shared by li_classic_series and hurwitz_phi (K + 1 = len(inner))."""
+    shared by li_classic_series and hurwitz_phi (K + 1 = len(inner)).
+    Raises ValueError where |z/(1-z)| >= 1, outside its convergence
+    domain Re z < 1/2."""
     if z == 1:
         raise ValueError("z = 1 is a pole of the binomial series")
     if z == 0:
         return EvalResult(0.0, 0, 0.0, method)
     w = -z / (1 - z)
+    if abs(w) >= 1:
+        raise ValueError("the binomial series diverges for |z/(1-z)| >= 1")
     total = 0.0 * w
     power = 1.0 + 0.0 * w
     last = 0.0
@@ -193,7 +198,7 @@ def _binomial_series(inner: tuple, z, method: str) -> EvalResult:
         term = power * value
         total += term
         last = abs(term)
-    return EvalResult(total, len(inner), last, method, domain_warning=abs(w) >= 1)
+    return EvalResult(total, len(inner), last, method)
 
 
 def li_classic_series(s: int, z: float, K: int) -> EvalResult:
@@ -304,45 +309,43 @@ def zeta_star_euler_form(s: int, J: int = 200) -> float:
     return total
 
 
-def _li_auto(s: int, x: float, J: int) -> float:
-    """Li_s at a real point: coefficient series where it converges
-    (Re x < 1/2), direct summation for the remaining |x| < 1."""
-    if x < 0.5:
-        return float(li_new_series(s, x, J).value)
-    if abs(x) >= 1:
-        raise ValueError("no convergent evaluation path for |x| >= 1 with Re x >= 1/2")
-    terms = max(J, int(math.log(1e-14) / math.log(abs(x))) + 1)
-    return float(li_direct_sum(s, x, terms).value)
-
-
-def trilog_functional_eq_check(z: float, J: int = 400) -> IdentityReport:
-    """Landen-type functional equation for the trilogarithm on
-    z in (-1, 0):
+def trilog_functional_eq_sides(z: float, J: int = 400) -> tuple:
+    """Both sides of the Landen-type functional equation for the
+    trilogarithm on z in (-1, 0):
 
     Li_3(z) = -Log(1-z)^3/6 + Log(1-z)^2 Log(-z/(1-z))/2
               - Log(1-z) [Li_2(1/(1-z)) + Li_2(-z/(1-z))]
-              - Li_3(1/(1-z)) - Li_3(-z/(1-z)) + zeta(3).
+              - Li_3(1/(1-z)) - Li_3(-z/(1-z)) + zeta(3),
 
-    The closing +zeta(3) is the sign under which the identity holds
-    (verified numerically across the domain); the opposite printed sign
-    is audited separately.
+    each Li by ``li_new_series`` at J terms.  The closing +zeta(3) is the
+    sign under which the identity holds (verified numerically across the
+    domain); the opposite printed sign is audited separately.
     """
     if not -1 < z < 0:
         raise ValueError("trilog check requires z in (-1, 0)")
     u = -z / (1 - z)
     v = 1 / (1 - z)
     log1mz = math.log(1 - z)
-    lhs = _li_auto(3, z, J)
+
+    def li(s, x):
+        return li_new_series(s, x, J).value
+
     rhs = (
         -log1mz**3 / 6
         + log1mz**2 * math.log(u) / 2
-        - log1mz * (_li_auto(2, v, J) + _li_auto(2, u, J))
-        - _li_auto(3, v, J)
-        - _li_auto(3, u, J)
+        - log1mz * (li(2, v) + li(2, u))
+        - li(3, v)
+        - li(3, u)
         + zeta_ref(3)
     )
-    tolerance = 1e-7 if z > -0.85 else 1e-5
-    return numeric_compare("special.trilog_functional_eq", {"z": z, "J": J}, lhs, rhs, tolerance)
+    return li(3, z), rhs
+
+
+def trilog_functional_eq_check(z: float, J: int = 400) -> IdentityReport:
+    """Report of ``trilog_functional_eq_sides`` at z, within 1e-7."""
+    return numeric_compare(
+        "special.trilog_functional_eq", {"z": z, "J": J}, *trilog_functional_eq_sides(z, J), 1e-7
+    )
 
 
 def bernoulli_fourier(order: int, x: float, J: int = 60) -> float:

@@ -57,6 +57,17 @@ def test_unicode_minus_parses(capsys):
     assert parse_rational(out.strip()) == direct
 
 
+@pytest.mark.parametrize("argv, printed", [
+    (("polylog", "--s", "2", "--z", "-1/2"), "-0.448414206923646"),
+    (("harmonic", "--n", "4", "--t", "-1/2"), "-77/192"),
+], ids=["polylog", "harmonic"])
+def test_negative_fraction_after_its_flag(capsys, argv, printed):
+    # argparse alone reads -1/2 as an unknown option and exits 2
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == printed + "\n"
+
+
 def test_table_golden_byte_identical(capsys):
     _, out = run_cli(capsys, "table", "--kmax", "6", "--jmax", "8", "--format", "markdown")
     assert out.encode() == (GOLDEN / "table1.md").read_bytes()

@@ -13,8 +13,6 @@ from zetaseries.exactnum import (
     factorial,
     falling_factorial,
     parse_rational,
-    rational,
-    require_finite,
     root_of_unity,
 )
 
@@ -39,11 +37,6 @@ def test_parse_round_trip(num, den):
     value = Fraction(num, den)
     text = f"{value.numerator}/{value.denominator}"
     assert parse_rational(text) == value
-
-
-def test_rational_constructor():
-    assert rational(3, 6) == Fraction(1, 2)
-    assert rational(5) == Fraction(5)
 
 
 def test_binomial_against_factorials():
@@ -87,11 +80,3 @@ def test_root_of_unity_values():
 @given(st.integers(1, 12), st.integers(-24, 24))
 def test_root_of_unity_is_power(a, m):
     assert root_of_unity(a, m) == pytest.approx(cmath.exp(2j * math.pi * m / a))
-
-
-def test_require_finite():
-    assert require_finite(1 + 2j) == 1 + 2j
-    with pytest.raises(ArithmeticError):
-        require_finite(complex("inf"))
-    with pytest.raises(ArithmeticError):
-        require_finite(complex("nan"))

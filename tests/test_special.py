@@ -146,6 +146,18 @@ def test_hurwitz_phi_rejects_zero_denominator():
         hurwitz_phi(0.3, 2, 1, -3, 100)
 
 
+@pytest.mark.parametrize("evaluate, args", [
+    (li_classic_series, (2, 0.9, 400)),
+    (li_classic_series, (2, 0.5, 400)),
+    (hurwitz_phi, (0.9, 2, 2, 1, 150)),
+], ids=["classic_z0.9", "classic_z0.5", "phi_z0.9"])
+def test_binomial_series_rejects_divergent_points(evaluate, args):
+    # |z/(1-z)| >= 1: the partial sums here were nan, 0.5904 against
+    # Li_2(1/2) = 0.5822, and 6.6e140
+    with pytest.raises(ValueError):
+        evaluate(*args)
+
+
 def test_zeta_star_series_and_closed():
     assert zeta_star(1, 120, "series") == pytest.approx(math.log(2), abs=1e-10)
     for s in range(2, 7):
