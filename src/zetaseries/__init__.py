@@ -3,11 +3,13 @@ identities built on them.
 
 Layering, lowest first: exact arithmetic (:mod:`exactnum`), Stirling and
 Bernoulli numbers (:mod:`stirling`), exact harmonic numbers
-(:mod:`harmonicnums`), the transform coefficient table (:mod:`coeffs`),
-harmonic-number identities (:mod:`harmonic`), truncated power series and
-the transform itself (:mod:`series`), numeric special functions
+(:mod:`harmonicnums`), truncated power series (:mod:`powerseries`), the
+transform coefficient table (:mod:`coeffs`), harmonic-number identities
+(:mod:`harmonic`), identity reports (:mod:`reports`), the transform and
+its constructions on series (:mod:`series`), numeric special functions
 (:mod:`special`), remainder-term sums (:mod:`msums`), and the identity
-verification registry (:mod:`audit`) behind the :mod:`cli`.
+verification registry (:mod:`audit`) behind the :mod:`cli`.  No module
+imports a later one.
 """
 
 from .audit import emit_report, run_suite, suite_names, suite_passes

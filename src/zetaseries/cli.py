@@ -7,9 +7,11 @@ harmonic numbers (``harmonic``), the truncated-series constructions
 identity verification suites (``verify``).
 
 Exit codes: 0 success, 1 domain error in the requested evaluation,
-2 unknown verification suite.  Negative fractions may follow their flag
-directly (``--z -1/2``).  Exact values print as fractions unless
-``--format decimal`` is given, in which case 15 significant digits.
+2 unknown verification suite.  A polylog point evaluated by a fallback
+method prints a ``warning:`` line naming it on stderr, in every format.
+Negative fractions may follow their flag directly (``--z -1/2``).  Exact
+values print as fractions unless ``--format decimal`` is given, in which
+case 15 significant digits.
 """
 
 from __future__ import annotations
@@ -113,22 +115,25 @@ def cmd_series(args) -> str:
 
 
 def _eval_result_doc(result: special.EvalResult, format: str) -> str:
+    value = result.value.real if isinstance(result.value, complex) else result.value
     if format == "json":
         payload = {
-            "value": result.value.real if isinstance(result.value, complex) else result.value,
+            "value": value,
             "terms_used": result.terms_used,
             "last_term_magnitude": result.last_term_magnitude,
             "method": result.method,
             "domain_warning": result.domain_warning,
         }
         return json.dumps(payload, separators=(",", ":")) + "\n"
-    value = result.value.real if isinstance(result.value, complex) else result.value
     return _decimal_str(value) + "\n"
 
 
 def cmd_polylog(args) -> str:
     z = float(parse_rational(args.z))
     result = special.li_new_series(args.s, z, args.terms)
+    if result.domain_warning:
+        print(f"warning: z = {args.z} is outside the coefficient series domain "
+              f"|z/(1-z)| < 1; evaluated by method {result.method}", file=sys.stderr)
     return _eval_result_doc(result, args.format)
 
 

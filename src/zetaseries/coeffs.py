@@ -6,12 +6,13 @@ n^{k-2}.  They are computed by several independent routes that must agree
 exactly on their common domain:
 
 * the non-triangular recurrence (``s2star_rec``),
-* the closed binomial sum (``s2star_sum``),
+* the closed binomial sum (``s2star_sum``, the alpha = 1, beta = 0 case
+  of ``s2star_general_f``),
 * harmonic-number closed forms for k = 2..6 (``s2star_harmonic``),
 * a harmonic-number heuristic recurrence (``s2star_heuristic``),
 * coefficient extraction from the column OGFs in k (``s2star_ogf_coeff``),
 * a reverse binomial transform of truncated polylog series
-  (``s2star_reverse_binomial``).
+  (``s2star_reverse_binomial``, by ``TruncSeries.binomial_transform``).
 
 Derived quantities: the scaled table, the t0/t1 remainder functions
 against unsigned Stirling-1 numbers, and the alpha*n+beta generalization.
@@ -19,11 +20,13 @@ against unsigned Stirling-1 numbers, and the alpha*n+beta generalization.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cache
 
 from .exactnum import binomial, factorial
 from .harmonicnums import harmonic
+from .powerseries import TruncSeries
 from .stirling import stirling1_unsigned
 
 __all__ = [
@@ -64,14 +67,7 @@ def s2star_sum(k: int, j: int) -> Fraction:
 
     c*(k, j) = sum_{m=1}^{j} C(j, m) (-1)^{j-m} / (j! m^{k-2}).
     """
-    if k < 2:
-        raise ValueError("closed sum requires k >= 2")
-    if j < 1:
-        raise ValueError("closed sum requires j >= 1")
-    total = Fraction(0)
-    for m in range(1, j + 1):
-        total += Fraction(binomial(j, m) * (-1) ** (j - m), m ** (k - 2))
-    return total / factorial(j)
+    return s2star_general_f(k, j, 1, 0)
 
 
 def _harmonic_bracket(k: int, j: int, value=Fraction):
@@ -122,7 +118,8 @@ def s2star_heuristic(k: int, j: int) -> Fraction:
 
 
 def s2star_ogf_coeff(k: int, j: int) -> Fraction:
-    """[z^k] of the column OGF in k for fixed j, via truncated division.
+    """[z^k] of the column OGF in k for fixed j, via the truncated
+    reciprocal of its denominator.
 
     For j = 1 the OGF is z/(1-z); for j >= 2 it is
     (-1)^{j+1} z^2 / ((1-z)(2-z)...(j-z)).
@@ -137,23 +134,10 @@ def s2star_ogf_coeff(k: int, j: int) -> Fraction:
         return Fraction(0)
     # reciprocal of prod_{i=1}^{j} (i - z), truncated to order k-2
     order = k - 2
-    denom = [Fraction(1)]
+    denom = TruncSeries.one(order)
     for i in range(1, j + 1):
-        nxt = [Fraction(0)] * min(len(denom) + 1, order + 1)
-        for p, c in enumerate(denom):
-            if p <= order:
-                nxt[p] += i * c
-            if p + 1 <= order:
-                nxt[p + 1] -= c
-        denom = nxt
-    inv = [Fraction(0)] * (order + 1)
-    inv[0] = 1 / denom[0]
-    for n in range(1, order + 1):
-        acc = Fraction(0)
-        for i in range(1, min(n, len(denom) - 1) + 1):
-            acc += denom[i] * inv[n - i]
-        inv[n] = -acc / denom[0]
-    return Fraction((-1) ** (j + 1)) * inv[order]
+        denom = TruncSeries([Fraction(i), Fraction(-1)], order) * denom
+    return (-1) ** (j + 1) * denom.inverse().coeff(order)
 
 
 def s2star_scaled(k: int, j: int) -> Fraction:
@@ -185,44 +169,32 @@ def s2star_general_f(k: int, j: int, alpha, beta) -> Fraction:
 
     (1/j!) sum_{m=1}^{j} C(j, m) (-1)^{j-m} / (alpha*m + beta)^{k-2}.
 
-    alpha = 1, beta = 0 reproduces the closed sum.
+    alpha = 1, beta = 0 is the closed sum ``s2star_sum``.  With
+    f(m) = p_m / q_m in lowest terms the sum is taken over integers with
+    the common denominator lcm(p_1, ..., p_j)^{k-2}.
     """
     if k < 2:
         raise ValueError("generalized coefficients require k >= 2")
     if j < 1:
         raise ValueError("generalized coefficients require j >= 1")
     alpha, beta = Fraction(alpha), Fraction(beta)
-    total = Fraction(0)
-    for m in range(1, j + 1):
-        f_m = alpha * m + beta
-        if f_m == 0:
-            raise ZeroDivisionError(f"f({m}) = 0 for alpha={alpha}, beta={beta}")
-        total += binomial(j, m) * Fraction((-1) ** (j - m)) / f_m ** (k - 2)
-    return total / factorial(j)
+    values = [alpha * m + beta for m in range(1, j + 1)]
+    if 0 in values:
+        raise ZeroDivisionError(f"f({values.index(0) + 1}) = 0 for alpha={alpha}, beta={beta}")
+    lcm = math.lcm(*(f_m.numerator for f_m in values))
+    total = sum(
+        binomial(j, m) * (-1) ** (j - m) * (f_m.denominator * (lcm // f_m.numerator)) ** (k - 2)
+        for m, f_m in enumerate(values, 1)
+    )
+    return Fraction(total, lcm ** (k - 2) * factorial(j))
 
 
 def s2star_reverse_binomial(k: int, j: int) -> Fraction:
     """c*(k+2, j) = ((-1)^j / (j-1)!) [z^j] Li_{k+1}(-z/(1-z)),
 
-    with both series truncated at order j over exact rationals.
+    with the polylog series truncated at order j over exact rationals.
     """
     if j < 1:
         raise ValueError("reverse binomial transform requires j >= 1")
-    # u(z) = -z/(1-z) = -(z + z^2 + ... + z^j)
-    u = [Fraction(0)] + [Fraction(-1)] * j
-    # compose Li_{k+1}(u) by Horner from the top coefficient down
-    result = [Fraction(0)] * (j + 1)
-    for n in range(j, 0, -1):
-        li_n = Fraction(1, n ** (k + 1))
-        # result = result * u + li_n * u  <=>  (result + li_n) * u
-        result[0] += li_n
-        nxt = [Fraction(0)] * (j + 1)
-        for p, c in enumerate(result):
-            if c == 0:
-                continue
-            for q, d in enumerate(u):
-                if d == 0 or p + q > j:
-                    continue
-                nxt[p + q] += c * d
-        result = nxt
-    return Fraction((-1) ** j, factorial(j - 1)) * result[j]
+    transformed = TruncSeries.polylog(k + 1, j).binomial_transform()
+    return Fraction((-1) ** j, factorial(j - 1)) * transformed.coeff(j)

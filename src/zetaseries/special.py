@@ -39,13 +39,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate
 
 from .coeffs import _HARMONIC_DENOM, _harmonic_bracket
-from .exactnum import binomial, factorial
+from .exactnum import factorial
 from .harmonicnums import harmonic
 from .reports import IdentityReport, numeric_compare
 
@@ -55,7 +55,6 @@ __all__ = [
     "li_direct_sum",
     "li_new_series",
     "li_classic_series",
-    "classic_inner_sum",
     "hurwitz_phi",
     "zeta_star",
     "zeta_star_harmonic_form",
@@ -91,6 +90,8 @@ def zeta_ref(s: int) -> float:
 
 def li_direct_sum(s: int, z, terms: int) -> EvalResult:
     """Li_s(z) = sum_{n=1}^{terms} z^n / n^s, requires |z| < 1."""
+    if terms < 1:
+        raise ValueError("direct summation requires terms >= 1")
     if abs(z) >= 1:
         raise ValueError("direct summation requires |z| < 1")
     total = 0.0 * z
@@ -139,6 +140,8 @@ def li_new_series(s: int, z, J: int) -> EvalResult:
     """
     if s < 1:
         raise ValueError("li_new_series requires s >= 1")
+    if J < 1:
+        raise ValueError("the coefficient series requires J >= 1")
     if z == 1:
         raise ValueError("z = 1 is a pole of the derivative series")
     if z == 0:
@@ -148,14 +151,7 @@ def li_new_series(s: int, z, J: int) -> EvalResult:
         if abs(z) >= 1:
             raise ValueError("Li_s(z) series diverge for |z/(1-z)| >= 1 and |z| >= 1")
         terms = max(J, int(math.log(1e-14) / math.log(abs(z))) + 1)
-        fallback = li_direct_sum(s, z, terms)
-        return EvalResult(
-            fallback.value,
-            fallback.terms_used,
-            fallback.last_term_magnitude,
-            "direct_fallback",
-            domain_warning=True,
-        )
+        return replace(li_direct_sum(s, z, terms), method="direct_fallback", domain_warning=True)
     scaled = _scaled_row(s + 2, J)
     prefactor = 1.0 / (1 - z)
     total = 0.0 * w
@@ -167,15 +163,6 @@ def li_new_series(s: int, z, J: int) -> EvalResult:
         total += term
         last = abs(term)
     return EvalResult(total, J, last, "coeff_series")
-
-
-def classic_inner_sum(s: int, k: int) -> Fraction:
-    """Exact inner sum of the classical binomial series:
-    sum_{m=0}^{k} C(k, m) (-1)^{m+1} / (m+1)^s."""
-    total = Fraction(0)
-    for m in range(k + 1):
-        total += Fraction(binomial(k, m) * (-1) ** (m + 1), (m + 1) ** s)
-    return total
 
 
 def _binomial_series(inner: tuple, z, method: str) -> EvalResult:
@@ -214,11 +201,13 @@ def _phi_inner_table(s: int, alpha: Fraction, beta: Fraction, K: int) -> tuple:
 
     For alpha = 1, beta = 0 and s >= 1 these are the classical inner sums,
     read from the scaled-coefficient numerators through the identity
-    classic_inner_sum(s, k) = -|c*(s+1, k+1)| k!.  Otherwise they are
-    accumulated in exact integer arithmetic over a common denominator
-    (the alternating binomial sums cancel far below double precision
-    termwise).
+    sum_{m=0}^{k} C(k, m) (-1)^{m+1} / (m+1)^s = -|c*(s+1, k+1)| k!.
+    Otherwise they are accumulated in exact integer arithmetic over a
+    common denominator (the alternating binomial sums cancel far below
+    double precision termwise).
     """
+    if K < 0:
+        raise ValueError("the binomial series requires K >= 0")
     if alpha == 1 and beta == 0 and s >= 1:
         numerators, denominator = _scaled_numerators(s + 1, K + 1)
         return tuple(-numerators[k + 1] / (denominator * (k + 1)) for k in range(K + 1))
@@ -259,6 +248,8 @@ def zeta_star(s: int, J: int = 120, method: str = "series") -> float:
             return math.log(2)
         return (1 - 2.0 ** (1 - s)) * zeta_ref(s)
     if method == "series":
+        if J < 1:
+            raise ValueError("zeta_star series requires J >= 1")
         scaled = _scaled_row(s + 2, J)
         total = 0.0
         for j in range(1, J + 1):
@@ -273,6 +264,8 @@ def zeta_star_harmonic_form(s: int, J: int = 120) -> float:
     numerators are the brackets of the closed forms of c*(s+2, j)."""
     if not 1 <= s <= 4:
         raise ValueError("harmonic-polynomial forms exist for s in 1..4")
+    if J < 1:
+        raise ValueError("harmonic-polynomial forms require J >= 1")
     denominator = 2 * _HARMONIC_DENOM[s + 2]
     total = 0.0
     for j in range(1, J + 1):
@@ -290,6 +283,8 @@ def zeta_star_euler_form(s: int, J: int = 200) -> float:
     """
     if s not in (3, 4, 5):
         raise ValueError("Euler-sum forms exist for s in 3..5")
+    if J < 1:
+        raise ValueError("Euler-sum forms require J >= 1")
     log2 = math.log(2)
     total = log2**s / factorial(s)
     for j in range(1, J + 1):
@@ -355,7 +350,7 @@ def bernoulli_fourier(order: int, x: float, J: int = 60) -> float:
     -(2 pi i)^{-n} (Li_n(e^{2 pi i x}) + (-1)^n Li_n(e^{-2 pi i x})).
 
     The coefficient series needs |z/(1-z)| = 1/(2 |sin pi x|) < 1, that is
-    {x} in (1/6, 5/6); elsewhere this raises ValueError.
+    {x} in (1/6, 5/6), and J >= 1; elsewhere this raises ValueError.
     """
     if order < 1:
         raise ValueError("bernoulli_fourier requires order >= 1")

@@ -9,8 +9,9 @@ from fractions import Fraction
 
 import pytest
 
-from zetaseries.cli import main
+from zetaseries.cli import _eval_result_doc, main
 from zetaseries.exactnum import parse_rational
+from zetaseries.special import li_new_series
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -136,6 +137,32 @@ def test_divergent_evaluation_exits_one(capsys, argv):
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("zetastar", "--s", "2", "--terms", "0"),
+    ("polylog", "--s", "2", "--z", "-1/2", "--terms", "0"),
+    ("fourier", "--order", "1", "--x", "1/4", "--terms", "0"),
+    ("zetastar", "--s", "2", "--terms", "-5"),
+])
+def test_empty_sum_exits_one(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("format", ["frac", "decimal", "csv", "json", "markdown"])
+def test_domain_warning_on_stderr_in_every_format(capsys, format):
+    code = main(["polylog", "--s", "2", "--z", "0.9", "--format", format])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err.startswith("warning:")
+    assert "direct_fallback" in captured.err
+    assert captured.out == _eval_result_doc(li_new_series(2, 0.9, 400), format)
+    main(["polylog", "--s", "2", "--z", "-1", "--format", format])
+    assert capsys.readouterr().err == ""
 
 
 def test_zetastar_value(capsys):

@@ -120,6 +120,30 @@ def test_general_f_reduces_to_closed_sum():
             assert s2star_general_f(k, j, 1, 0) == s2star_rec(k, j)
 
 
+@pytest.mark.parametrize("alpha, beta", [
+    (Fraction(1, 2), Fraction(1, 3)),
+    (Fraction(-2), Fraction(1)),
+    (Fraction(3, 2), Fraction(-7, 2)),
+])
+def test_general_f_matches_direct_formula(alpha, beta):
+    # (-2, 1) makes every f(m) negative and (3/2, -7/2) mixes signs, so the
+    # odd powers k - 2 = 1, 3 check the sign of the integer kernel; k = 2
+    # is the empty power
+    for k in range(2, 7):
+        for j in range(1, 10):
+            direct = sum(
+                binomial(j, m) * Fraction((-1) ** (j - m)) / (alpha * m + beta) ** (k - 2)
+                for m in range(1, j + 1)
+            ) / factorial(j)
+            assert s2star_general_f(k, j, alpha, beta) == direct
+
+
+def test_reverse_binomial_matches_recurrence_to_j_40():
+    for k in range(2, 6):
+        for j in range(1, 41):
+            assert s2star_reverse_binomial(k - 2, j) == s2star_rec(k, j)
+
+
 def test_general_f_rejects_zero_denominator():
     with pytest.raises(ZeroDivisionError):
         s2star_general_f(3, 4, 1, -2)

@@ -3,10 +3,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zetaseries.exactnum import factorial
+from zetaseries import powerseries, series
 from zetaseries.harmonicnums import harmonic, harmonic_t
 from zetaseries.series import (
     TruncSeries,
@@ -79,6 +80,18 @@ def test_compose_geometric():
     assert result.coeff(0) == 1
     assert result.coeff(1) == 1
     assert all(result.coeff(n) == 0 for n in range(2, 9))
+
+
+@given(st.lists(small_fracs, min_size=1, max_size=10).map(TruncSeries))
+@example(TruncSeries([Fraction(3)]))
+@example(TruncSeries([Fraction(-2), Fraction(1, 3), Fraction(5), Fraction(-7, 4)]))
+def test_binomial_transform_is_compose_with_minus_z_over_one_minus_z(f):
+    inner = TruncSeries([Fraction(0)] + [Fraction(-1)] * f.order)  # -z/(1-z)
+    assert f.binomial_transform() == f.compose(inner)
+
+
+def test_series_reexports_the_powerseries_class():
+    assert series.TruncSeries is powerseries.TruncSeries
 
 
 def test_shift_grows_order():

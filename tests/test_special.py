@@ -12,7 +12,6 @@ from zetaseries.special import (
     _scaled_row,
     bernoulli_closed_logforms,
     bernoulli_fourier,
-    classic_inner_sum,
     hurwitz_phi,
     li_classic_series,
     li_direct_sum,
@@ -80,7 +79,6 @@ def test_classic_inner_sum_scaled_coefficient_identity():
                 binomial(k, m) * Fraction((-1) ** (m + 1), (m + 1) ** s)
                 for m in range(k + 1)
             )
-            assert classic_inner_sum(s, k) == direct
             assert direct == -s2star_scaled(s + 1, k + 1) / (k + 1)
 
 
@@ -154,6 +152,25 @@ def test_hurwitz_phi_rejects_zero_denominator():
 def test_binomial_series_rejects_divergent_points(evaluate, args):
     # |z/(1-z)| >= 1: the partial sums here were nan, 0.5904 against
     # Li_2(1/2) = 0.5822, and 6.6e140
+    with pytest.raises(ValueError):
+        evaluate(*args)
+
+
+@pytest.mark.parametrize("evaluate, args", [
+    (li_new_series, (2, -0.5, 0)),
+    (li_new_series, (2, 0.0, 0)),
+    (li_new_series, (2, -0.5, -3)),
+    (li_direct_sum, (2, 0.5, 0)),
+    (zeta_star, (2, 0)),
+    (zeta_star_harmonic_form, (2, 0)),
+    (zeta_star_euler_form, (3, 0)),
+    (bernoulli_fourier, (1, 0.25, 0)),
+    (li_classic_series, (2, -0.5, -1)),
+    (hurwitz_phi, (-0.5, 2, 1, 0, -1)),
+], ids=["new", "new_z0", "new_negative", "direct", "zeta_star", "harmonic_form",
+        "euler_form", "fourier", "classic", "phi"])
+def test_evaluations_reject_empty_sums(evaluate, args):
+    # an empty sum would read as a plausible value, 0
     with pytest.raises(ValueError):
         evaluate(*args)
 
