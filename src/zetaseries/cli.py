@@ -10,8 +10,8 @@ Exit codes: 0 success, 1 domain error in the requested evaluation,
 2 unknown verification suite.  A polylog point evaluated by a fallback
 method prints a ``warning:`` line naming it on stderr, in every format.
 Negative fractions may follow their flag directly (``--z -1/2``).  Exact
-values print as fractions unless ``--format decimal`` is given, in which
-case 15 significant digits.
+values print as fractions unless ``--format decimal`` is given: 15
+significant digits, rounded from the exact value beyond a double's range.
 """
 
 from __future__ import annotations
@@ -38,9 +38,18 @@ def _decimal_str(value: float) -> str:
 
 
 def _exact_str(value: Fraction, format: str) -> str:
-    if format == "decimal":
-        return _decimal_str(float(value))
-    return str(value)
+    if format != "decimal":
+        return str(value)
+    try:
+        approx = float(value)
+        if abs(approx) >= sys.float_info.min or not value:
+            return _decimal_str(approx)
+    except OverflowError:
+        pass
+    import decimal  # on first use, for values beyond the normal range of a double
+    context = decimal.Context(prec=15, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    quotient = context.divide(decimal.Decimal(value.numerator), decimal.Decimal(value.denominator))
+    return f"{quotient.normalize(context):.15g}"
 
 
 def _table_cell(k: int, j: int, scaled: bool) -> Fraction:
@@ -75,7 +84,7 @@ def cmd_table(args) -> str:
         cells = [str(k)]
         for j in range(args.jmax + 1):
             value = _table_cell(k, j, args.scaled)
-            cells.append(_exact_str(value, "decimal" if args.format == "decimal" else "frac"))
+            cells.append(_exact_str(value, args.format))
         rows.append(cells)
     return _render_table(rows, header, args.format)
 
@@ -99,10 +108,8 @@ def cmd_series(args) -> str:
     result = series.intro_example(args.example, args.k, args.u, t=t, r=r, a=args.a, b=args.b)
     if args.example == "g":
         cells = [(_decimal_str(result.coeff(n).real)) for n in range(result.order + 1)]
-    elif args.format == "decimal":
-        cells = [_decimal_str(float(result.coeff(n))) for n in range(result.order + 1)]
     else:
-        cells = [str(Fraction(result.coeff(n))) for n in range(result.order + 1)]
+        cells = [_exact_str(result.coeff(n), args.format) for n in range(result.order + 1)]
     if args.format == "json":
         return json.dumps(cells, separators=(",", ":")) + "\n"
     if args.format == "markdown":

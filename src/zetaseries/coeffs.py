@@ -5,7 +5,7 @@ derivatives of a sequence OGF into the OGF of the sequence divided by
 n^{k-2}.  They are computed by several independent routes that must agree
 exactly on their common domain:
 
-* the non-triangular recurrence (``s2star_rec``),
+* the non-triangular recurrence (``s2star_rec``, one growable row per k),
 * the closed binomial sum (``s2star_sum``, the alpha = 1, beta = 0 case
   of ``s2star_general_f``),
 * harmonic-number closed forms for k = 2..6 (``s2star_harmonic``),
@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cache
 
-from .exactnum import binomial, factorial
+from .exactnum import SequenceTable, binomial, factorial
 from .harmonicnums import harmonic
 from .powerseries import TruncSeries
 from .stirling import stirling1_unsigned
@@ -42,7 +41,16 @@ __all__ = [
 ]
 
 
-@cache
+def _s2star_row(k: int, rows: list) -> SequenceTable:
+    if k < 2:
+        return SequenceTable(lambda j, row: Fraction(int(j == k)))
+    below = rows[k - 1]
+    return SequenceTable(lambda j, row: (below[j] - row[j - 1]) / j if j else Fraction(0), below)
+
+
+_S2STAR_ROWS = SequenceTable(_s2star_row)
+
+
 def s2star_rec(k: int, j: int) -> Fraction:
     """c*(k, j) by the two-index recurrence
 
@@ -53,13 +61,7 @@ def s2star_rec(k: int, j: int) -> Fraction:
     """
     if k < 0 or j < 0:
         return Fraction(0)
-    if k == 0:
-        return Fraction(1 if j == 0 else 0)
-    if j == 0:
-        return Fraction(0)
-    if k == 1:
-        return Fraction(1 if j == 1 else 0)
-    return (-s2star_rec(k, j - 1) + s2star_rec(k - 1, j)) / j
+    return _S2STAR_ROWS[k][j]
 
 
 def s2star_sum(k: int, j: int) -> Fraction:

@@ -4,13 +4,15 @@ All exact computation in this package is carried out over
 :class:`fractions.Fraction`, which keeps values in canonical form
 (positive denominator, gcd-reduced) after every operation.  The helpers
 here wrap the handful of integer/complex primitives the rest of the
-package needs, raising ValueError on arguments outside their domain.
+package needs, raising ValueError on arguments outside their domain, and
+:class:`SequenceTable`, the one memo the package keeps for a sequence.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import threading
 from fractions import Fraction
 
 # Canonical exact value type used throughout the package.
@@ -23,6 +25,7 @@ __all__ = [
     "factorial",
     "falling_factorial",
     "root_of_unity",
+    "SequenceTable",
 ]
 
 
@@ -64,3 +67,29 @@ def root_of_unity(a: int, m: int) -> complex:
     if a < 1:
         raise ValueError("root_of_unity requires a >= 1")
     return cmath.exp(2j * cmath.pi * m / a)
+
+
+class SequenceTable:
+    """f(0), f(1), ... built on demand in index order; ``step(n, values)``
+    returns f(n) from the list of f(0..n-1).  Values are appended under a
+    lock and never change, so reading a built index takes no lock.  A step
+    may read the table ``below`` (row k-1 of a two-index recurrence) up to
+    n: every too-short table down that chain is extended first, lowest
+    first, so no extension nests and no recursion grows with n."""
+
+    def __init__(self, step, below: SequenceTable | None = None):
+        self._step, self._below = step, below
+        self._values, self._lock = [], threading.Lock()
+
+    def __getitem__(self, n: int):
+        if n >= len(self._values):
+            short, table = [], self
+            while table is not None and len(table._values) <= n:
+                short.append(table)
+                table = table._below
+            for table in reversed(short):
+                with table._lock:
+                    values = table._values
+                    while len(values) <= n:
+                        values.append(table._step(len(values), values))
+        return self._values[n]

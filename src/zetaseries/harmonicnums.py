@@ -1,13 +1,14 @@
 """Basic k-order harmonic number primitives.
 
-Pure power sums with no dependency on the coefficient tables; the
-identity-level operations built on them live in :mod:`zetaseries.harmonic`.
+Pure power sums, the exact ones as prefix sums in one growable table per
+order r; the identities built on them live in :mod:`zetaseries.harmonic`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+
+from .exactnum import SequenceTable
 
 __all__ = ["harmonic", "harmonic_real", "harmonic_t"]
 
@@ -17,7 +18,9 @@ def _inv_power(m: int, r: int) -> Fraction:
     return Fraction(1, m**r) if r >= 0 else Fraction(m**-r)
 
 
-@cache
+_HARMONIC = {}  # order r -> table of H_n^{(r)}
+
+
 def harmonic(n: int, r: int = 1) -> Fraction:
     """Exact H_n^{(r)} = sum_{m=1}^{n} m^{-r} for any integer order r.
 
@@ -26,9 +29,9 @@ def harmonic(n: int, r: int = 1) -> Fraction:
     """
     if n < 0:
         raise ValueError("harmonic requires n >= 0")
-    if n == 0:
-        return Fraction(0)
-    return harmonic(n - 1, r) + _inv_power(n, r)
+    table = _HARMONIC.get(r) or _HARMONIC.setdefault(
+        r, SequenceTable(lambda m, h: h[m - 1] + _inv_power(m, r) if m else Fraction(0)))
+    return table[n]
 
 
 def harmonic_real(n: int, rho: float) -> float:

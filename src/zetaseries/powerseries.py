@@ -125,11 +125,6 @@ class TruncSeries:
 
     __rmul__ = __mul__
 
-    def shift(self, m: int) -> "TruncSeries":
-        """Multiply by z^m; the order grows by m (no information lost)."""
-        z = _zero_like(self.coeffs)
-        return TruncSeries([z] * m + list(self.coeffs))
-
     def derivative(self) -> "TruncSeries":
         """Formal d/dz; the result order drops by one."""
         if self.order == 0:
@@ -155,11 +150,6 @@ class TruncSeries:
                 acc += self.coeffs[i] * inv[n - i]
             inv.append(-acc / c0)
         return TruncSeries(inv)
-
-    def __truediv__(self, other):
-        if not isinstance(other, TruncSeries):
-            return self.scale(1 / Fraction(other) if not isinstance(other, (float, complex)) else 1.0 / other)
-        return self * other.inverse()
 
     def exp(self) -> "TruncSeries":
         """exp of a series with zero constant term (rational closure)."""

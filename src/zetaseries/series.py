@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .coeffs import s2star_rec
-from .exactnum import binomial, factorial, root_of_unity
+from .exactnum import binomial, factorial, falling_factorial, root_of_unity
 from .powerseries import TruncSeries
 from .stirling import stirling1_unsigned, stirling2
 
@@ -39,19 +39,18 @@ __all__ = [
 # ---------------------------------------------------------------------
 
 
+def _derivative_sum(G: TruncSeries, weights: list) -> TruncSeries:
+    """sum_j weights[j] z^j G^{(j)}(z), truncated at G's order, summed
+    coefficientwise: [z^n] z^j G^{(j)}(z) = n!/(n-j)! g_n."""
+    return TruncSeries([
+        sum(w * falling_factorial(n, j) for j, w in enumerate(weights[: n + 1])) * g
+        for n, g in enumerate(G.coeffs)
+    ])
+
+
 def transform_forward(G: TruncSeries, m: int) -> TruncSeries:
     """sum_{j=0}^{m} S2(m, j) z^j G^{(j)}(z); coefficient n is n^m g_n."""
-    order = G.order
-    result = TruncSeries.zero(order)
-    deriv = G
-    for j in range(m + 1):
-        s2 = stirling2(m, j)
-        if s2:
-            result = result + deriv.shift(j).truncate(order).scale(Fraction(s2))
-        if deriv.order == 0 and j < m:
-            break
-        deriv = deriv.derivative()
-    return result
+    return _derivative_sum(G, [stirling2(m, j) for j in range(m + 1)])
 
 
 def transform_zeta(G: TruncSeries, k: int) -> TruncSeries:
@@ -59,15 +58,7 @@ def transform_zeta(G: TruncSeries, k: int) -> TruncSeries:
     coefficient n is g_n / n^k for n >= 1."""
     if G.order < 1:
         raise ValueError("transform needs order >= 1")
-    order = G.order
-    result = TruncSeries.zero(order)
-    deriv = G.derivative()
-    for j in range(1, order + 1):
-        result = result + deriv.shift(j).truncate(order).scale(s2star_rec(k + 2, j))
-        if deriv.order == 0:
-            break
-        deriv = deriv.derivative()
-    return result
+    return _derivative_sum(G, [0] + [s2star_rec(k + 2, j) for j in range(1, G.order + 1)])
 
 
 def _diag_geom_pow(c, j: int, order: int) -> list:

@@ -8,9 +8,9 @@ function, Euler-sum forms of its values, a trilogarithm functional
 equation check, and Fourier-type series for the periodic Bernoulli
 polynomials.
 
-Every coefficient series reads one cached row of scaled coefficients
-|c*(k, j)| j!, j = 0..J, built per (k, J) by an exact integer kernel over
-the common denominator lcm(1..J)^(k-2) and rounded once to doubles:
+Every coefficient series reads a prefix of one cached row of scaled
+coefficients |c*(k, j)| j! per k, built by an exact integer kernel over the
+common denominator lcm(1..J)^(k-2) and rounded once to doubles:
 ``li_new_series`` (and through it ``bernoulli_fourier`` and the
 trilogarithm functional equation) and ``zeta_star`` read row s+2.
 The classical binomial series and the modified Hurwitz zeta share one
@@ -121,13 +121,17 @@ def _scaled_numerators(k: int, J: int) -> tuple:
     return row, lcm ** (k - 2)
 
 
-@cache
+_SCALED_ROWS = {}  # k -> the longest row built so far
+
+
 def _scaled_row(k: int, J: int) -> tuple:
-    """|c*(k, j)| j! for j = 0..J as correctly rounded doubles.  Only the
-    floats are cached: the big-integer numerators would outweigh them
-    many times over."""
-    numerators, denominator = _scaled_numerators(k, J)
-    return tuple(n / denominator for n in numerators)
+    """|c*(k, j)| j!, j = 0..J, as correctly rounded doubles (so a longer row's
+    prefix is bit-identical); big-integer numerators are not cached."""
+    row = _SCALED_ROWS.get(k, ())
+    if len(row) <= J:
+        numerators, denominator = _scaled_numerators(k, J)
+        row = _SCALED_ROWS[k] = tuple(n / denominator for n in numerators)
+    return row[: J + 1]
 
 
 def li_new_series(s: int, z, J: int) -> EvalResult:

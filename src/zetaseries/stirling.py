@@ -1,17 +1,15 @@
 """Classical combinatorial number tables.
 
 Stirling numbers of both kinds, Bernoulli numbers and polynomials,
-Faulhaber power sums, and the Stirling-2 weighted power sum.  Values are
-memoized on demand; ``functools.cache`` gives lookups that are safe under
-concurrent readers.
-"""
+Faulhaber power sums, and the Stirling-2 weighted power sum.  Each
+Stirling column k is one growable table, grown in n, so S(n, k) costs its
+(k+1) x (n+1) strip; the Bernoulli numbers are one more."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 
-from .exactnum import binomial
+from .exactnum import SequenceTable, binomial
 
 __all__ = [
     "stirling2",
@@ -24,31 +22,50 @@ __all__ = [
 ]
 
 
-@cache
+def _columns(weight) -> SequenceTable:
+    """Columns k = 0, 1, ... of T(n, k) = weight(n, k) T(n-1, k) + T(n-1, k-1)
+    with T(0, 0) = 1 and T(n, 0) = 0 for n >= 1, each grown in n."""
+
+    def column(k: int, columns: list) -> SequenceTable:
+        if k == 0:
+            return SequenceTable(lambda n, col: int(n == 0))
+        below = columns[k - 1]
+        return SequenceTable(lambda n, col: weight(n, k) * col[n - 1] + below[n - 1] if n else 0, below)
+
+    return SequenceTable(column)
+
+
+_STIRLING2 = _columns(lambda n, k: k)
+_STIRLING1 = _columns(lambda n, k: n - 1)
+
+
 def stirling2(n: int, k: int) -> int:
     """Stirling number of the second kind, Iverson base case at n=k=0."""
-    if n < 0 or k < 0:
+    if n < 0 or k < 0 or k > n:
         return 0
-    if n == 0 or k == 0:
-        return 1 if n == k == 0 else 0
-    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+    return _STIRLING2[k][n]
 
 
-@cache
 def stirling1_unsigned(n: int, k: int) -> int:
     """Unsigned Stirling number of the first kind (cycle counts)."""
-    if n < 0 or k < 0:
+    if n < 0 or k < 0 or k > n:
         return 0
-    if n == 0 or k == 0:
-        return 1 if n == k == 0 else 0
-    return (n - 1) * stirling1_unsigned(n - 1, k) + stirling1_unsigned(n - 1, k - 1)
+    return _STIRLING1[k][n]
 
 
 def stirling1_signed(n: int, k: int) -> int:
     return (-1) ** (n - k) * stirling1_unsigned(n, k)
 
 
-@cache
+def _bernoulli(n: int, b: list) -> Fraction:
+    if n > 2 and n % 2:
+        return Fraction(0)
+    return (Fraction(int(n == 0)) - sum(binomial(n + 1, j) * b_j for j, b_j in enumerate(b))) / (n + 1)
+
+
+_BERNOULLI = SequenceTable(_bernoulli)
+
+
 def bernoulli_number(n: int) -> Fraction:
     """B_n with the B_1 = -1/2 convention, via the convolution recurrence
 
@@ -56,14 +73,7 @@ def bernoulli_number(n: int) -> Fraction:
     """
     if n < 0:
         raise ValueError("bernoulli_number requires n >= 0")
-    if n == 0:
-        return Fraction(1)
-    if n > 2 and n % 2 == 1:
-        return Fraction(0)
-    acc = Fraction(1 if n == 0 else 0)
-    for j in range(n):
-        acc -= binomial(n + 1, j) * bernoulli_number(j)
-    return acc / (n + 1)
+    return _BERNOULLI[n]
 
 
 def bernoulli_poly(n: int, x: Fraction) -> Fraction:

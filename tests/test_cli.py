@@ -5,12 +5,15 @@ import math
 import pathlib
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
 from zetaseries.cli import _eval_result_doc, main
+from zetaseries.coeffs import s2star_rec
 from zetaseries.exactnum import parse_rational
+from zetaseries.harmonicnums import harmonic
 from zetaseries.special import li_new_series
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -36,6 +39,39 @@ def test_coeff_decimal_only_on_request(capsys):
     _, out = run_cli(capsys, "coeff", "--k", "4", "--j", "3", "--format", "decimal")
     # 15 significant digits
     assert out.strip() == f"{85/216:.15g}"
+
+
+def _rounds_to_15_digits(text, exact):
+    mantissa = text.lstrip("-").split("e")[0].replace(".", "").lstrip("0")
+    return len(mantissa) <= 15 and abs(Fraction(Decimal(text)) / exact - 1) < Fraction(1, 10**14)
+
+
+@pytest.mark.parametrize(
+    "argv, exact",
+    [
+        (["coeff", "--k", "4", "--j", "200"], lambda: s2star_rec(4, 200)),  # below the least double
+        (["harmonic", "--n", "400", "--k", "-200"], lambda: harmonic(400, -200)),  # above the largest
+        (["coeff", "--k", "2", "--j", "175"], lambda: s2star_rec(2, 175)),  # subnormal
+    ],
+    ids=["underflow", "overflow", "subnormal"],
+)
+def test_decimal_beyond_the_normal_range_of_a_double(capsys, argv, exact):
+    code, out = run_cli(capsys, *argv, "--format", "decimal")
+    assert code == 0 and _rounds_to_15_digits(out.strip(), exact())
+
+
+def test_decimal_strips_trailing_zeros_like_g_format(capsys):
+    _, out = run_cli(capsys, "coeff", "--k", "4", "--j", "200", "--format", "decimal")
+    assert out == "-2.2944800192013e-374\n"
+
+
+def test_decimal_table_has_no_underflowed_cells(capsys):
+    code, out = run_cli(capsys, "table", "--kmax", "3", "--jmax", "180", "--format", "decimal")
+    assert code == 0
+    for k, row in enumerate(out.splitlines()[1:]):
+        for j, cell in enumerate(row.split(",")[1:]):
+            exact = s2star_rec(k, j)
+            assert cell == "0" if exact == 0 else _rounds_to_15_digits(cell, exact)
 
 
 def test_coeff_scaled(capsys):

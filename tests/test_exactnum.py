@@ -1,4 +1,5 @@
-"""Exact-arithmetic helpers: parsing, combinatorial primitives, roots of unity."""
+"""Exact-arithmetic helpers: parsing, combinatorial primitives, roots of
+unity, and the growable sequence table."""
 
 import cmath
 import math
@@ -9,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from zetaseries.exactnum import (
+    SequenceTable,
     binomial,
     factorial,
     falling_factorial,
@@ -80,3 +82,15 @@ def test_root_of_unity_values():
 @given(st.integers(1, 12), st.integers(-24, 24))
 def test_root_of_unity_is_power(a, m):
     assert root_of_unity(a, m) == pytest.approx(cmath.exp(2j * math.pi * m / a))
+
+
+def test_sequence_table_extends_the_tables_below_first():
+    log, table = [], None
+    for level in range(3):
+        def step(n, values, level=level, below=table):
+            log.append((level, n))
+            return 1 if below is None else sum(values) + below[n]
+        table = SequenceTable(step, table)
+    assert table[3] == 20
+    assert log == [(level, n) for level in range(3) for n in range(4)]
+    assert [table[n] for n in range(4)] == [1, 3, 8, 20] and len(log) == 12

@@ -94,13 +94,6 @@ def test_series_reexports_the_powerseries_class():
     assert series.TruncSeries is powerseries.TruncSeries
 
 
-def test_shift_grows_order():
-    f = TruncSeries([Fraction(1), Fraction(2)])
-    shifted = f.shift(3)
-    assert shifted.order == 4
-    assert list(shifted.coeffs) == [0, 0, 0, Fraction(1), Fraction(2)]
-
-
 # --- the transform --------------------------------------------------------
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from zetaseries import special
 from zetaseries.coeffs import s2star_scaled
 from zetaseries.exactnum import binomial
 from zetaseries.special import (
@@ -89,6 +90,17 @@ def test_scaled_row_matches_exact_coefficients_bit_for_bit():
             assert len(row) == J + 1 and row[0] == 0.0
             for j in range(1, J + 1):
                 assert row[j] == float(s2star_scaled(k, j))
+
+
+@pytest.mark.parametrize("order", [(100, 400), (400, 100)])
+def test_scaled_row_is_one_row_per_k(monkeypatch, order):
+    builds = []
+    monkeypatch.setattr(special, "_SCALED_ROWS", {})
+    monkeypatch.setattr(special, "_scaled_numerators",
+                        lambda k, J, build=special._scaled_numerators: builds.append(J) or build(k, J))
+    rows = {J: _scaled_row(7, J) for J in order}
+    assert [x.hex() for x in rows[100]] == [x.hex() for x in rows[400][:101]]
+    assert builds == ([100, 400] if order[0] == 100 else [400])
 
 
 @pytest.mark.parametrize(
