@@ -135,6 +135,25 @@ def test_json_report_bytes_pinned(suite):
     assert hashlib.sha256(document.encode()).hexdigest()[:16] == REPORT_SHA256[suite]
 
 
+CSV_MARKDOWN_SHA256 = {
+    "core": ("e07e6a7dcfe3e77b", "905cb29db5aa2f59"),
+    "fourier": ("ab7d693374b13e05", "632771293716b0cc"),
+    "harmonic": ("a19d5fb650f01743", "d5a8ebae77b65a65"),
+    "msums": ("100b02e6fdba75b3", "7427724ade706cab"),
+    "series": ("adcbc7581f6b78b1", "4aee5fabed0b3297"),
+    "special": ("ce6d2988f07d485d", "d1b554e1bb6d1374"),
+}
+
+
+@pytest.mark.parametrize("suite", audit.suite_names())
+def test_csv_and_markdown_report_bytes_pinned(suite):
+    reports = audit.run_suite(suite)
+    digests = tuple(
+        hashlib.sha256(audit.emit_report(reports, f).encode()).hexdigest()[:16] for f in ("csv", "markdown")
+    )
+    assert digests == CSV_MARKDOWN_SHA256[suite]
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_disagreeing_sides_fail_under_spec_id(monkeypatch, threads):
     point = ({"n": 1},)

@@ -1,5 +1,6 @@
 """Command-line interface: documents, formats, exit codes, golden files."""
 
+import hashlib
 import json
 import math
 import pathlib
@@ -256,6 +257,52 @@ def test_verify_unknown_suite_exits_two(capsys):
 def test_verify_csv_format(capsys):
     _, out = run_cli(capsys, "verify", "--suite", "fourier", "--format", "csv")
     assert out.splitlines()[0] == "id,params,status,residual"
+
+
+# sha256 prefixes of whole CLI documents, one per command and --format;
+# verify falls back to json for frac and decimal
+_DOCUMENT_COMMANDS = {
+    "table": ["table", "--kmax", "6", "--jmax", "8"],
+    "table_scaled": ["table", "--kmax", "6", "--jmax", "8", "--scaled"],
+    "series_d": ["series", "--example", "d", "--k", "2", "--u", "9", "--t", "-1/3"],
+    "series_g": ["series", "--example", "g", "--k", "1", "--u", "4", "--a", "3", "--b", "1"],
+    "verify_core": ["verify", "--suite", "core"],
+}
+
+DOCUMENT_SHA256 = {
+    ("table", "frac"): "8e24ce0e419af1d7",
+    ("table", "decimal"): "fe33e5e1cbf8cb69",
+    ("table", "csv"): "a7dfa7bba0be0000",
+    ("table", "json"): "7d5fad054a78da43",
+    ("table", "markdown"): "fe3272f53606ba74",
+    ("table_scaled", "frac"): "b1b9d45f43a82ecd",
+    ("table_scaled", "decimal"): "b0c348734bb4a4b3",
+    ("table_scaled", "csv"): "f5900437c17c0c6c",
+    ("table_scaled", "json"): "c80571b6ad6d2bff",
+    ("table_scaled", "markdown"): "f4d0e109d956cab7",
+    ("series_d", "frac"): "024f579438bb8eeb",
+    ("series_d", "decimal"): "27697fd0916460a1",
+    ("series_d", "csv"): "8fe6acc31118ab99",
+    ("series_d", "json"): "c5e31d212e664c85",
+    ("series_d", "markdown"): "6f0b78e8cd12974b",
+    ("series_g", "frac"): "f1859437c34ec711",
+    ("series_g", "decimal"): "f1859437c34ec711",
+    ("series_g", "csv"): "7f803b3a5e1bb3b6",
+    ("series_g", "json"): "fc987e843932f118",
+    ("series_g", "markdown"): "c9aac3541a22f750",
+    ("verify_core", "frac"): "a98d588654706914",
+    ("verify_core", "decimal"): "a98d588654706914",
+    ("verify_core", "csv"): "e07e6a7dcfe3e77b",
+    ("verify_core", "json"): "a98d588654706914",
+    ("verify_core", "markdown"): "905cb29db5aa2f59",
+}
+
+
+@pytest.mark.parametrize("command,format", sorted(DOCUMENT_SHA256))
+def test_document_bytes_pinned(capsys, command, format):
+    code, out = run_cli(capsys, *_DOCUMENT_COMMANDS[command], "--format", format)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == DOCUMENT_SHA256[command, format]
 
 
 def test_output_file(tmp_path, capsys):
