@@ -4,11 +4,12 @@ Every identity the library claims is registered here as an
 :class:`IdentitySpec` inside one of six suites (core, harmonic, series,
 special, msums, fourier): an id, a grid of points, a ``sides`` function
 giving the identity's two sides at a point, and a tolerance (``None``
-compares exactly, coefficientwise for truncated series).  ``run_suite``
-sweeps the grids — optionally across threads — and returns a
-deterministic, sorted list of :class:`IdentityReport` records, each built
-by ``IdentitySpec.evaluate`` under its spec's id; ``emit_report``
-serializes them byte-stably as JSON, CSV, or markdown.
+compares exactly, coefficientwise for truncated series).  Each suite's
+grids are fixed.  ``run_suite`` sweeps them — optionally across threads —
+and returns a deterministic, sorted list of :class:`IdentityReport`
+records, each built by ``reports.compare`` under its spec's id;
+``emit_report`` serializes them byte-stably as JSON, or through
+``reports.render`` as CSV or markdown.
 
 Specs carry an ``assert_pass`` flag: suites that document known-broken
 printed forms (all of msums, plus the *_printed variants elsewhere) are
@@ -18,13 +19,12 @@ report-only and never fail the verification exit code.
 from __future__ import annotations
 
 import cmath
-import io
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from . import msums, special
 from .coeffs import (
@@ -52,7 +52,7 @@ from .harmonic import (
     s2star_from_hnum_int,
     s2star_from_hnum_real,
 )
-from .reports import IdentityReport, exact_compare, numeric_compare
+from .reports import IdentityReport, compare, render
 from .series import (
     TruncSeries,
     dilog_functional_eq_sides,
@@ -79,23 +79,6 @@ __all__ = [
 ]
 
 
-def _series_compare(identity_id: str, params: Mapping, lhs: TruncSeries, rhs: TruncSeries) -> IdentityReport:
-    """Coefficientwise exact comparison of two truncated series."""
-    frozen = tuple(sorted(params.items()))
-    n = min(lhs.order, rhs.order)
-    for i in range(n + 1):
-        if lhs.coeff(i) != rhs.coeff(i):
-            diff = Fraction(lhs.coeff(i)) - Fraction(rhs.coeff(i))
-            return IdentityReport(
-                identity_id,
-                frozen,
-                "fail",
-                str(diff),
-                witness=(f"[z^{i}] {lhs.coeff(i)}", f"[z^{i}] {rhs.coeff(i)}"),
-            )
-    return IdentityReport(identity_id, frozen, "exact_pass", "0")
-
-
 @dataclass(frozen=True)
 class IdentitySpec:
     id: str
@@ -105,18 +88,7 @@ class IdentitySpec:
     assert_pass: bool = True
 
     def evaluate(self, point: dict) -> IdentityReport:
-        lhs, rhs = self.sides(point)
-        if self.tolerance is not None:
-            return numeric_compare(self.id, point, lhs, rhs, self.tolerance)
-        if isinstance(lhs, TruncSeries):
-            return _series_compare(self.id, point, lhs, rhs)
-        return exact_compare(self.id, point, lhs, rhs)
-
-
-def _grid(overrides: Optional[Mapping], key: str, default: Sequence) -> list:
-    if overrides and key in overrides:
-        return list(overrides[key])
-    return list(default)
+        return compare(self.id, point, *self.sides(point), self.tolerance)
 
 
 # ---------------------------------------------------------------------
@@ -177,8 +149,8 @@ def table3_expression(variant: str, k: int, j: int) -> Fraction:
 # ---------------------------------------------------------------------
 
 
-def _suite_core(overrides=None) -> list:
-    j_grid = _grid(overrides, "j", range(1, 26))
+def _suite_core() -> list:
+    j_grid = range(1, 26)
 
     def grid(ks, js):
         return tuple({"k": k, "j": j} for k in ks for j in js)
@@ -189,7 +161,7 @@ def _suite_core(overrides=None) -> list:
 
     return [
         IdentitySpec(
-            "core.rec_vs_sum", grid(_grid(overrides, "k", range(2, 11)), j_grid),
+            "core.rec_vs_sum", grid(range(2, 11), j_grid),
             lambda p: (s2star_rec(p["k"], p["j"]), s2star_sum(p["k"], p["j"])),
         ),
         IdentitySpec(
@@ -219,15 +191,15 @@ def _suite_core(overrides=None) -> list:
         IdentitySpec(
             "core.table3_remainder",
             tuple({"variant": v, "k": k, "j": j} for v in ("t0", "t1") for k in range(2, 8)
-                  for j in _grid(overrides, "j", range(1, 21))),
+                  for j in range(1, 21)),
             lambda p: (remainder_t(p["variant"], p["k"], p["j"]), table3_expression(p["variant"], p["k"], p["j"])),
         ),
         IdentitySpec("core.sign_pattern", grid(range(2, 9), j_grid), sign),
     ]
 
 
-def _suite_harmonic(overrides=None) -> list:
-    j_grid = _grid(overrides, "j", range(1, 21))
+def _suite_harmonic() -> list:
+    j_grid = range(1, 21)
 
     def hnum_real(p):
         k, j, r = p["k"], p["j"], p["r"]
@@ -240,7 +212,7 @@ def _suite_harmonic(overrides=None) -> list:
     return [
         IdentitySpec(
             "harmonic.npow_inverse",
-            tuple({"n": n, "k": k} for n in _grid(overrides, "n", range(1, 26)) for k in range(1, 9)),
+            tuple({"n": n, "k": k} for n in range(1, 26) for k in range(1, 9)),
             lambda p: (npow_inverse(p["n"], p["k"]), Fraction(1, p["n"] ** p["k"])),
         ),
         IdentitySpec(
@@ -273,7 +245,7 @@ def _suite_harmonic(overrides=None) -> list:
         IdentitySpec(
             "harmonic.rec_corollary_exact",
             tuple({"n": n, "k": k, "which": w}
-                  for n in _grid(overrides, "n", range(1, 13)) for k in range(1, 6) for w in (1, 2)),
+                  for n in range(1, 13) for k in range(1, 6) for w in (1, 2)),
             lambda p: (harmonic_rec_corollary(p["n"], p["k"], p["which"]), harmonic(p["n"], p["k"])),
         ),
         IdentitySpec(
@@ -319,7 +291,7 @@ def _make_gf(name: str, order: int) -> Tuple[TruncSeries, Callable[[int], Fracti
     raise ValueError(f"unknown generating function {name!r}")
 
 
-def _suite_series(overrides=None) -> list:
+def _suite_series() -> list:
     def transform(p):
         order = p["order"]
         G, g_of = _make_gf(p["gf"], order)
@@ -372,7 +344,7 @@ def _suite_series(overrides=None) -> list:
         rhs = TruncSeries([Fraction(0)] + [-Fraction((-1) ** n, factorial(n) * n) for n in range(1, order + 1)])
         return h1 * exp_neg, rhs
 
-    u = _grid(overrides, "u", [12])[0]
+    u = 12
     intro_points = []
     for k in (1, 2, 3):
         intro_points += [{"id": e, "k": k, "u": u} for e in "abcf"]
@@ -381,7 +353,7 @@ def _suite_series(overrides=None) -> list:
     return [
         IdentitySpec(
             "series.transform_zeta",
-            tuple({"gf": g, "k": k, "order": _grid(overrides, "order", [30])[0]}
+            tuple({"gf": g, "k": k, "order": 30}
                   for g in ("geometric", "geometric_sq", "exp", "li2_over_1mz") for k in (1, 2, 3)),
             transform,
         ),
@@ -423,8 +395,8 @@ def _suite_series(overrides=None) -> list:
     ]
 
 
-def _suite_special(overrides=None) -> list:
-    J = _grid(overrides, "J", [400])[0]
+def _suite_special() -> list:
+    J = 400
 
     def three_way(p):
         v1 = special.li_new_series(p["s"], p["z"], J).value
@@ -496,7 +468,7 @@ def _bernoulli_oracle(order: int, x: float) -> float:
     return float(bernoulli_poly(order, frac)) / factorial(order)
 
 
-def _suite_fourier(overrides=None) -> list:
+def _suite_fourier() -> list:
     def convergence(p):
         oracle = _bernoulli_oracle(p["order"], p["x"])
         devs = [abs(special.bernoulli_fourier(p["order"], p["x"], J) - oracle) for J in (20, 40, 80)]
@@ -553,11 +525,7 @@ def _suite_fourier(overrides=None) -> list:
     ]
 
 
-def _suite_msums(overrides=None) -> list:
-    k_grid = _grid(overrides, "k", range(4, 9))
-    d_grid = _grid(overrides, "d", range(1, 5))
-    n_grid = _grid(overrides, "n", range(0, 13))
-
+def _suite_msums() -> list:
     def def_vs_alt(p):
         spec = msums.MSumSpec(p["k"], p["d"], p["n"], p["reading"])
         return msums.m_def(spec), msums.m_alt(spec)
@@ -575,7 +543,7 @@ def _suite_msums(overrides=None) -> list:
         IdentitySpec(
             "msums.def_vs_alt",
             tuple({"k": k, "d": d, "n": n, "reading": rd}
-                  for k in k_grid for d in d_grid for n in n_grid for rd in ("unsigned", "signed")),
+                  for k in range(4, 9) for d in range(1, 5) for n in range(0, 13) for rd in ("unsigned", "signed")),
             def_vs_alt, assert_pass=False,
         ),
         IdentitySpec(
@@ -625,10 +593,10 @@ def suite_names() -> tuple:
     return tuple(sorted(_SUITES))
 
 
-def _build(name: str, overrides=None) -> list:
+def _build(name: str) -> list:
     if name not in _SUITES:
         raise KeyError(f"unknown suite {name!r}; available: {', '.join(suite_names())}")
-    return _SUITES[name](overrides)
+    return _SUITES[name]()
 
 
 def registered_ids(name: str) -> tuple:
@@ -639,13 +607,13 @@ def assert_ids(name: str) -> frozenset:
     return frozenset(spec.id for spec in _build(name) if spec.assert_pass)
 
 
-def run_suite(name: str, overrides=None, threads: int = 1) -> list:
+def run_suite(name: str, threads: int = 1) -> list:
     """Evaluate every grid point of every identity in the suite.
 
     The report list is sorted by (id, params) and is identical across
     runs and thread counts.
     """
-    specs = _build(name, overrides)
+    specs = _build(name)
     tasks = [(spec, point) for spec in specs for point in spec.points]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -680,17 +648,7 @@ def emit_report(reports: Sequence[IdentityReport], format: str = "json") -> str:
             for r in reports
         ]
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    if format == "csv":
-        import csv  # on first use: it would add to every import of the package
-
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["id", "params", "status", "residual"])
-        writer.writerows([r.id, _params_str(r), r.status, str(r.residual)] for r in reports)
-        return buffer.getvalue()
-    if format == "markdown":
-        lines = ["| id | params | status | residual |", "| --- | --- | --- | --- |"]
-        for r in reports:
-            lines.append(f"| {r.id} | {_params_str(r)} | {r.status} | {r.residual} |")
-        return "\n".join(lines) + "\n"
+    if format in ("csv", "markdown"):
+        rows = ([r.id, _params_str(r), r.status, str(r.residual)] for r in reports)
+        return render(["id", "params", "status", "residual"], rows, format)
     raise ValueError("format must be json, csv, or markdown")

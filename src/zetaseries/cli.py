@@ -27,6 +27,7 @@ from . import audit, msums, series, special
 from .coeffs import s2star_rec, s2star_scaled
 from .exactnum import parse_rational
 from .harmonicnums import harmonic, harmonic_t
+from .reports import render
 
 __all__ = ["main", "build_parser"]
 
@@ -58,23 +59,6 @@ def _table_cell(k: int, j: int, scaled: bool) -> Fraction:
     return s2star_rec(k, j)
 
 
-def _render_table(rows: list, header: list, format: str) -> str:
-    if format == "json":
-        return json.dumps([dict(zip(header, row)) for row in rows], separators=(",", ":"))
-    if format == "markdown":
-        lines = ["| " + " | ".join(header) + " |",
-                 "| " + " | ".join("---" for _ in header) + " |"]
-        lines += ["| " + " | ".join(row) + " |" for row in rows]
-        return "\n".join(lines) + "\n"
-    if format in ("csv", "decimal"):
-        lines = [",".join(header)] + [",".join(row) for row in rows]
-        return "\n".join(lines) + "\n"
-    # frac: plain whitespace-aligned rows without header
-    widths = [max(len(r[i]) for r in rows + [header]) for i in range(len(header))]
-    lines = [" ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in rows]
-    return "\n".join(lines) + "\n"
-
-
 def cmd_table(args) -> str:
     if args.kmax < 0 or args.jmax < 0:
         raise ValueError("table requires kmax >= 0 and jmax >= 0")
@@ -86,7 +70,14 @@ def cmd_table(args) -> str:
             value = _table_cell(k, j, args.scaled)
             cells.append(_exact_str(value, args.format))
         rows.append(cells)
-    return _render_table(rows, header, args.format)
+    if args.format == "json":
+        return json.dumps([dict(zip(header, row)) for row in rows], separators=(",", ":"))
+    if args.format == "frac":
+        # plain whitespace-aligned rows without header
+        widths = [max(len(r[i]) for r in rows + [header]) for i in range(len(header))]
+        lines = [" ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in rows]
+        return "\n".join(lines) + "\n"
+    return render(header, rows, "csv" if args.format == "decimal" else args.format)
 
 
 def cmd_coeff(args) -> str:
@@ -112,12 +103,8 @@ def cmd_series(args) -> str:
         cells = [_exact_str(result.coeff(n), args.format) for n in range(result.order + 1)]
     if args.format == "json":
         return json.dumps(cells, separators=(",", ":")) + "\n"
-    if args.format == "markdown":
-        lines = ["| n | coeff |", "| --- | --- |"]
-        lines += [f"| {n} | {c} |" for n, c in enumerate(cells)]
-        return "\n".join(lines) + "\n"
-    if args.format == "csv":
-        return "n,coeff\n" + "\n".join(f"{n},{c}" for n, c in enumerate(cells)) + "\n"
+    if args.format in ("csv", "markdown"):
+        return render(["n", "coeff"], ([str(n), c] for n, c in enumerate(cells)), args.format)
     return "\n".join(f"z^{n}: {c}" for n, c in enumerate(cells)) + "\n"
 
 

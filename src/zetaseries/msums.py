@@ -19,7 +19,7 @@ from typing import Sequence
 from .coeffs import s2star_rec
 from .exactnum import binomial, factorial
 from .harmonicnums import harmonic
-from .reports import IdentityReport, exact_compare
+from .reports import IdentityReport, compare
 from .stirling import stirling1_signed, stirling1_unsigned
 
 __all__ = [
@@ -150,7 +150,7 @@ def almost_linear_check(which: int, k: int, n: int, m=Fraction(0), source: str =
     params = {"which": which, "k": k, "n": n, "source": source}
     if which == 6:
         params["m"] = str(Fraction(m))
-    return exact_compare("msum_almost_linear", params, lhs, rhs)
+    return compare("msum_almost_linear", params, lhs, rhs)
 
 
 _FAMILY_SIZES = {1: 1, 2: 2, 3: 3}
@@ -219,7 +219,7 @@ def general_relations_check(
         "n": n,
         "source": source,
     }
-    return exact_compare("msum_general_relation", params, lhs, rhs)
+    return compare("msum_general_relation", params, lhs, rhs)
 
 
 def zeta5_diagnostic(n_values: Sequence[int], source: str = "def_unsigned") -> list:

@@ -3,6 +3,11 @@
 ``TruncSeries`` lives in :mod:`powerseries`, below the coefficient
 table, and is re-exported here.
 
+The transforms sum_j w_j z^j G^{(j)}(z) act coefficientwise, since
+[z^n] z^j G^{(j)}(z) = n!/(n-j)! g_n: coefficient n is
+(sum_j w_j n!/(n-j)!) g_n, and that inner sum is ``harmonic.npow_inverse``
+(w_j = c*(k+2, j)) or ``harmonic.npow_forward`` (w_j = S2(m, j)).
+
 The introduction examples a-f extract [w^u] from bracketed sums
 sum_j c*(k+2, j) D_j(wz) / (1 - w), where D_j is a series in wz alone
 (times 1/(1 - wz) for examples c, d and e).  That extraction collapses to
@@ -17,9 +22,10 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .coeffs import s2star_rec
-from .exactnum import binomial, factorial, falling_factorial, root_of_unity
+from .exactnum import binomial, factorial, root_of_unity
+from .harmonic import npow_forward, npow_inverse
 from .powerseries import TruncSeries
-from .stirling import stirling1_unsigned, stirling2
+from .stirling import stirling1_unsigned
 
 __all__ = [
     "TruncSeries",
@@ -39,18 +45,9 @@ __all__ = [
 # ---------------------------------------------------------------------
 
 
-def _derivative_sum(G: TruncSeries, weights: list) -> TruncSeries:
-    """sum_j weights[j] z^j G^{(j)}(z), truncated at G's order, summed
-    coefficientwise: [z^n] z^j G^{(j)}(z) = n!/(n-j)! g_n."""
-    return TruncSeries([
-        sum(w * falling_factorial(n, j) for j, w in enumerate(weights[: n + 1])) * g
-        for n, g in enumerate(G.coeffs)
-    ])
-
-
 def transform_forward(G: TruncSeries, m: int) -> TruncSeries:
     """sum_{j=0}^{m} S2(m, j) z^j G^{(j)}(z); coefficient n is n^m g_n."""
-    return _derivative_sum(G, [stirling2(m, j) for j in range(m + 1)])
+    return TruncSeries([npow_forward(n, m) * g for n, g in enumerate(G.coeffs)])
 
 
 def transform_zeta(G: TruncSeries, k: int) -> TruncSeries:
@@ -58,7 +55,7 @@ def transform_zeta(G: TruncSeries, k: int) -> TruncSeries:
     coefficient n is g_n / n^k for n >= 1."""
     if G.order < 1:
         raise ValueError("transform needs order >= 1")
-    return _derivative_sum(G, [0] + [s2star_rec(k + 2, j) for j in range(1, G.order + 1)])
+    return TruncSeries([0 * G.coeffs[0]] + [npow_inverse(n, k) * G.coeffs[n] for n in range(1, G.order + 1)])
 
 
 def _diag_geom_pow(c, j: int, order: int) -> list:

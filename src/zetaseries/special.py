@@ -47,7 +47,7 @@ from itertools import accumulate
 from .coeffs import _HARMONIC_DENOM, _harmonic_bracket
 from .exactnum import factorial
 from .harmonicnums import harmonic
-from .reports import IdentityReport, numeric_compare
+from .reports import IdentityReport, compare
 
 __all__ = [
     "EvalResult",
@@ -342,9 +342,7 @@ def trilog_functional_eq_sides(z: float, J: int = 400) -> tuple:
 
 def trilog_functional_eq_check(z: float, J: int = 400) -> IdentityReport:
     """Report of ``trilog_functional_eq_sides`` at z, within 1e-7."""
-    return numeric_compare(
-        "special.trilog_functional_eq", {"z": z, "J": J}, *trilog_functional_eq_sides(z, J), 1e-7
-    )
+    return compare("special.trilog_functional_eq", {"z": z, "J": J}, *trilog_functional_eq_sides(z, J), 1e-7)
 
 
 def bernoulli_fourier(order: int, x: float, J: int = 60) -> float:
@@ -374,12 +372,7 @@ def _li2_complex(z: complex, terms: int = 4000) -> complex:
         if z.imag == 0 and 0 <= z.real < 1:
             raise ValueError("inversion formula invalid on [0, 1)")
         return -_li2_complex(1 / z, terms) - math.pi**2 / 6 - cmath.log(-z) ** 2 / 2
-    total = 0j
-    power = 1 + 0j
-    for n in range(1, terms + 1):
-        power *= z
-        total += power / n**2
-    return total
+    return li_direct_sum(2, z, terms).value
 
 
 def bernoulli_closed_logforms(order: int, x: float) -> complex:

@@ -166,7 +166,7 @@ def test_disagreeing_sides_fail_under_spec_id(monkeypatch, threads):
         # tolerance 0.0 is numeric, not exact: the residual stays a float
         audit.IdentitySpec("fake.zero_tolerance", point, lambda p: (1.0, 1.0 + 2**-52), tolerance=0.0),
     ]
-    monkeypatch.setitem(audit._SUITES, "fake", lambda overrides=None: specs)
+    monkeypatch.setitem(audit._SUITES, "fake", lambda: specs)
     reports = audit.run_suite("fake", threads=threads)
     assert [(r.id, r.params, r.status, r.residual) for r in reports] == [
         ("fake.exact", (("n", 1),), "fail", "-1/6"),
@@ -229,14 +229,8 @@ def test_report_only_failures_are_expected_ones():
     assert "series.stirling1_egf_printed_sign" in failing_ids
 
 
-def test_overrides_shrink_grids():
-    full = audit.run_suite("core")
-    small = audit.run_suite("core", overrides={"j": [1, 2], "k": [2, 3]})
-    assert 0 < len(small) < len(full)
-
-
 def test_emit_json_schema():
-    reports = audit.run_suite("msums", overrides={"k": [4], "d": [1], "n": [1]})
+    reports = audit.run_suite("msums")
     payload = json.loads(audit.emit_report(reports, "json"))
     assert isinstance(payload, list) and payload
     for entry in payload:
@@ -246,7 +240,7 @@ def test_emit_json_schema():
 
 
 def test_emit_csv_schema():
-    reports = audit.run_suite("core", overrides={"j": [3], "k": [4]})
+    reports = audit.run_suite("core")
     text = audit.emit_report(reports, "csv")
     rows = list(csv.reader(io.StringIO(text)))
     assert rows[0] == ["id", "params", "status", "residual"]
