@@ -10,9 +10,13 @@ its constructions on series (:mod:`series`), numeric special functions
 (:mod:`special`), remainder-term sums (:mod:`msums`), and the identity
 verification registry (:mod:`audit`) behind the :mod:`cli`.  No module
 imports a later one.
+
+Importing the package loads every layer below :mod:`audit`.  The
+verification layer loads on first use: reading ``run_suite``,
+``suite_names``, ``suite_passes`` or ``emit_report`` from the package
+imports it, so a process that never verifies does not pay for it.
 """
 
-from .audit import emit_report, run_suite, suite_names, suite_passes
 from .coeffs import (
     remainder_t,
     s2star_general_f,
@@ -61,6 +65,21 @@ from .stirling import (
 )
 
 __version__ = "0.1.0"
+
+_AUDIT_NAMES = ("run_suite", "suite_names", "suite_passes", "emit_report")
+
+
+def __getattr__(name):
+    if name in _AUDIT_NAMES:
+        from . import audit
+
+        return getattr(audit, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_AUDIT_NAMES})
+
 
 __all__ = [
     "Rational",

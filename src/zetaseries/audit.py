@@ -21,10 +21,8 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 from . import msums, special
 from .coeffs import (
@@ -79,8 +77,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IdentitySpec:
+class IdentitySpec(NamedTuple):
     id: str
     points: Tuple[dict, ...]
     sides: Callable[[dict], tuple]  # point -> (lhs, rhs)
@@ -616,6 +613,8 @@ def run_suite(name: str, threads: int = 1) -> list:
     specs = _build(name)
     tasks = [(spec, point) for spec in specs for point in spec.points]
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor  # on first use: it loads logging
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             reports = list(pool.map(lambda t: t[0].evaluate(t[1]), tasks))
     else:

@@ -6,6 +6,8 @@ harmonic numbers (``harmonic``), the truncated-series constructions
 ``fourier``), the Section-style remainder sums (``msum``), and the
 identity verification suites (``verify``).
 
+``--help`` and ``verify --help`` end by naming the verification suites.
+
 Exit codes: 0 success, 1 domain error in the requested evaluation,
 2 unknown verification suite.  A polylog point evaluated by a fallback
 method prints a ``warning:`` line naming it on stderr, in every format.
@@ -23,7 +25,7 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import audit, msums, series, special
+from . import msums, series, special
 from .coeffs import s2star_rec, s2star_scaled
 from .exactnum import parse_rational
 from .harmonicnums import harmonic, harmonic_t
@@ -71,7 +73,7 @@ def cmd_table(args) -> str:
             cells.append(_exact_str(value, args.format))
         rows.append(cells)
     if args.format == "json":
-        return json.dumps([dict(zip(header, row)) for row in rows], separators=(",", ":"))
+        return json.dumps([dict(zip(header, row)) for row in rows], separators=(",", ":")) + "\n"
     if args.format == "frac":
         # plain whitespace-aligned rows without header
         widths = [max(len(r[i]) for r in rows + [header]) for i in range(len(header))]
@@ -153,6 +155,9 @@ def cmd_msum(args) -> str:
 
 
 def cmd_verify(args) -> tuple:
+    # on first use: no other command needs the verification layer
+    from . import audit
+
     format = args.format if args.format in ("json", "csv", "markdown") else "json"
     reports = audit.run_suite(args.suite, threads=args.threads)
     document = audit.emit_report(reports, format)
@@ -162,8 +167,25 @@ def cmd_verify(args) -> tuple:
     return document, code
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose help may end by naming the verification
+    suites.  They are read from audit, imported only when such help is
+    printed."""
+
+    def __init__(self, *args, list_suites: bool = False, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.list_suites = list_suites
+
+    def format_help(self) -> str:
+        if self.list_suites:
+            from .audit import suite_names
+            self.epilog = "verification suites: " + ", ".join(suite_names())
+        return super().format_help()
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
+        list_suites=True,
         prog="zetaseries",
         description="Zeta-series transform coefficients, harmonic identities, and verification suites.",
     )
@@ -234,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(func=cmd_msum)
 
-    p = sub.add_parser("verify", help="run an identity verification suite")
+    p = sub.add_parser("verify", help="run an identity verification suite", list_suites=True)
     p.add_argument("--suite", required=True)
     p.add_argument("--threads", type=int, default=1)
     add_common(p)

@@ -206,12 +206,6 @@ def harmonic_powers_of_n(n: int, k: int) -> Fraction:
         coeff = s2star_rec(k + 2, j)
         if coeff == 0:
             continue
-        inner = Fraction(0)
-        for m in range(j + 2):
-            inner += (
-                stirling1_unsigned(j + 1, m)
-                * Fraction((-1) ** (j + 1 - m))
-                * Fraction(n + 1) ** m
-            )
+        inner = sum(stirling1_unsigned(j + 1, m) * (-1) ** (j + 1 - m) * (n + 1) ** m for m in range(j + 2))
         total += coeff * inner / (j + 1)
     return total

@@ -12,9 +12,8 @@ reproducible artifacts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .coeffs import s2star_rec
 from .exactnum import binomial, factorial
@@ -39,22 +38,28 @@ _READINGS = ("unsigned", "signed")
 _SOURCES = ("def_unsigned", "def_signed", "alt")
 
 
-@dataclass(frozen=True)
-class MSumSpec:
+class _MSumFields(NamedTuple):
     k: int
     d: int
     n: int
     stirling_reading: str = "unsigned"
 
-    def __post_init__(self):
-        if self.k <= 2:
+
+class MSumSpec(_MSumFields):
+    """The parameters of M_{k+1}^{(d)}(n), checked when built."""
+
+    __slots__ = ()
+
+    def __new__(cls, k: int, d: int, n: int, stirling_reading: str = "unsigned"):
+        if k <= 2:
             raise ValueError("M sums require k > 2")
-        if self.d < 1:
+        if d < 1:
             raise ValueError("M sums require d >= 1")
-        if self.n < 0:
+        if n < 0:
             raise ValueError("M sums require n >= 0")
-        if self.stirling_reading not in _READINGS:
+        if stirling_reading not in _READINGS:
             raise ValueError(f"stirling_reading must be one of {_READINGS}")
+        return super().__new__(cls, k, d, n, stirling_reading)
 
 
 def m_def(spec: MSumSpec) -> Fraction:

@@ -12,17 +12,15 @@ for the verification reports and the CLI tables alike.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .powerseries import TruncSeries
 
 __all__ = ["IdentityReport", "compare", "render"]
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     id: str
     params: Tuple[Tuple[str, object], ...]
     status: str  # "exact_pass" | "numeric_pass" | "fail"

@@ -39,10 +39,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate
+from typing import NamedTuple
 
 from .coeffs import _HARMONIC_DENOM, _harmonic_bracket
 from .exactnum import factorial
@@ -66,8 +66,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(NamedTuple):
     value: complex | float
     terms_used: int
     last_term_magnitude: float
@@ -155,7 +154,7 @@ def li_new_series(s: int, z, J: int) -> EvalResult:
         if abs(z) >= 1:
             raise ValueError("Li_s(z) series diverge for |z/(1-z)| >= 1 and |z| >= 1")
         terms = max(J, int(math.log(1e-14) / math.log(abs(z))) + 1)
-        return replace(li_direct_sum(s, z, terms), method="direct_fallback", domain_warning=True)
+        return li_direct_sum(s, z, terms)._replace(method="direct_fallback", domain_warning=True)
     scaled = _scaled_row(s + 2, J)
     prefactor = 1.0 / (1 - z)
     total = 0.0 * w
@@ -365,14 +364,16 @@ def bernoulli_fourier(order: int, x: float, J: int = 60) -> float:
 
 
 def _li2_complex(z: complex, terms: int = 4000) -> complex:
-    """Dilogarithm at a complex point, direct summation with the
-    inversion formula Li_2(z) = -Li_2(1/z) - pi^2/6 - Log(-z)^2/2
-    applied when |z| is too close to (or beyond) the unit circle."""
-    if abs(z) > 0.9:
-        if z.imag == 0 and 0 <= z.real < 1:
-            raise ValueError("inversion formula invalid on [0, 1)")
-        return -_li2_complex(1 / z, terms) - math.pi**2 / 6 - cmath.log(-z) ** 2 / 2
-    return li_direct_sum(2, z, terms).value
+    """Dilogarithm at a complex point by direct summation for |z| <= 0.9,
+    and through the inversion formula Li_2(z) = -Li_2(1/z) - pi^2/6 -
+    Log(-z)^2/2 for |1/z| <= 0.9.  In the annulus between, neither route
+    is taken and this raises ValueError."""
+    if abs(z) <= 0.9:
+        return li_direct_sum(2, z, terms).value
+    if abs(1 / z) > 0.9:
+        raise ValueError(f"Li_2 at |z| = {abs(z):.6g}: direct summation needs |z| <= 0.9 or |1/z| <= 0.9, "
+                         "and the annulus 0.9 < |z| < 1/0.9 lies between")
+    return -li_direct_sum(2, 1 / z, terms).value - math.pi**2 / 6 - cmath.log(-z) ** 2 / 2
 
 
 def bernoulli_closed_logforms(order: int, x: float) -> complex:
@@ -382,7 +383,10 @@ def bernoulli_closed_logforms(order: int, x: float) -> complex:
     B_2({x})/2 = -(1/(8 pi^2)) sum_{b=+-1} (Log(1 - e^{2 pi i b x})^2
                   + 2 Li_2((1 + b i cot(pi x))/2)).
 
-    The imaginary part of the returned value vanishes to rounding.
+    The imaginary part of the returned value vanishes to rounding.  Order
+    2 evaluates Li_2 at |(1 +- i cot(pi x))/2| = 1/(2|sin(pi x)|), which
+    _li2_complex cannot reach between 0.9 and 1/0.9: there, for x mod 1
+    in about (0.1486, 0.1875) or (0.8125, 0.8514), it raises ValueError.
     """
     if order not in (1, 2):
         raise ValueError("closed log forms exist for orders 1 and 2")

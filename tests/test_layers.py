@@ -1,9 +1,22 @@
-"""Module layering: each module imports only the modules below it."""
+"""Module layering: each module imports only the modules below it, the
+package serves every public name, and the verification layer loads only
+when it is used."""
 
+import importlib
+import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
+
+import pytest
 
 import zetaseries
+from zetaseries.audit import IdentitySpec
+from zetaseries.msums import MSumSpec
+from zetaseries.reports import IdentityReport
+from zetaseries.special import EvalResult
 
 # lowest first, as in the package docstring
 LAYERS = ["exactnum", "stirling", "harmonicnums", "powerseries", "coeffs", "harmonic",
@@ -32,3 +45,69 @@ def test_each_module_imports_only_lower_layers():
     for rank, module in enumerate(LAYERS):
         for name in _imported_modules(PACKAGE / f"{module}.py"):
             assert name in LAYERS[:rank], f"{module} imports {name}, which is not below it"
+
+
+AUDIT_NAMES = {"run_suite", "suite_names", "suite_passes", "emit_report"}
+
+# Loads the CLI in a fresh interpreter, runs commands through main and
+# prints which of the heavy modules are loaded after each step.
+_COLD_SCRIPT = """
+import contextlib, io, json, sys
+from zetaseries.cli import main
+HEAVY = ("zetaseries.audit", "concurrent.futures", "logging", "dataclasses", "inspect")
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as stop:  # --help
+            return stop.code
+loaded = {}
+for step, argv in [("coeff", ["coeff", "--k", "4", "--j", "5"]),
+                   ("polylog", ["polylog", "--s", "2", "--z", "-1/2"]),
+                   ("table", ["table", "--kmax", "2", "--jmax", "3"]),
+                   ("coeff_help", ["coeff", "--help"]),
+                   ("verify", ["verify", "--suite", "fourier"])]:
+    assert run(argv) == 0, argv
+    loaded[step] = [name for name in HEAVY if name in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
+def test_cold_cli_loads_audit_only_for_verify():
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    result = subprocess.run([sys.executable, "-c", _COLD_SCRIPT], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    loaded = json.loads(result.stdout)
+    assert loaded["coeff"] == loaded["polylog"] == loaded["table"] == loaded["coeff_help"] == []
+    assert "zetaseries.audit" in loaded["verify"]
+
+
+def test_every_public_name_resolves_to_its_home_object():
+    star = {}
+    exec("from zetaseries import *", star)
+    modules = [importlib.import_module(f"zetaseries.{name}") for name in LAYERS]
+    assert len(zetaseries.__all__) == 54
+    for name in zetaseries.__all__:
+        value = getattr(zetaseries, name)
+        assert star[name] is value
+        if name != "__version__":
+            homes = [module for module in modules if name in getattr(module, "__all__", ())]
+            assert homes and all(getattr(module, name) is value for module in homes), name
+    assert zetaseries.harmonic is zetaseries.harmonicnums.harmonic
+    assert AUDIT_NAMES <= set(dir(zetaseries))
+    with pytest.raises(AttributeError):
+        zetaseries.no_such_name
+
+
+@pytest.mark.parametrize("record,field", [
+    (IdentityReport("id", (), "exact_pass", "0"), "status"),
+    (EvalResult(0.0, 1, 0.0, "direct"), "value"),
+    (IdentitySpec("id", (), lambda point: (0, 0)), "tolerance"),
+    (MSumSpec(3, 1, 0), "k"),
+])
+def test_records_are_immutable(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        record.extra = None

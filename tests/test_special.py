@@ -252,3 +252,18 @@ def test_bernoulli_closed_logforms():
             want = float(bernoulli_poly(order, Fraction(x).limit_denominator(10**6))) / math.factorial(order)
             assert abs(value.imag) < 1e-9
             assert value.real == pytest.approx(want, abs=1e-8)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: bernoulli_closed_logforms(2, 0.17),
+    lambda: special._li2_complex(complex(-0.5, 0.9)),
+])
+def test_li2_complex_raises_inside_annulus(call):
+    # 0.9 < |z| < 1/0.9: neither the direct sum nor its inversion applies
+    with pytest.raises(ValueError, match="annulus"):
+        call()
+
+
+def test_li2_complex_inverts_outside_annulus():
+    # Li_2(-2) = -Li_2(-1/2) - pi^2/6 - log(2)^2/2
+    assert special._li2_complex(complex(-2, 0)) == pytest.approx(-1.4367463668836809, abs=1e-12)
