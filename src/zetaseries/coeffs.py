@@ -12,7 +12,14 @@ exactly on their common domain:
 * a harmonic-number heuristic recurrence (``s2star_heuristic``),
 * coefficient extraction from the column OGFs in k (``s2star_ogf_coeff``),
 * a reverse binomial transform of truncated polylog series
-  (``s2star_reverse_binomial``, by ``TruncSeries.binomial_transform``).
+  (``s2star_reverse_binomial``, by ``TruncSeries.binomial_transform``),
+* the integer row kernel ``_scaled_numerators``: |c*(k, j)| j! for
+  j = 0..J as integers over one common denominator lcm(1..J)^(k-2).
+
+Exact sums of c* against integer weights (``harmonic.npow_inverse``,
+``harmonic.harmonic_binomial_form``) sum plain integers over that kernel
+and build one Fraction at the end; the numeric rows of :mod:`special`
+round the same numerators to doubles.
 
 Derived quantities: the scaled table, the t0/t1 remainder functions
 against unsigned Stirling-1 numbers, and the alpha*n+beta generalization.
@@ -22,6 +29,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 
 from .exactnum import SequenceTable, binomial, factorial
 from .harmonicnums import harmonic
@@ -62,6 +70,22 @@ def s2star_rec(k: int, j: int) -> Fraction:
     if k < 0 or j < 0:
         return Fraction(0)
     return _S2STAR_ROWS[k][j]
+
+
+def _scaled_numerators(k: int, J: int) -> tuple:
+    """Integer numerators N_k(j), j = 0..J, over the common denominator
+    D = lcm(1..J)^(k-2), with N_k(j) / D = |c*(k, j)| j! (k >= 2).
+
+    Prefix-sum form of the coefficient recurrence:
+    scaled(k, j) = scaled(k, j-1) + scaled(k-1, j)/j, scaled(2, j) = 1,
+    so row k costs O(k J) big-integer operations.
+    """
+    lcm = math.lcm(*range(1, J + 1))
+    quotients = [lcm // j for j in range(1, J + 1)]
+    row = [0] + [1] * J
+    for _ in range(k - 2):
+        row = [0, *accumulate(n * q for n, q in zip(row[1:], quotients))]
+    return row, lcm ** (k - 2)
 
 
 def s2star_sum(k: int, j: int) -> Fraction:
@@ -121,7 +145,7 @@ def s2star_heuristic(k: int, j: int) -> Fraction:
 
 def s2star_ogf_coeff(k: int, j: int) -> Fraction:
     """[z^k] of the column OGF in k for fixed j, via the truncated
-    reciprocal of its denominator.
+    reciprocal of its denominator, expanded by unsigned Stirling-1 numbers.
 
     For j = 1 the OGF is z/(1-z); for j >= 2 it is
     (-1)^{j+1} z^2 / ((1-z)(2-z)...(j-z)).
@@ -134,11 +158,10 @@ def s2star_ogf_coeff(k: int, j: int) -> Fraction:
         return Fraction(1 if k >= 1 else 0)
     if k < 2:
         return Fraction(0)
-    # reciprocal of prod_{i=1}^{j} (i - z), truncated to order k-2
+    # reciprocal of prod_{i=1}^{j} (i - z) = sum_m (-1)^m c(j+1, m+1) z^m,
+    # truncated to order k-2
     order = k - 2
-    denom = TruncSeries.one(order)
-    for i in range(1, j + 1):
-        denom = TruncSeries([Fraction(i), Fraction(-1)], order) * denom
+    denom = TruncSeries([Fraction((-1) ** m * stirling1_unsigned(j + 1, m + 1)) for m in range(order + 1)])
     return (-1) ** (j + 1) * denom.inverse().coeff(order)
 
 
@@ -171,24 +194,25 @@ def s2star_general_f(k: int, j: int, alpha, beta) -> Fraction:
 
     (1/j!) sum_{m=1}^{j} C(j, m) (-1)^{j-m} / (alpha*m + beta)^{k-2}.
 
-    alpha = 1, beta = 0 is the closed sum ``s2star_sum``.  With
-    f(m) = p_m / q_m in lowest terms the sum is taken over integers with
-    the common denominator lcm(p_1, ..., p_j)^{k-2}.
+    alpha = 1, beta = 0 is the closed sum ``s2star_sum``.  Written over
+    integers, f(m) = (a m + b) / q with a = alpha.num * beta.den,
+    b = beta.num * alpha.den and q = alpha.den * beta.den, so the sum is
+    taken over the common denominator lcm(a m + b : m = 1..j)^{k-2} and
+    one Fraction is built at the end.
     """
     if k < 2:
         raise ValueError("generalized coefficients require k >= 2")
     if j < 1:
         raise ValueError("generalized coefficients require j >= 1")
     alpha, beta = Fraction(alpha), Fraction(beta)
-    values = [alpha * m + beta for m in range(1, j + 1)]
+    a, b = alpha.numerator * beta.denominator, beta.numerator * alpha.denominator
+    q = alpha.denominator * beta.denominator
+    values = [a * m + b for m in range(1, j + 1)]
     if 0 in values:
         raise ZeroDivisionError(f"f({values.index(0) + 1}) = 0 for alpha={alpha}, beta={beta}")
-    lcm = math.lcm(*(f_m.numerator for f_m in values))
-    total = sum(
-        binomial(j, m) * (-1) ** (j - m) * (f_m.denominator * (lcm // f_m.numerator)) ** (k - 2)
-        for m, f_m in enumerate(values, 1)
-    )
-    return Fraction(total, lcm ** (k - 2) * factorial(j))
+    lcm = math.lcm(*values)
+    total = sum(binomial(j, m) * (-1) ** (j - m) * (lcm // p_m) ** (k - 2) for m, p_m in enumerate(values, 1))
+    return Fraction(total * q ** (k - 2), lcm ** (k - 2) * factorial(j))
 
 
 def s2star_reverse_binomial(k: int, j: int) -> Fraction:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .coeffs import s2star_rec
+from .coeffs import _scaled_numerators, s2star_rec
 from .exactnum import binomial, factorial, falling_factorial
 from .harmonicnums import harmonic, harmonic_real, harmonic_t
 from .stirling import stirling1_unsigned, stirling2
@@ -33,14 +33,22 @@ __all__ = [
 ]
 
 
+def _weighted_row_sum(k: int, n: int, weight) -> Fraction:
+    """sum_{j=1}^{n} c*(k, j) j! weight(j) for integer weights (k >= 2),
+    summed as integers over the common denominator of the row kernel:
+    c*(k, j) j! = (-1)^{j-1} N_k(j) / D."""
+    numerators, denominator = _scaled_numerators(k, n)
+    total = sum((-1) ** (j - 1) * numerators[j] * weight(j) for j in range(1, n + 1))
+    return Fraction(total, denominator)
+
+
 def npow_inverse(n: int, k: int) -> Fraction:
-    """sum_{j=1}^{n} c*(k+2, j) n!/(n-j)!; equals 1/n^k exactly."""
+    """sum_{j=1}^{n} c*(k+2, j) n!/(n-j)!; equals 1/n^k exactly (k >= 0)."""
     if n < 1:
         raise ValueError("npow_inverse requires n >= 1")
-    total = Fraction(0)
-    for j in range(1, n + 1):
-        total += s2star_rec(k + 2, j) * falling_factorial(n, j)
-    return total
+    if k < 0:
+        raise ValueError("npow_inverse requires k >= 0")
+    return _weighted_row_sum(k + 2, n, lambda j: binomial(n, j))
 
 
 def npow_forward(n: int, k: int) -> Fraction:
@@ -190,11 +198,10 @@ def harmonic_rec_corollary(n: int, k: int, which: int, r: float = 0.0):
 
 
 def harmonic_binomial_form(n: int, k: int) -> Fraction:
-    """H_n^{(k)} = sum_{0<=j<=n} C(n+1, j+1) c*(k+2, j) j!."""
-    total = Fraction(0)
-    for j in range(n + 1):
-        total += binomial(n + 1, j + 1) * s2star_rec(k + 2, j) * factorial(j)
-    return total
+    """H_n^{(k)} = sum_{0<=j<=n} C(n+1, j+1) c*(k+2, j) j! (k >= 0)."""
+    if k < 0:
+        raise ValueError("harmonic_binomial_form requires k >= 0")
+    return _weighted_row_sum(k + 2, n, lambda j: binomial(n + 1, j + 1))
 
 
 def harmonic_powers_of_n(n: int, k: int) -> Fraction:

@@ -143,10 +143,12 @@ class TruncSeries:
         c0 = self.coeffs[0]
         if c0 == 0:
             raise ZeroDivisionError("series has no reciprocal: zero constant term")
+        # the inner sum stops at the last nonzero coefficient, as in __mul__
+        degree = max(i for i, c in enumerate(self.coeffs) if c != 0)
         inv = [1 / c0]
         for n in range(1, self.order + 1):
             acc = _zero_like(self.coeffs)
-            for i in range(1, n + 1):
+            for i in range(1, min(n, degree) + 1):
                 acc += self.coeffs[i] * inv[n - i]
             inv.append(-acc / c0)
         return TruncSeries(inv)

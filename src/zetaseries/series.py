@@ -52,9 +52,11 @@ def transform_forward(G: TruncSeries, m: int) -> TruncSeries:
 
 def transform_zeta(G: TruncSeries, k: int) -> TruncSeries:
     """sum_{j>=1} c*(k+2, j) z^j G^{(j)}(z), truncated at G's order;
-    coefficient n is g_n / n^k for n >= 1."""
+    coefficient n is g_n / n^k for n >= 1 (k >= 0)."""
     if G.order < 1:
         raise ValueError("transform needs order >= 1")
+    if k < 0:
+        raise ValueError("transform_zeta requires k >= 0")
     return TruncSeries([0 * G.coeffs[0]] + [npow_inverse(n, k) * G.coeffs[n] for n in range(1, G.order + 1)])
 
 

@@ -9,8 +9,9 @@ equation check, and Fourier-type series for the periodic Bernoulli
 polynomials.
 
 Every coefficient series reads a prefix of one cached row of scaled
-coefficients |c*(k, j)| j! per k, built by an exact integer kernel over the
-common denominator lcm(1..J)^(k-2) and rounded once to doubles:
+coefficients |c*(k, j)| j! per k, built by the exact integer row kernel
+``coeffs._scaled_numerators`` over the common denominator lcm(1..J)^(k-2)
+and rounded once to doubles:
 ``li_new_series`` (and through it ``bernoulli_fourier`` and the
 trilogarithm functional equation) and ``zeta_star`` read row s+2.
 The classical binomial series and the modified Hurwitz zeta share one
@@ -41,10 +42,9 @@ import cmath
 import math
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate
 from typing import NamedTuple
 
-from .coeffs import _HARMONIC_DENOM, _harmonic_bracket
+from .coeffs import _HARMONIC_DENOM, _harmonic_bracket, _scaled_numerators
 from .exactnum import factorial
 from .harmonicnums import harmonic
 from .reports import IdentityReport, compare
@@ -102,22 +102,6 @@ def li_direct_sum(s: int, z, terms: int) -> EvalResult:
         total += term
         last = abs(term)
     return EvalResult(total, terms, last, "direct")
-
-
-def _scaled_numerators(k: int, J: int) -> tuple:
-    """Integer numerators N_k(j), j = 0..J, over the common denominator
-    D = lcm(1..J)^(k-2), with N_k(j) / D = |c*(k, j)| j! (k >= 2).
-
-    Prefix-sum form of the coefficient recurrence:
-    scaled(k, j) = scaled(k, j-1) + scaled(k-1, j)/j, scaled(2, j) = 1,
-    so row k costs O(k J) big-integer operations.
-    """
-    lcm = math.lcm(*range(1, J + 1))
-    quotients = [lcm // j for j in range(1, J + 1)]
-    row = [0] + [1] * J
-    for _ in range(k - 2):
-        row = [0, *accumulate(n * q for n, q in zip(row[1:], quotients))]
-    return row, lcm ** (k - 2)
 
 
 _SCALED_ROWS = {}  # k -> the longest row built so far

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetaseries.coeffs import (
+    _scaled_numerators,
     remainder_t,
     s2star_general_f,
     s2star_harmonic,
@@ -124,11 +125,17 @@ def test_general_f_reduces_to_closed_sum():
     (Fraction(1, 2), Fraction(1, 3)),
     (Fraction(-2), Fraction(1)),
     (Fraction(3, 2), Fraction(-7, 2)),
+    ("2/4", "-7/3"),
+    (Fraction(2, 3), Fraction(4, 9)),
+    (Fraction(-6, 5), Fraction(-1, 10)),
+    (0, Fraction(-7, 3)),
 ])
 def test_general_f_matches_direct_formula(alpha, beta):
     # (-2, 1) makes every f(m) negative and (3/2, -7/2) mixes signs, so the
     # odd powers k - 2 = 1, 3 check the sign of the integer kernel; k = 2
-    # is the empty power
+    # is the empty power.  (2/3, 4/9) writes f(m) = (18m + 12)/27, whose
+    # numerator and denominator share a factor 3, and alpha = 0 is constant.
+    alpha, beta = Fraction(alpha), Fraction(beta)
     for k in range(2, 7):
         for j in range(1, 10):
             direct = sum(
@@ -145,8 +152,26 @@ def test_reverse_binomial_matches_recurrence_to_j_40():
 
 
 def test_general_f_rejects_zero_denominator():
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ZeroDivisionError, match=r"^f\(2\) = 0 for alpha=1, beta=-2$"):
         s2star_general_f(3, 4, 1, -2)
+    with pytest.raises(ZeroDivisionError, match=r"^f\(3\) = 0 for alpha=1/2, beta=-3/2$"):
+        s2star_general_f(2, 5, "2/4", Fraction(-3, 2))
+
+
+def test_scaled_numerators_match_recurrence():
+    # N_k(j) / lcm(1..J)^(k-2) = |c*(k, j)| j!, and N_k(0) = 0
+    for k in range(2, 11):
+        numerators, denominator = _scaled_numerators(k, 60)
+        assert len(numerators) == 61 and numerators[0] == 0
+        for j in range(1, 61):
+            assert Fraction(numerators[j], denominator) == abs(s2star_rec(k, j)) * factorial(j)
+
+
+def test_ogf_coeff_far_beyond_the_denominator_degree():
+    # k - 2 much larger than j: the reciprocal runs past the degree-j denominator
+    for j in range(1, 4):
+        for k in range(2, 41, 3):
+            assert s2star_ogf_coeff(k, j) == s2star_rec(k, j)
 
 
 def test_remainder_t_definitions():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetaseries.coeffs import s2star_rec
-from zetaseries.exactnum import factorial
+from zetaseries.exactnum import binomial, factorial, falling_factorial
 from zetaseries.harmonic import (
     exp_harmonic_conv,
     exp_harmonic_inv,
@@ -21,6 +21,7 @@ from zetaseries.harmonic import (
     s2star_from_hnum_int,
     s2star_from_hnum_real,
 )
+from zetaseries.series import TruncSeries, transform_zeta
 
 
 @given(st.integers(1, 60), st.integers(1, 8))
@@ -36,6 +37,32 @@ def test_npow_forward_is_power(n, k):
 def test_npow_inverse_rejects_zero():
     with pytest.raises(ValueError):
         npow_inverse(0, 3)
+
+
+def test_kernel_sums_match_fraction_loops():
+    # the Fraction loops both sums were written as before they moved onto
+    # the integer row kernel
+    for k in range(0, 9):
+        for n in range(0, 61):
+            loop = Fraction(0)
+            for j in range(n + 1):
+                loop += binomial(n + 1, j + 1) * s2star_rec(k + 2, j) * factorial(j)
+            assert harmonic_binomial_form(n, k) == loop
+            if n >= 1:
+                loop = Fraction(0)
+                for j in range(1, n + 1):
+                    loop += s2star_rec(k + 2, j) * falling_factorial(n, j)
+                assert npow_inverse(n, k) == loop
+
+
+@pytest.mark.parametrize("k", [-1, -2, -5])
+def test_negative_order_is_rejected(k):
+    with pytest.raises(ValueError, match="k >= 0"):
+        npow_inverse(5, k)
+    with pytest.raises(ValueError, match="k >= 0"):
+        harmonic_binomial_form(5, k)
+    with pytest.raises(ValueError, match="k >= 0"):
+        transform_zeta(TruncSeries([Fraction(n) for n in range(6)]), k)
 
 
 def test_harmonic_via_rec():

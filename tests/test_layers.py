@@ -47,6 +47,15 @@ def test_each_module_imports_only_lower_layers():
             assert name in LAYERS[:rank], f"{module} imports {name}, which is not below it"
 
 
+def test_one_scaled_row_kernel():
+    # special rounds the numerators of the coeffs kernel and keeps no copy
+    from zetaseries import coeffs, special
+    assert special._scaled_numerators is coeffs._scaled_numerators
+    definitions = [path.stem for path in PACKAGE.glob("*.py")
+                   if re.search(r"^def _?scaled_numerators\b", path.read_text(encoding="utf-8"), re.M)]
+    assert definitions == ["coeffs"]
+
+
 AUDIT_NAMES = {"run_suite", "suite_names", "suite_passes", "emit_report"}
 
 # Loads the CLI in a fresh interpreter, runs commands through main and
