@@ -610,6 +610,8 @@ def run_suite(name: str, threads: int = 1) -> list:
     The report list is sorted by (id, params) and is identical across
     runs and thread counts.
     """
+    if threads < 1:
+        raise ValueError("run_suite requires threads >= 1")
     specs = _build(name)
     tasks = [(spec, point) for spec in specs for point in spec.points]
     if threads > 1:

@@ -9,7 +9,8 @@ identity verification suites (``verify``).
 ``--help`` and ``verify --help`` end by naming the verification suites.
 
 Exit codes: 0 success, 1 domain error in the requested evaluation,
-2 unknown verification suite.  A polylog point evaluated by a fallback
+2 unknown verification suite or a malformed command line (such as
+``verify --threads 0``).  A polylog point evaluated by a fallback
 method prints a ``warning:`` line naming it on stderr, in every format.
 Negative fractions may follow their flag directly (``--z -1/2``).  Exact
 values print as fractions unless ``--format decimal`` is given: 15
@@ -167,6 +168,16 @@ def cmd_verify(args) -> tuple:
     return document, code
 
 
+def _thread_count(text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"thread count must be >= 1, got {count}")
+    return count
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose help may end by naming the verification
     suites.  They are read from audit, imported only when such help is
@@ -258,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run an identity verification suite", list_suites=True)
     p.add_argument("--suite", required=True)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_thread_count, default=1)
     add_common(p)
     p.set_defaults(func=cmd_verify, format="json")
     return parser

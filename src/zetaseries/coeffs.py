@@ -17,9 +17,10 @@ exactly on their common domain:
   j = 0..J as integers over one common denominator lcm(1..J)^(k-2).
 
 Exact sums of c* against integer weights (``harmonic.npow_inverse``,
-``harmonic.harmonic_binomial_form``) sum plain integers over that kernel
-and build one Fraction at the end; the numeric rows of :mod:`special`
-round the same numerators to doubles.
+``harmonic.harmonic_binomial_form``, and ``harmonic._binomial_row_sums``
+for every n at once) sum plain integers over that kernel and build one
+Fraction per sum; the numeric rows of :mod:`special` round the same
+numerators to doubles.
 
 Derived quantities: the scaled table, the t0/t1 remainder functions
 against unsigned Stirling-1 numbers, and the alpha*n+beta generalization.

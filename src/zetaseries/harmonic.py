@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add, mul
 
 from .coeffs import _scaled_numerators, s2star_rec
 from .exactnum import binomial, factorial, falling_factorial
@@ -42,6 +43,21 @@ def _weighted_row_sum(k: int, n: int, weight) -> Fraction:
     return Fraction(total, denominator)
 
 
+def _binomial_row_sums(k: int, N: int, shift: int) -> list:
+    """[sum_{j=1}^{n} c*(k, j) j! C(n+shift, j+shift) for n = 0..N] (k >= 2):
+    one kernel row at J = N serves every n.  The weights are Pascal's row
+    n + shift, grown across n by integer additions; each n builds one
+    Fraction.  At shift 0 entry n is 1/n^(k-2) for n >= 1."""
+    numerators, denominator = _scaled_numerators(k, N)
+    signed = [(-1) ** (j - 1) * numerators[j] for j in range(1, N + 1)]
+    pascal = [binomial(shift, m) for m in range(shift + 1)]
+    sums = []
+    for _ in range(N + 1):
+        sums.append(Fraction(sum(map(mul, signed, pascal[shift + 1:])), denominator))
+        pascal = [1, *map(add, pascal, pascal[1:]), 1]
+    return sums
+
+
 def npow_inverse(n: int, k: int) -> Fraction:
     """sum_{j=1}^{n} c*(k+2, j) n!/(n-j)!; equals 1/n^k exactly (k >= 0)."""
     if n < 1:
@@ -60,11 +76,12 @@ def npow_forward(n: int, k: int) -> Fraction:
 
 
 def harmonic_via_rec(n: int, k: int) -> Fraction:
-    """H_n^{(k)} accumulated through the 1/n^k coefficient sums."""
-    total = Fraction(0)
-    for i in range(1, n + 1):
-        total += npow_inverse(i, k)
-    return total
+    """H_n^{(k)} accumulated through the 1/n^k coefficient sums (k >= 0)."""
+    if n < 0:
+        raise ValueError("harmonic_via_rec requires n >= 0")
+    if k < 0:
+        raise ValueError("harmonic_via_rec requires k >= 0")
+    return sum(_binomial_row_sums(k + 2, n, 0))
 
 
 def s2star_from_hnum_int(k: int, j: int, variant: int) -> Fraction:
@@ -198,7 +215,9 @@ def harmonic_rec_corollary(n: int, k: int, which: int, r: float = 0.0):
 
 
 def harmonic_binomial_form(n: int, k: int) -> Fraction:
-    """H_n^{(k)} = sum_{0<=j<=n} C(n+1, j+1) c*(k+2, j) j! (k >= 0)."""
+    """H_n^{(k)} = sum_{0<=j<=n} C(n+1, j+1) c*(k+2, j) j! (n, k >= 0)."""
+    if n < 0:
+        raise ValueError("harmonic_binomial_form requires n >= 0")
     if k < 0:
         raise ValueError("harmonic_binomial_form requires k >= 0")
     return _weighted_row_sum(k + 2, n, lambda j: binomial(n + 1, j + 1))

@@ -5,15 +5,20 @@ table, and is re-exported here.
 
 The transforms sum_j w_j z^j G^{(j)}(z) act coefficientwise, since
 [z^n] z^j G^{(j)}(z) = n!/(n-j)! g_n: coefficient n is
-(sum_j w_j n!/(n-j)!) g_n, and that inner sum is ``harmonic.npow_inverse``
-(w_j = c*(k+2, j)) or ``harmonic.npow_forward`` (w_j = S2(m, j)).
+(sum_j w_j n!/(n-j)!) g_n.  For w_j = c*(k+2, j) that inner sum is
+1/n^k, and one call of ``harmonic._binomial_row_sums`` gives it for
+every n from one integer kernel row; w_j = S2(m, j) gives n^m
+(``harmonic.npow_forward``).
 
 The introduction examples a-f extract [w^u] from bracketed sums
 sum_j c*(k+2, j) D_j(wz) / (1 - w), where D_j is a series in wz alone
 (times 1/(1 - wz) for examples c, d and e).  That extraction collapses to
 the diagonal: [w^u] D(wz) / (1 - w) = sum_{n<=u} d_n z^n, and the extra
-1/(1 - wz) turns d_n into its partial sums.  So each example is the sum
-over j of c*(k+2, j) times the diagonal coefficients of D_j.
+1/(1 - wz) turns d_n into its partial sums.  Summed over j against
+c*(k+2, j), every diagonal is a multiple of the same row sum: d_n =
+j! C(n, j) c^n (examples a, c, d) gives c^n/n^k, d_n = c^n/(n-j)!
+(b, e) gives c^n/(n^k n!), and example f's j! C(n+1, j+1)/n! is the row
+at shift 1, H_n^{(k)}/n!.
 """
 
 from __future__ import annotations
@@ -21,9 +26,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate
 
-from .coeffs import s2star_rec
-from .exactnum import binomial, factorial, root_of_unity
-from .harmonic import npow_forward, npow_inverse
+from .exactnum import factorial, root_of_unity
+from .harmonic import _binomial_row_sums, npow_forward
 from .powerseries import TruncSeries
 from .stirling import stirling1_unsigned
 
@@ -57,49 +61,13 @@ def transform_zeta(G: TruncSeries, k: int) -> TruncSeries:
         raise ValueError("transform needs order >= 1")
     if k < 0:
         raise ValueError("transform_zeta requires k >= 0")
-    return TruncSeries([0 * G.coeffs[0]] + [npow_inverse(n, k) * G.coeffs[n] for n in range(1, G.order + 1)])
-
-
-def _diag_geom_pow(c, j: int, order: int) -> list:
-    """Diagonal of (c wz)^j j! / (1 - c wz)^{j+1}: d_n = j! C(n,j) c^n."""
-    out, power = [], c**0
-    for n in range(order + 1):
-        out.append(factorial(j) * binomial(n, j) * power)
-        power = power * c
-    return out
-
-
-def _diag_geom_pow_sums(c, j: int, order: int) -> list:
-    """Partial sums of ``_diag_geom_pow``; j! C(n+1, j+1) at c = 1."""
-    return list(accumulate(_diag_geom_pow(c, j, order)))
-
-
-def _diag_exp_pow(c, j: int, order: int) -> list:
-    """Diagonal of (c wz)^j e^{c wz}: d_n = c^n / (n-j)! for n >= j."""
-    out, power = [], c**0
-    for n in range(order + 1):
-        out.append(power / factorial(n - j) if n >= j else 0 * power)
-        power = power * c
-    return out
-
-
-def _diag_exp_shifted(j: int, order: int) -> list:
-    """Diagonal of (wz)^j e^{wz} (j + 1 + wz) / (j + 1)."""
-    out = []
-    for n in range(order + 1):
-        if n < j:
-            out.append(Fraction(0))
-            continue
-        value = Fraction(j + 1, factorial(n - j))
-        if n > j:
-            value += Fraction(1, factorial(n - j - 1))
-        out.append(value / (j + 1))
-    return out
+    row = _binomial_row_sums(k + 2, G.order, 0)
+    return TruncSeries([0 * G.coeffs[0]] + [row[n] * G.coeffs[n] for n in range(1, G.order + 1)])
 
 
 def intro_example(example_id: str, k: int, u: int, *, t=None, r=None, a=None, b=None):
     """Bracketed bivariate constructions of the introduction, collapsed
-    by [w^u] extraction to diagonal sums (examples a-f, exact) or by
+    by [w^u] extraction to one row sum (examples a-f, exact) or by
     root-of-unity multisection in fractional powers (example g, complex
     doubles).
 
@@ -108,44 +76,26 @@ def intro_example(example_id: str, k: int, u: int, *, t=None, r=None, a=None, b=
     """
     if u < 1:
         raise ValueError("truncation order u must be >= 1")
-    if example_id in _INTRO_DIAGONALS:
-        scalar = {"d": t, "e": r}.get(example_id, 1)
-        if scalar is None:
-            raise ValueError(f"example {example_id} needs the scalar {'t' if example_id == 'd' else 'r'}")
-        c, diagonal = Fraction(scalar), _INTRO_DIAGONALS[example_id]
-        return _diagonal_sum(k, u, lambda j: diagonal(c, j, u))
+    if k < 0:
+        raise ValueError("introduction examples require k >= 0")
     if example_id == "g":
         if a is None or b is None or a < 2 or not 0 <= b < a:
             raise ValueError("example g requires a >= 2 and 0 <= b < a")
         return _intro_example_progression(k, u, a, b)
-    raise ValueError(f"unknown introduction example {example_id!r}")
-
-
-def _diagonal_sum(k: int, u: int, diagonal) -> TruncSeries:
-    """sum_{j=1}^{u} c*(k+2, j) diagonal(j), where diagonal(j) lists the
-    coefficients n = 0..u of the j-th summand's diagonal."""
-    out = [Fraction(0)] * (u + 1)
-    for j in range(1, u + 1):
-        coeff = s2star_rec(k + 2, j)
-        if coeff == 0:
-            continue
-        for n, d in enumerate(diagonal(j)):
-            if d:
-                out[n] += coeff * d
-    return TruncSeries(out)
-
-
-# diagonal builders (scalar c, j, u) of the summands of examples a-f;
-# c, d and e carry the extra 1/(1 - wz), hence the partial sums, and
-# example c is example d at t = 1
-_INTRO_DIAGONALS = {
-    "a": _diag_geom_pow,
-    "b": _diag_exp_pow,
-    "c": _diag_geom_pow_sums,
-    "d": _diag_geom_pow_sums,
-    "e": lambda c, j, u: list(accumulate(_diag_exp_pow(c, j, u))),
-    "f": lambda c, j, u: _diag_exp_shifted(j, u),
-}
+    if example_id == "f":
+        return exp_harmonic_series(k, u)
+    if example_id not in ("a", "b", "c", "d", "e"):
+        raise ValueError(f"unknown introduction example {example_id!r}")
+    scalar = {"d": t, "e": r}.get(example_id, 1)
+    if scalar is None:
+        raise ValueError(f"example {example_id} needs the scalar {'t' if example_id == 'd' else 'r'}")
+    c = Fraction(scalar)
+    coeffs = [c**n * x for n, x in enumerate(_binomial_row_sums(k + 2, u, 0))]
+    if example_id in ("b", "e"):
+        coeffs = [x / factorial(n) for n, x in enumerate(coeffs)]
+    if example_id in ("c", "d", "e"):
+        coeffs = list(accumulate(coeffs))
+    return TruncSeries(coeffs)
 
 
 def _intro_example_progression(s: int, u: int, a: int, b: int) -> TruncSeries:
@@ -158,7 +108,7 @@ def _intro_example_progression(s: int, u: int, a: int, b: int) -> TruncSeries:
     bigu = a * u + b
     # the [w^U] slice is example a in y; its alternating j-sum cancels
     # violently, so collapse it exactly first
-    inner = _diagonal_sum(s, bigu, lambda j: _diag_geom_pow(1, j, bigu)).coeffs
+    inner = _binomial_row_sums(s + 2, bigu, 0)
     y_acc = [0j] * (bigu + 1)
     for m in range(a):
         omega_m = root_of_unity(a, m)
@@ -208,8 +158,10 @@ def stirling1_egf_check(k: int, order: int) -> tuple[TruncSeries, TruncSeries]:
 
 def exp_harmonic_series(k: int, order: int) -> TruncSeries:
     """Truncated series with coefficient H_n^{(k)}/n! at z^n, built from
-    sum_j c*(k+2, j) z^j e^z (j+1+z)/(j+1) (introduction example f)."""
-    return _diagonal_sum(k, order, lambda j: _diag_exp_shifted(j, order))
+    sum_j c*(k+2, j) z^j e^z (j+1+z)/(j+1) (introduction example f, k >= 0)."""
+    if k < 0:
+        raise ValueError("exp_harmonic_series requires k >= 0")
+    return TruncSeries([x / factorial(n) for n, x in enumerate(_binomial_row_sums(k + 2, order, 1))])
 
 
 def dilog_functional_eq_sides(order: int) -> tuple[TruncSeries, TruncSeries]:

@@ -195,6 +195,12 @@ def test_unknown_suite_raises():
         audit.run_suite("nope")
 
 
+@pytest.mark.parametrize("threads", [0, -1])
+def test_thread_count_below_one_raises(threads):
+    with pytest.raises(ValueError, match="threads >= 1"):
+        audit.run_suite("core", threads=threads)
+
+
 def test_reports_are_sorted_and_typed():
     reports = audit.run_suite("fourier")
     keys = [r.sort_key() for r in reports]

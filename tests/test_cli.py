@@ -199,6 +199,31 @@ def test_empty_sum_exits_one(capsys, argv):
     assert captured.err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ("series", "--example", "a", "--k", "-2", "--u", "4"),
+    ("series", "--example", "d", "--k", "-1", "--u", "4", "--t", "1/2"),
+    ("series", "--example", "f", "--k", "-3", "--u", "4"),
+    ("series", "--example", "g", "--k", "-2", "--u", "4", "--a", "2", "--b", "1"),
+])
+def test_negative_order_exits_one(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: introduction examples require k >= 0\n"
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_thread_count_below_one_is_a_malformed_command_line(capsys, threads):
+    # rejected while parsing, so no thread is started
+    with pytest.raises(SystemExit) as stop:
+        main(["verify", "--suite", "core", "--threads", threads])
+    assert stop.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "thread count must be >= 1" in captured.err
+
+
 @pytest.mark.parametrize("format", ["frac", "decimal", "csv", "json", "markdown"])
 def test_domain_warning_on_stderr_in_every_format(capsys, format):
     code = main(["polylog", "--s", "2", "--z", "0.9", "--format", format])

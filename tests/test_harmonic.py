@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from zetaseries.coeffs import s2star_rec
 from zetaseries.exactnum import binomial, factorial, falling_factorial
 from zetaseries.harmonic import (
+    _binomial_row_sums,
     exp_harmonic_conv,
     exp_harmonic_inv,
     harmonic,
@@ -63,6 +64,26 @@ def test_negative_order_is_rejected(k):
         harmonic_binomial_form(5, k)
     with pytest.raises(ValueError, match="k >= 0"):
         transform_zeta(TruncSeries([Fraction(n) for n in range(6)]), k)
+    for n in (0, 1, 5):
+        with pytest.raises(ValueError, match="k >= 0"):
+            harmonic_via_rec(n, k)
+
+
+def test_all_n_row_sums_match_single_n_sums():
+    # one row at N = 60 against the O(n) sum at each n
+    for k in range(0, 7):
+        inverse = _binomial_row_sums(k + 2, 60, 0)
+        binomial_form = _binomial_row_sums(k + 2, 60, 1)
+        assert inverse[0] == 0
+        assert all(inverse[n] == npow_inverse(n, k) for n in range(1, 61))
+        assert all(binomial_form[n] == harmonic_binomial_form(n, k) for n in range(0, 61))
+
+
+def test_negative_index_is_rejected():
+    with pytest.raises(ValueError, match="n >= 0"):
+        harmonic_via_rec(-1, 2)
+    with pytest.raises(ValueError, match="n >= 0"):
+        harmonic_binomial_form(-1, 2)
 
 
 def test_harmonic_via_rec():

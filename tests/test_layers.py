@@ -47,13 +47,24 @@ def test_each_module_imports_only_lower_layers():
             assert name in LAYERS[:rank], f"{module} imports {name}, which is not below it"
 
 
+def _defining_modules(name):
+    return [path.stem for path in PACKAGE.glob("*.py")
+            if re.search(rf"^def _?{name}\b", path.read_text(encoding="utf-8"), re.M)]
+
+
 def test_one_scaled_row_kernel():
     # special rounds the numerators of the coeffs kernel and keeps no copy
-    from zetaseries import coeffs, special
+    from zetaseries import coeffs, series, special
     assert special._scaled_numerators is coeffs._scaled_numerators
-    definitions = [path.stem for path in PACKAGE.glob("*.py")
-                   if re.search(r"^def _?scaled_numerators\b", path.read_text(encoding="utf-8"), re.M)]
-    assert definitions == ["coeffs"]
+    assert _defining_modules("scaled_numerators") == ["coeffs"]
+    # every c*-weighted series reads one all-n row sum; series keeps no
+    # diagonal builders of its own
+    assert _defining_modules("binomial_row_sums") == ["harmonic"]
+    series_source = (PACKAGE / "series.py").read_text(encoding="utf-8")
+    for name in ("_diag_geom_pow", "_diag_geom_pow_sums", "_diag_exp_pow", "_diag_exp_shifted",
+                 "_diagonal_sum", "_INTRO_DIAGONALS"):
+        assert not hasattr(series, name)
+        assert not re.search(rf"\b{name}\b", series_source), name
 
 
 AUDIT_NAMES = {"run_suite", "suite_names", "suite_passes", "emit_report"}

@@ -1,5 +1,6 @@
 """Truncated power series, the zeta transform, and the worked examples."""
 
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -145,7 +146,7 @@ def test_intro_example_f_matches_display():
 
 def test_intro_examples_direct_sums():
     u = 24
-    for k in range(4):
+    for k in range(6):
         a = intro_example("a", k, u)
         b = intro_example("b", k, u)
         c = intro_example("c", k, u)
@@ -187,6 +188,39 @@ def test_intro_example_rejects_bad_input():
         intro_example("e", 1, 3)  # missing r
     with pytest.raises(ValueError):
         intro_example("ab", 1, 3)
+
+
+@pytest.mark.parametrize("k", [-1, -2, -5])
+def test_intro_examples_reject_negative_order(k):
+    scalars = {"d": {"t": Fraction(1, 2)}, "e": {"r": Fraction(3)}, "g": {"a": 2, "b": 1}}
+    for example_id in "abcdefg":
+        with pytest.raises(ValueError, match="k >= 0"):
+            intro_example(example_id, k, 4, **scalars.get(example_id, {}))
+    with pytest.raises(ValueError, match="k >= 0"):
+        exp_harmonic_series(k, 4)
+
+
+def test_each_transform_builds_one_kernel_row(monkeypatch):
+    harmonic_module = importlib.import_module("zetaseries.harmonic")
+    kernel, builds = harmonic_module._scaled_numerators, []
+
+    def counted(k, J):
+        builds.append((k, J))
+        return kernel(k, J)
+
+    monkeypatch.setattr(harmonic_module, "_scaled_numerators", counted)
+    calls = [
+        lambda: transform_zeta(TruncSeries.geometric(1, 50), 3),
+        lambda: harmonic_module.harmonic_via_rec(50, 2),
+        lambda: exp_harmonic_series(2, 20),
+        lambda: intro_example("d", 2, 20, t=Fraction(-1, 3)),
+        lambda: intro_example("e", 2, 20, r=Fraction(1, 2)),
+        lambda: intro_example("g", 2, 10, a=3, b=1),
+    ] + [lambda example_id=example_id: intro_example(example_id, 2, 20) for example_id in "abcf"]
+    for call in calls:
+        builds.clear()
+        call()
+        assert len(builds) == 1
 
 
 # --- multisection ---------------------------------------------------------
