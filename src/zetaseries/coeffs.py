@@ -5,22 +5,21 @@ derivatives of a sequence OGF into the OGF of the sequence divided by
 n^{k-2}.  They are computed by several independent routes that must agree
 exactly on their common domain:
 
-* the non-triangular recurrence (``s2star_rec``, one growable row per k),
+* the non-triangular recurrence (``s2star_rec``),
 * the closed binomial sum (``s2star_sum``, the alpha = 1, beta = 0 case
   of ``s2star_general_f``),
 * harmonic-number closed forms for k = 2..6 (``s2star_harmonic``),
 * a harmonic-number heuristic recurrence (``s2star_heuristic``),
 * coefficient extraction from the column OGFs in k (``s2star_ogf_coeff``),
 * a reverse binomial transform of truncated polylog series
-  (``s2star_reverse_binomial``, by ``TruncSeries.binomial_transform``),
-* the integer row kernel ``_scaled_numerators``: |c*(k, j)| j! for
-  j = 0..J as integers over one common denominator lcm(1..J)^(k-2).
+  (``s2star_reverse_binomial``, by ``TruncSeries.binomial_transform``).
 
-Exact sums of c* against integer weights (``harmonic.npow_inverse``,
-``harmonic.harmonic_binomial_form``, and ``harmonic._binomial_row_sums``
-for every n at once) sum plain integers over that kernel and build one
-Fraction per sum; the numeric rows of :mod:`special` round the same
-numerators to doubles.
+The recurrence runs once, into one growable integer table: row k holds
+M_k(j) = |c*(k, j)| j! L_j^(k-2), L_j = lcm(1..j), which no longer row
+changes.  ``s2star_rec`` reduces one cell to a Fraction;
+``_scaled_numerators(k, J)`` rescales a row to lcm(1..J)^(k-2) for the
+exact integer-weighted sums of :mod:`harmonic`; :mod:`special` rounds
+each M_k(j) / L_j^(k-2) to a double.
 
 Derived quantities: the scaled table, the t0/t1 remainder functions
 against unsigned Stirling-1 numbers, and the alpha*n+beta generalization.
@@ -30,7 +29,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate
 
 from .exactnum import SequenceTable, binomial, factorial
 from .harmonicnums import harmonic
@@ -50,14 +48,19 @@ __all__ = [
 ]
 
 
-def _s2star_row(k: int, rows: list) -> SequenceTable:
-    if k < 2:
-        return SequenceTable(lambda j, row: Fraction(int(j == k)))
-    below = rows[k - 1]
-    return SequenceTable(lambda j, row: (below[j] - row[j - 1]) / j if j else Fraction(0), below)
+def _numerator_row(e: int, rows: list) -> SequenceTable:
+    """M_k(j) for k = e + 2: M_2(j) = [j >= 1] and
+    M_k(j) = M_k(j-1) (L_j / L_{j-1})^(k-2) + M_{k-1}(j) L_j / j.  Row 0
+    sits on the L table, so every row's chain extends L first."""
+    if e == 0:
+        return SequenceTable(lambda j, row: int(j > 0), _LCM)
+    below = rows[e - 1]
+    return SequenceTable(
+        lambda j, row: row[j - 1] * (_LCM[j] // _LCM[j - 1]) ** e + below[j] * (_LCM[j] // j) if j else 0, below)
 
 
-_S2STAR_ROWS = SequenceTable(_s2star_row)
+_LCM = SequenceTable(lambda j, values: math.lcm(values[-1], j) if j else 1)
+_NUMERATORS = SequenceTable(_numerator_row)  # row k - 2 holds M_k
 
 
 def s2star_rec(k: int, j: int) -> Fraction:
@@ -66,27 +69,24 @@ def s2star_rec(k: int, j: int) -> Fraction:
     c*(k, j) = -(1/j) c*(k, j-1) + (1/j) c*(k-1, j) + [k = j = 1]
 
     with base rows c*(0, j) = [j = 0], c*(1, j) = [j = 1] and base column
-    c*(k, 0) = [k = 0].
+    c*(k, 0) = [k = 0]; for k >= 2 and j >= 1 it is read from the integer
+    table as (-1)^(j-1) M_k(j) / (L_j^(k-2) j!).
     """
     if k < 0 or j < 0:
         return Fraction(0)
-    return _S2STAR_ROWS[k][j]
+    if k < 2 or j == 0:
+        return Fraction(int(j == k))
+    return Fraction((-1) ** (j - 1) * _NUMERATORS[k - 2][j], _LCM[j] ** (k - 2) * factorial(j))
 
 
 def _scaled_numerators(k: int, J: int) -> tuple:
     """Integer numerators N_k(j), j = 0..J, over the common denominator
-    D = lcm(1..J)^(k-2), with N_k(j) / D = |c*(k, j)| j! (k >= 2).
-
-    Prefix-sum form of the coefficient recurrence:
-    scaled(k, j) = scaled(k, j-1) + scaled(k-1, j)/j, scaled(2, j) = 1,
-    so row k costs O(k J) big-integer operations.
-    """
-    lcm = math.lcm(*range(1, J + 1))
-    quotients = [lcm // j for j in range(1, J + 1)]
-    row = [0] + [1] * J
-    for _ in range(k - 2):
-        row = [0, *accumulate(n * q for n, q in zip(row[1:], quotients))]
-    return row, lcm ** (k - 2)
+    D = lcm(1..J)^(k-2), with N_k(j) / D = |c*(k, j)| j! (k >= 2): the
+    table's M_k(j) rescaled by (L_J / L_j)^(k-2)."""
+    e = k - 2
+    numerators = _NUMERATORS[e].prefix(J + 1)
+    lcms = _LCM.prefix(J + 1)
+    return [m * (lcms[J] // lcm) ** e for m, lcm in zip(numerators, lcms)], lcms[J] ** e
 
 
 def s2star_sum(k: int, j: int) -> Fraction:
@@ -134,6 +134,8 @@ def s2star_heuristic(k: int, j: int) -> Fraction:
     c*(k+2, j) = sum_{0 <= m < k} (H_j^{(m+1)} / k) c*(k+1-m, j)
                  + ((-1)^{j-1} / j!) [k = 0].
     """
+    if k < 0:
+        raise ValueError("heuristic recurrence requires k >= 0")
     if j < 1:
         raise ValueError("heuristic recurrence requires j >= 1")
     if k == 0:
@@ -221,6 +223,8 @@ def s2star_reverse_binomial(k: int, j: int) -> Fraction:
 
     with the polylog series truncated at order j over exact rationals.
     """
+    if k < 0:
+        raise ValueError("reverse binomial transform requires k >= 0")
     if j < 1:
         raise ValueError("reverse binomial transform requires j >= 1")
     transformed = TruncSeries.polylog(k + 1, j).binomial_transform()

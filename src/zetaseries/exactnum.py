@@ -73,9 +73,10 @@ class SequenceTable:
     """f(0), f(1), ... built on demand in index order; ``step(n, values)``
     returns f(n) from the list of f(0..n-1).  Values are appended under a
     lock and never change, so reading a built index takes no lock.  A step
-    may read the table ``below`` (row k-1 of a two-index recurrence) up to
-    n: every too-short table down that chain is extended first, lowest
-    first, so no extension nests and no recursion grows with n."""
+    may read any table down its ``below`` chain (row k-1 of a two-index
+    recurrence, and the tables under it) up to n: every too-short table
+    down that chain is extended first, lowest first, so no extension nests
+    and no recursion grows with n."""
 
     def __init__(self, step, below: SequenceTable | None = None):
         self._step, self._below = step, below
@@ -93,3 +94,9 @@ class SequenceTable:
                     while len(values) <= n:
                         values.append(table._step(len(values), values))
         return self._values[n]
+
+    def prefix(self, n: int) -> list:
+        """f(0), ..., f(n-1) as a new list."""
+        if n > 0:
+            self[n - 1]
+        return self._values[:n]

@@ -68,7 +68,9 @@ def npow_inverse(n: int, k: int) -> Fraction:
 
 
 def npow_forward(n: int, k: int) -> Fraction:
-    """sum_{j} S2(k, j) n!/(n-j)!; equals n^k."""
+    """sum_{j} S2(k, j) n!/(n-j)!; equals n^k (k >= 0)."""
+    if k < 0:
+        raise ValueError("npow_forward requires k >= 0")
     total = Fraction(0)
     for j in range(k + 1):
         total += stirling2(k, j) * falling_factorial(n, j)
@@ -93,6 +95,8 @@ def s2star_from_hnum_int(k: int, j: int, variant: int) -> Fraction:
     """
     if variant not in (1, 2):
         raise ValueError("variant must be 1 or 2")
+    if k < 0:
+        raise ValueError("harmonic sums for c*(k+2, j) require k >= 0")
     total = Fraction(0)
     for i in range(j):
         sign = (-1) ** (j - 1 - i)
@@ -132,7 +136,9 @@ def s2star_from_hnum_real(k: int, j: int, r: float, variant: int) -> float:
 
 def exp_harmonic_conv(k: int, j: int) -> Fraction:
     """sum_{m=0}^{j} (H_m^{(k+1)}/m!) (-1)^{j-m}/(j-m)!;
-    equals c*(k+2, j)/j."""
+    equals c*(k+2, j)/j (k >= 0)."""
+    if k < 0:
+        raise ValueError("exp_harmonic_conv requires k >= 0")
     total = Fraction(0)
     for m in range(j + 1):
         total += (
@@ -144,7 +150,9 @@ def exp_harmonic_conv(k: int, j: int) -> Fraction:
 
 
 def exp_harmonic_inv(k: int, j: int) -> Fraction:
-    """sum_{i=1}^{j} c*(k+2, i) / (i (j-i)!); equals H_j^{(k+1)}/j!."""
+    """sum_{i=1}^{j} c*(k+2, i) / (i (j-i)!); equals H_j^{(k+1)}/j! (k >= 0)."""
+    if k < 0:
+        raise ValueError("exp_harmonic_inv requires k >= 0")
     total = Fraction(0)
     for i in range(1, j + 1):
         total += s2star_rec(k + 2, i) / (i * factorial(j - i))
@@ -159,6 +167,8 @@ def harmonic_rec_corollary(n: int, k: int, which: int, r: float = 0.0):
     """
     if n < 1:
         raise ValueError("recurrences advance from n >= 1")
+    if k < 0:
+        raise ValueError("recurrences require k >= 0")
     if which == 1:
         total = harmonic(n - 1, k)
         for j in range(1, n + 1):
@@ -226,7 +236,9 @@ def harmonic_binomial_form(n: int, k: int) -> Fraction:
 def harmonic_powers_of_n(n: int, k: int) -> Fraction:
     """H_n^{(k)} as the double sum over unsigned Stirling-1 numbers and
     powers of n+1 (the binomial coefficients of harmonic_binomial_form
-    expanded through c(j+1, m))."""
+    expanded through c(j+1, m)), k >= 0."""
+    if k < 0:
+        raise ValueError("harmonic_powers_of_n requires k >= 0")
     total = Fraction(0)
     for j in range(n + 1):
         coeff = s2star_rec(k + 2, j)

@@ -8,10 +8,10 @@ function, Euler-sum forms of its values, a trilogarithm functional
 equation check, and Fourier-type series for the periodic Bernoulli
 polynomials.
 
-Every coefficient series reads a prefix of one cached row of scaled
-coefficients |c*(k, j)| j! per k, built by the exact integer row kernel
-``coeffs._scaled_numerators`` over the common denominator lcm(1..J)^(k-2)
-and rounded once to doubles:
+Every coefficient series reads a prefix of one growing row of scaled
+coefficients |c*(k, j)| j! per k, each entry the integer cell
+M_k(j) / lcm(1..j)^(k-2) of the one c* table in :mod:`coeffs` rounded
+once to a double:
 ``li_new_series`` (and through it ``bernoulli_fourier`` and the
 trilogarithm functional equation) and ``zeta_star`` read row s+2.
 The classical binomial series and the modified Hurwitz zeta share one
@@ -44,8 +44,8 @@ from fractions import Fraction
 from functools import cache
 from typing import NamedTuple
 
-from .coeffs import _HARMONIC_DENOM, _harmonic_bracket, _scaled_numerators
-from .exactnum import factorial
+from .coeffs import _HARMONIC_DENOM, _LCM, _NUMERATORS, _harmonic_bracket, _scaled_numerators
+from .exactnum import SequenceTable, factorial
 from .harmonicnums import harmonic
 from .reports import IdentityReport, compare
 
@@ -104,17 +104,17 @@ def li_direct_sum(s: int, z, terms: int) -> EvalResult:
     return EvalResult(total, terms, last, "direct")
 
 
-_SCALED_ROWS = {}  # k -> the longest row built so far
+def _double_row(e: int, rows: list) -> SequenceTable:
+    # the correctly rounded M_k(j) / L_j^(k-2), k = e + 2, on the integer row
+    return SequenceTable(lambda j, row: _NUMERATORS[e][j] / _LCM[j] ** e, _NUMERATORS[e])
 
 
-def _scaled_row(k: int, J: int) -> tuple:
-    """|c*(k, j)| j!, j = 0..J, as correctly rounded doubles (so a longer row's
-    prefix is bit-identical); big-integer numerators are not cached."""
-    row = _SCALED_ROWS.get(k, ())
-    if len(row) <= J:
-        numerators, denominator = _scaled_numerators(k, J)
-        row = _SCALED_ROWS[k] = tuple(n / denominator for n in numerators)
-    return row[: J + 1]
+_DOUBLE_ROWS = SequenceTable(_double_row)  # row k - 2: one per k, only extended
+
+
+def _scaled_row(k: int, J: int) -> list:
+    """|c*(k, j)| j!, j = 0..J (k >= 2), as doubles that no longer J changes."""
+    return _DOUBLE_ROWS[k - 2].prefix(J + 1)
 
 
 def li_new_series(s: int, z, J: int) -> EvalResult:

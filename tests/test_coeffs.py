@@ -1,5 +1,6 @@
 """Transform coefficient table: frozen values, method agreement, remainders."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -158,13 +159,15 @@ def test_general_f_rejects_zero_denominator():
         s2star_general_f(2, 5, "2/4", Fraction(-3, 2))
 
 
-def test_scaled_numerators_match_recurrence():
-    # N_k(j) / lcm(1..J)^(k-2) = |c*(k, j)| j!, and N_k(0) = 0
+def test_scaled_numerators_match_closed_sum():
+    # N_k(j) / lcm(1..J)^(k-2) = |c*(k, j)| j!, and N_k(0) = 0; the closed
+    # binomial sum shares no table with the kernel
     for k in range(2, 11):
         numerators, denominator = _scaled_numerators(k, 60)
         assert len(numerators) == 61 and numerators[0] == 0
+        assert denominator == math.lcm(*range(1, 61)) ** (k - 2)
         for j in range(1, 61):
-            assert Fraction(numerators[j], denominator) == abs(s2star_rec(k, j)) * factorial(j)
+            assert Fraction(numerators[j], denominator) == abs(s2star_sum(k, j)) * factorial(j)
 
 
 def test_ogf_coeff_far_beyond_the_denominator_degree():

@@ -94,3 +94,6 @@ def test_sequence_table_extends_the_tables_below_first():
     assert table[3] == 20
     assert log == [(level, n) for level in range(3) for n in range(4)]
     assert [table[n] for n in range(4)] == [1, 3, 8, 20] and len(log) == 12
+    assert table.prefix(0) == [] and table.prefix(4) == [1, 3, 8, 20] and len(log) == 12
+    assert table.prefix(5) == [1, 3, 8, 20, 48]
+    assert log[12:] == [(0, 4), (1, 4), (2, 4)]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetaseries.coeffs import s2star_rec
+from zetaseries.coeffs import s2star_heuristic, s2star_rec, s2star_reverse_binomial
 from zetaseries.exactnum import binomial, factorial, falling_factorial
 from zetaseries.harmonic import (
     _binomial_row_sums,
@@ -67,6 +67,27 @@ def test_negative_order_is_rejected(k):
     for n in (0, 1, 5):
         with pytest.raises(ValueError, match="k >= 0"):
             harmonic_via_rec(n, k)
+
+
+NEGATIVE_ORDER = [
+    (s2star_heuristic, (-1, 1)),
+    (exp_harmonic_conv, (-2, 1)),
+    (s2star_from_hnum_int, (-2, 1, 1)),
+    (s2star_from_hnum_int, (-2, 1, 2)),
+    (exp_harmonic_inv, (-3, 2)),
+    (harmonic_powers_of_n, (3, -3)),
+    (harmonic_rec_corollary, (3, -2, 1)),
+    (npow_forward, (2, -1)),
+    (s2star_reverse_binomial, (-2, 1)),
+]
+
+
+@pytest.mark.parametrize("function, args", NEGATIVE_ORDER,
+                         ids=[f"{function.__name__}{args}" for function, args in NEGATIVE_ORDER])
+def test_k_indexed_identities_reject_negative_order(function, args):
+    # each returned a wrong value or raised TypeError for k < 0
+    with pytest.raises(ValueError, match="k >= 0"):
+        function(*args)
 
 
 def test_all_n_row_sums_match_single_n_sums():

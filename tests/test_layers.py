@@ -53,10 +53,19 @@ def _defining_modules(name):
 
 
 def test_one_scaled_row_kernel():
-    # special rounds the numerators of the coeffs kernel and keeps no copy
+    # one c* recurrence, the integer table of coeffs, behind every route
     from zetaseries import coeffs, series, special
     assert special._scaled_numerators is coeffs._scaled_numerators
     assert _defining_modules("scaled_numerators") == ["coeffs"]
+    assert _defining_modules("numerator_row") == ["coeffs"]
+    assert _defining_modules("s2star_row") == []
+    assert not hasattr(coeffs, "_S2STAR_ROWS")
+    assert "accumulate" not in (PACKAGE / "coeffs.py").read_text(encoding="utf-8")
+    # special builds no rows of its own: each double row rounds the cells of
+    # the integer row below it, and no dict of rows is rebuilt for longer J
+    assert not hasattr(special, "_SCALED_ROWS")
+    for e in range(6):
+        assert special._DOUBLE_ROWS[e]._below is coeffs._NUMERATORS[e]
     # every c*-weighted series reads one all-n row sum; series keeps no
     # diagonal builders of its own
     assert _defining_modules("binomial_row_sums") == ["harmonic"]

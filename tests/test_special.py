@@ -7,7 +7,7 @@ import pytest
 
 from zetaseries import special
 from zetaseries.coeffs import s2star_scaled
-from zetaseries.exactnum import binomial
+from zetaseries.exactnum import SequenceTable, binomial
 from zetaseries.special import (
     _phi_inner_table,
     _scaled_row,
@@ -94,13 +94,15 @@ def test_scaled_row_matches_exact_coefficients_bit_for_bit():
 
 @pytest.mark.parametrize("order", [(100, 400), (400, 100)])
 def test_scaled_row_is_one_row_per_k(monkeypatch, order):
-    builds = []
-    monkeypatch.setattr(special, "_SCALED_ROWS", {})
-    monkeypatch.setattr(special, "_scaled_numerators",
-                        lambda k, J, build=special._scaled_numerators: builds.append(J) or build(k, J))
+    # a longer J extends the one double row for k and a shorter J reads its
+    # prefix: the doubles read first are the very objects read later
+    monkeypatch.setattr(special, "_DOUBLE_ROWS", SequenceTable(special._double_row))
+    row = special._DOUBLE_ROWS[5]
     rows = {J: _scaled_row(7, J) for J in order}
+    assert special._DOUBLE_ROWS[5] is row
+    assert [len(rows[J]) for J in (100, 400)] == [101, 401]
     assert [x.hex() for x in rows[100]] == [x.hex() for x in rows[400][:101]]
-    assert builds == ([100, 400] if order[0] == 100 else [400])
+    assert all(x is y for x, y in zip(rows[100], rows[400]))
 
 
 @pytest.mark.parametrize(
