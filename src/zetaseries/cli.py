@@ -13,8 +13,9 @@ Exit codes: 0 success, 1 domain error in the requested evaluation,
 ``verify --threads 0``).  A polylog point evaluated by a fallback
 method prints a ``warning:`` line naming it on stderr, in every format.
 Negative fractions may follow their flag directly (``--z -1/2``).  Exact
-values print as fractions unless ``--format decimal`` is given: 15
-significant digits, rounded from the exact value beyond a double's range.
+values print as fractions, in full at any number of digits, unless
+``--format decimal`` is given: 15 significant digits, rounded from the
+exact value beyond a double's range.
 """
 
 from __future__ import annotations
@@ -43,7 +44,12 @@ def _decimal_str(value: float) -> str:
 
 def _exact_str(value: Fraction, format: str) -> str:
     if format != "decimal":
-        return str(value)
+        try:
+            return str(value)
+        except ValueError:  # over Python's digit limit for str(int); Decimal has none
+            import decimal
+            numerator = str(decimal.Decimal(value.numerator))
+            return numerator if value.denominator == 1 else f"{numerator}/{decimal.Decimal(value.denominator)}"
     try:
         approx = float(value)
         if abs(approx) >= sys.float_info.min or not value:

@@ -4,8 +4,10 @@ All exact computation in this package is carried out over
 :class:`fractions.Fraction`, which keeps values in canonical form
 (positive denominator, gcd-reduced) after every operation.  The helpers
 here wrap the handful of integer/complex primitives the rest of the
-package needs, raising ValueError on arguments outside their domain, and
-:class:`SequenceTable`, the one memo the package keeps for a sequence.
+package needs, raising ValueError on arguments outside their domain,
+``_linear_combination``, which sums integer multiples of rationals as
+integers over one common denominator, and :class:`SequenceTable`, the
+one memo the package keeps for a sequence.
 """
 
 from __future__ import annotations
@@ -60,6 +62,16 @@ def falling_factorial(n: int, j: int) -> int:
     if j > n:
         return 0
     return math.perm(n, j)
+
+
+def _linear_combination(weights, values, over: int = 1) -> Fraction:
+    """sum_i w_i q_i / over for integer weights w_i and rationals q_i,
+    summed as integers over the lcm of the denominators of the q_i: one
+    Fraction is built, where a Fraction loop reduces a gcd per term."""
+    values = list(values)
+    common = math.lcm(*(q.denominator for q in values))
+    total = sum(w * q.numerator * (common // q.denominator) for w, q in zip(weights, values))
+    return Fraction(total, common * over)
 
 
 def root_of_unity(a: int, m: int) -> complex:

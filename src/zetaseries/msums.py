@@ -7,16 +7,20 @@ binomial sum (``m_alt``) disagree as written (e.g. m_def(3,1,1) = 1
 while m_alt(3,1,1) = -1), and the displayed homogeneous recurrence
 fails for both.  The functions compute each side verbatim under a
 selectable Stirling-1 sign reading so the discrepancies themselves are
-reproducible artifacts.
+reproducible artifacts.  Both are summed as integers over one common
+denominator: ``m_def`` by ``exactnum._linear_combination`` over its
+harmonic numbers of mixed orders, ``m_alt`` over the c* row kernel by
+``harmonic._weighted_row_sum``.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .coeffs import s2star_rec
-from .exactnum import binomial, factorial
+from .exactnum import _linear_combination, binomial, factorial
+from .harmonic import _weighted_row_sum
 from .harmonicnums import harmonic
 from .reports import IdentityReport, compare
 from .stirling import stirling1_signed, stirling1_unsigned
@@ -66,27 +70,24 @@ def m_def(spec: MSumSpec) -> Fraction:
     """M_{k+1}^{(d)}(n) = sum_{m=1}^{d} s1(d, m) H_n^{(k+1-m)} under the
     chosen Stirling-1 sign reading (orders <= 0 are literal power sums)."""
     s1 = stirling1_unsigned if spec.stirling_reading == "unsigned" else stirling1_signed
-    total = Fraction(0)
-    for m in range(1, spec.d + 1):
-        total += s1(spec.d, m) * harmonic(spec.n, spec.k + 1 - m)
-    return total
+    orders = range(1, spec.d + 1)
+    weights = [s1(spec.d, m) for m in orders]
+    return _linear_combination(weights, [harmonic(spec.n, spec.k + 1 - m) for m in orders])
 
 
 def m_alt(spec: MSumSpec) -> Fraction:
     """The displayed alternate binomial sum, exactly as written:
 
     sum_{j=1}^{n} C(n, j) c*(k+2, j) (-1)^j / (j+d) * (n+d)!/n!
+
+    summed over the kernel row as c*(k+2, j) j! times the integer weight
+    (-1)^j C(n, j) (n!/j!) lcm/(j+d), over n! lcm with
+    lcm = lcm(d+1..n+d).
     """
-    shift = Fraction(factorial(spec.n + spec.d), factorial(spec.n))
-    total = Fraction(0)
-    for j in range(1, spec.n + 1):
-        total += (
-            binomial(spec.n, j)
-            * s2star_rec(spec.k + 2, j)
-            * Fraction((-1) ** j, j + spec.d)
-            * shift
-        )
-    return total
+    k, d, n = spec.k, spec.d, spec.n
+    lcm = math.lcm(*range(d + 1, n + d + 1))
+    weight = lambda j: (-1) ** j * binomial(n, j) * (factorial(n) // factorial(j)) * (lcm // (j + d))
+    return _weighted_row_sum(k + 2, n, weight, factorial(n) * lcm) * (factorial(n + d) // factorial(n))
 
 
 def m_value(k: int, d: int, n: int, source: str) -> Fraction:

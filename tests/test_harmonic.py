@@ -105,6 +105,13 @@ def test_negative_index_is_rejected():
         harmonic_via_rec(-1, 2)
     with pytest.raises(ValueError, match="n >= 0"):
         harmonic_binomial_form(-1, 2)
+    # each returned 0 for a negative index
+    with pytest.raises(ValueError, match="n >= 0"):
+        harmonic_powers_of_n(-1, 2)
+    for function, args in [(exp_harmonic_inv, (2, -2)), (exp_harmonic_conv, (2, -1)),
+                           (s2star_from_hnum_int, (2, -1, 1)), (s2star_from_hnum_int, (2, -1, 2))]:
+        with pytest.raises(ValueError, match="j >= 0"):
+            function(*args)
 
 
 def test_harmonic_via_rec():

@@ -76,6 +76,19 @@ def test_one_scaled_row_kernel():
         assert not re.search(rf"\b{name}\b", series_source), name
 
 
+def test_one_kernel_per_exact_sum():
+    # the rational-weighted and the c*-weighted sums each have one kernel,
+    # and the M-sums import both rather than keep a Fraction loop
+    exactnum, harmonic, msums = (importlib.import_module(f"zetaseries.{name}")
+                                 for name in ("exactnum", "harmonic", "msums"))
+    assert _defining_modules("linear_combination") == ["exactnum"]
+    assert _defining_modules("weighted_row_sum") == ["harmonic"]
+    assert msums._linear_combination is harmonic._linear_combination is exactnum._linear_combination
+    assert msums._weighted_row_sum is harmonic._weighted_row_sum
+    for module in ("harmonic", "msums"):
+        assert "Fraction(0)\n" not in (PACKAGE / f"{module}.py").read_text(encoding="utf-8"), module
+
+
 AUDIT_NAMES = {"run_suite", "suite_names", "suite_passes", "emit_report"}
 
 # Loads the CLI in a fresh interpreter, runs commands through main and

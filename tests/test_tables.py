@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -40,6 +41,16 @@ def run_cold(*args, timeout=120):
 )
 def test_cli_reaches_large_indices_from_a_cold_start(argv, value):
     assert run_cold("-m", "zetaseries.cli", *argv) == f"{value()}\n"
+
+
+@pytest.mark.parametrize("format", ["frac", "csv", "json", "markdown"])
+@pytest.mark.parametrize("k, j", [(300, 40), (4, 5000)])
+def test_cli_prints_fractions_beyond_the_int_digit_limit(k, j, format):
+    # a numerator or denominator of more than 4,300 digits made these exit 1
+    printed = run_cold("-m", "zetaseries.cli", "coeff", "--k", str(k), "--j", str(j), "--format", format)
+    numerator, denominator = (int(Decimal(part)) for part in printed.strip().split("/"))
+    assert max(len(part) for part in printed.split("/")) > 4300
+    assert Fraction(numerator, denominator) == s2star_rec(k, j)
 
 
 GUARD = r"""
