@@ -15,7 +15,11 @@ method prints a ``warning:`` line naming it on stderr, in every format.
 Negative fractions may follow their flag directly (``--z -1/2``).  Exact
 values print as fractions, in full at any number of digits, unless
 ``--format decimal`` is given: 15 significant digits, rounded from the
-exact value beyond a double's range.
+exact value beyond a double's range.  A command printing one value
+(``coeff``, ``harmonic``, ``msum``, ``zetastar``, ``fourier``, and
+``polylog`` but for its json) prints it bare in ``frac`` and
+``decimal``, as a JSON string in ``json``, and as a one-column table
+headed ``value`` in ``csv`` and ``markdown``.
 """
 
 from __future__ import annotations
@@ -62,6 +66,16 @@ def _exact_str(value: Fraction, format: str) -> str:
     return f"{quotient.normalize(context):.15g}"
 
 
+def _value_doc(cell: str, format: str) -> str:
+    """One value as a document: a JSON string, a one-column csv or markdown
+    table headed ``value``, or the bare cell."""
+    if format == "json":
+        return json.dumps(cell) + "\n"
+    if format in ("csv", "markdown"):
+        return render(["value"], [[cell]], format)
+    return cell + "\n"
+
+
 def _table_cell(k: int, j: int, scaled: bool) -> Fraction:
     if scaled and j >= 1:
         return s2star_scaled(k, j)
@@ -91,7 +105,7 @@ def cmd_table(args) -> str:
 
 def cmd_coeff(args) -> str:
     value = _table_cell(args.k, args.j, args.scaled)
-    return _exact_str(value, args.format) + "\n"
+    return _value_doc(_exact_str(value, args.format), args.format)
 
 
 def cmd_harmonic(args) -> str:
@@ -99,7 +113,7 @@ def cmd_harmonic(args) -> str:
         value = harmonic_t(args.n, args.k, parse_rational(args.t))
     else:
         value = harmonic(args.n, args.k)
-    return _exact_str(value, args.format) + "\n"
+    return _value_doc(_exact_str(value, args.format), args.format)
 
 
 def cmd_series(args) -> str:
@@ -128,7 +142,7 @@ def _eval_result_doc(result: special.EvalResult, format: str) -> str:
             "domain_warning": result.domain_warning,
         }
         return json.dumps(payload, separators=(",", ":")) + "\n"
-    return _decimal_str(value) + "\n"
+    return _value_doc(_decimal_str(value), format)
 
 
 def cmd_polylog(args) -> str:
@@ -147,18 +161,18 @@ def cmd_zetastar(args) -> str:
         value = special.zeta_star_euler_form(args.s, args.terms)
     else:
         value = special.zeta_star(args.s, args.terms, args.method)
-    return _decimal_str(value) + "\n"
+    return _value_doc(_decimal_str(value), args.format)
 
 
 def cmd_fourier(args) -> str:
     x = float(parse_rational(args.x))
     value = special.bernoulli_fourier(args.order, x, args.terms)
-    return _decimal_str(value) + "\n"
+    return _value_doc(_decimal_str(value), args.format)
 
 
 def cmd_msum(args) -> str:
     value = msums.m_value(args.k, args.d, args.n, args.source)
-    return _exact_str(value, args.format) + "\n"
+    return _value_doc(_exact_str(value, args.format), args.format)
 
 
 def cmd_verify(args) -> tuple:

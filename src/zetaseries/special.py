@@ -8,20 +8,18 @@ function, Euler-sum forms of its values, a trilogarithm functional
 equation check, and Fourier-type series for the periodic Bernoulli
 polynomials.
 
-Every coefficient series reads a prefix of one growing row of scaled
-coefficients |c*(k, j)| j! per k, each entry the integer cell
-M_k(j) / lcm(1..j)^(k-2) of the one c* table in :mod:`coeffs` rounded
-once to a double:
-``li_new_series`` (and through it ``bernoulli_fourier`` and the
-trilogarithm functional equation) and ``zeta_star`` read row s+2.
-The classical binomial series and the modified Hurwitz zeta share one
-inner table: for alpha = 1, beta = 0 and s >= 1 it reads the integer
-numerators of row s+1 through the identity
-sum_{m=0}^{k} C(k, m) (-1)^{m+1} / (m+1)^s = -|c*(s+1, k+1)| k!;
-otherwise it sums the alternating binomial terms over an integer common
-denominator.
+Every coefficient series is summed by ``_binomial_series``: prefactor *
+sum_j a_j (-z/(1-z))^j over a row of doubles a_j, each a cell
+M_k(j) / lcm(1..j)^(k-2) of the integer c* table of :mod:`coeffs`
+rounded once.  ``li_new_series`` passes -|c*(s+2, j)| j! with prefactor
+1/(1-z), and ``zeta_star`` is -Li_s(-1) on it, bit for bit the direct
+sum, since its factors are powers of two.  The classical series and the
+modified Hurwitz zeta share one inner table: for alpha = 1, beta = 0 and
+s >= 1 it is the row of c*(s+1, k+1), through the identity
+sum_{m=0}^{k} C(k, m) (-1)^{m+1} / (m+1)^s = -|c*(s+1, k+1)| k!.
+``li_direct_sum`` keeps its own loop: its power / n^s rounds otherwise.
 
-Two displayed forms evaluated here required sign/term repairs that are
+Four displayed forms evaluated here required sign/term repairs that are
 validated against independent oracles in the test suite:
 
 * the third Euler-sum form's second weighted sum uses H_j^2 H_j^{(2)}
@@ -44,7 +42,7 @@ from fractions import Fraction
 from functools import cache
 from typing import NamedTuple
 
-from .coeffs import _HARMONIC_DENOM, _LCM, _NUMERATORS, _harmonic_bracket, _scaled_numerators
+from .coeffs import _HARMONIC_DENOM, _LCM, _NUMERATORS, _harmonic_bracket
 from .exactnum import SequenceTable, factorial
 from .harmonicnums import harmonic
 from .reports import IdentityReport, compare
@@ -139,24 +137,15 @@ def li_new_series(s: int, z, J: int) -> EvalResult:
             raise ValueError("Li_s(z) series diverge for |z/(1-z)| >= 1 and |z| >= 1")
         terms = max(J, int(math.log(1e-14) / math.log(abs(z))) + 1)
         return li_direct_sum(s, z, terms)._replace(method="direct_fallback", domain_warning=True)
-    scaled = _scaled_row(s + 2, J)
-    prefactor = 1.0 / (1 - z)
-    total = 0.0 * w
-    power = 1.0 + 0.0 * w
-    last = 0.0
-    for j in range(1, J + 1):
-        power *= w
-        term = (-1) ** (j - 1) * scaled[j] * power * prefactor
-        total += term
-        last = abs(term)
-    return EvalResult(total, J, last, "coeff_series")
+    # negate the coefficients, not the sum, so that a sum of +0.0 stays +0.0
+    return _binomial_series([-x for x in _scaled_row(s + 2, J)[1:]], z, "coeff_series", 1 / (1 - z))
 
 
-def _binomial_series(inner: tuple, z, method: str) -> EvalResult:
-    """sum_{k=0}^{K} (-z/(1-z))^{k+1} inner[k], the binomial double series
-    shared by li_classic_series and hurwitz_phi (K + 1 = len(inner)).
-    Raises ValueError where |z/(1-z)| >= 1, outside its convergence
-    domain Re z < 1/2."""
+def _binomial_series(coefficients, z, method: str, prefactor=1.0) -> EvalResult:
+    """prefactor * sum_{j=1}^{J} coefficients[j-1] (-z/(1-z))^j (J =
+    len(coefficients)), the one loop of every coefficient series.  Raises
+    ValueError where |z/(1-z)| >= 1, outside its convergence domain
+    Re z < 1/2."""
     if z == 1:
         raise ValueError("z = 1 is a pole of the binomial series")
     if z == 0:
@@ -167,12 +156,12 @@ def _binomial_series(inner: tuple, z, method: str) -> EvalResult:
     total = 0.0 * w
     power = 1.0 + 0.0 * w
     last = 0.0
-    for value in inner:
+    for value in coefficients:
         power *= w
-        term = power * value
+        term = value * power * prefactor
         total += term
         last = abs(term)
-    return EvalResult(total, len(inner), last, method)
+    return EvalResult(total, len(coefficients), last, method)
 
 
 def li_classic_series(s: int, z: float, K: int) -> EvalResult:
@@ -184,20 +173,16 @@ def li_classic_series(s: int, z: float, K: int) -> EvalResult:
 @cache
 def _phi_inner_table(s: int, alpha: Fraction, beta: Fraction, K: int) -> tuple:
     """sum_{m=0}^{k} C(k, m) (-1)^{m+1} / (alpha (m+1) + beta)^s for
-    k = 0..K as doubles.
-
-    For alpha = 1, beta = 0 and s >= 1 these are the classical inner sums,
-    read from the scaled-coefficient numerators through the identity
-    sum_{m=0}^{k} C(k, m) (-1)^{m+1} / (m+1)^s = -|c*(s+1, k+1)| k!.
-    Otherwise they are accumulated in exact integer arithmetic over a
-    common denominator (the alternating binomial sums cancel far below
-    double precision termwise).
+    k = 0..K as doubles: for alpha = 1, beta = 0 and s >= 1 the cells
+    -M_{s+1}(k+1) / (lcm(1..k+1)^(s-1) (k+1)) of the c* table, otherwise
+    summed exactly over an integer common denominator (the alternating
+    binomial sums cancel far below double precision termwise).
     """
     if K < 0:
         raise ValueError("the binomial series requires K >= 0")
     if alpha == 1 and beta == 0 and s >= 1:
-        numerators, denominator = _scaled_numerators(s + 1, K + 1)
-        return tuple(-numerators[k + 1] / (denominator * (k + 1)) for k in range(K + 1))
+        numerators = _NUMERATORS[s - 1]
+        return tuple(-numerators[k + 1] / (_LCM[k + 1] ** (s - 1) * (k + 1)) for k in range(K + 1))
     terms = [(alpha * (m + 1) + beta) ** -s for m in range(K + 1)]
     common = math.lcm(*(t.denominator for t in terms))
     # after i passes row[n] = sum_m C(i, m) weight[n + m], so row[0] is the k = i sum
@@ -216,16 +201,17 @@ def hurwitz_phi(z: float, s: int, alpha, beta, K: int) -> EvalResult:
     beta = Fraction(beta)
     if alpha <= 0:
         raise ValueError("hurwitz_phi requires alpha > 0")
-    for m in range(1, K + 2):
-        if alpha * m + beta == 0:
-            raise ZeroDivisionError(f"denominator alpha*{m} + beta = 0")
+    m = -beta / alpha
+    if m.denominator == 1 and 1 <= m <= K + 1:
+        raise ZeroDivisionError(f"denominator alpha*{m} + beta = 0")
     return _binomial_series(_phi_inner_table(s, alpha, beta, K), z, "phi_series")
 
 
 def zeta_star(s: int, J: int = 120, method: str = "series") -> float:
     """Alternating zeta value sum_{n>=1} (-1)^{n-1}/n^s.
 
-    series: sum_j c*(s+2, j) (-1)^{j-1} j!/2^{j+1}
+    series: -Li_s(-1) by li_new_series, that is
+            sum_j c*(s+2, j) (-1)^{j-1} j!/2^{j+1}
     closed: (1 - 2^{1-s}) zeta(s) for s > 1, log 2 for s = 1.
     """
     if s < 1:
@@ -237,11 +223,7 @@ def zeta_star(s: int, J: int = 120, method: str = "series") -> float:
     if method == "series":
         if J < 1:
             raise ValueError("zeta_star series requires J >= 1")
-        scaled = _scaled_row(s + 2, J)
-        total = 0.0
-        for j in range(1, J + 1):
-            total += math.ldexp(scaled[j], -(j + 1))
-        return total
+        return -li_new_series(s, -1.0, J).value
     raise ValueError("method must be 'series' or 'closed'")
 
 

@@ -1,6 +1,8 @@
 """Command-line interface: documents, formats, exit codes, golden files."""
 
+import csv
 import hashlib
+import io
 import json
 import math
 import pathlib
@@ -301,6 +303,10 @@ _DOCUMENT_COMMANDS = {
     "series_d": ["series", "--example", "d", "--k", "2", "--u", "9", "--t", "-1/3"],
     "series_g": ["series", "--example", "g", "--k", "1", "--u", "4", "--a", "3", "--b", "1"],
     "verify_core": ["verify", "--suite", "core"],
+    "polylog": ["polylog", "--s", "2", "--z", "-1/2"],
+    "polylog_zero": ["polylog", "--s", "1", "--z", "2/5", "--terms", "2"],
+    "zetastar": ["zetastar", "--s", "3", "--terms", "2000"],
+    "fourier": ["fourier", "--order", "2", "--x", "3/10"],
 }
 
 DOCUMENT_SHA256 = {
@@ -329,6 +335,13 @@ DOCUMENT_SHA256 = {
     ("verify_core", "csv"): "e07e6a7dcfe3e77b",
     ("verify_core", "json"): "a98d588654706914",
     ("verify_core", "markdown"): "905cb29db5aa2f59",
+    # the numeric routes: a value's bits show in its json document, and
+    # polylog_zero sums to +0.0, which prints as 0, not -0
+    ("polylog", "decimal"): "7b088c9855bcb7c7",
+    ("polylog", "json"): "5ddccfcbf493dbc3",
+    ("polylog_zero", "decimal"): "9a271f2a916b0b6e",
+    ("zetastar", "decimal"): "63aeb4765dd2a376",
+    ("fourier", "decimal"): "eb386e57426b38eb",
 }
 
 
@@ -337,6 +350,29 @@ def test_document_bytes_pinned(capsys, command, format):
     code, out = run_cli(capsys, *_DOCUMENT_COMMANDS[command], "--format", format)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == DOCUMENT_SHA256[command, format]
+
+
+_ONE_VALUE_COMMANDS = {
+    "coeff": (["coeff", "--k", "4", "--j", "5"], "12019/432000"),
+    "harmonic": (["harmonic", "--n", "4"], "25/12"),
+    "msum": (["msum", "--k", "3", "--d", "1", "--n", "3"], "251/216"),
+    "zetastar": (["zetastar", "--s", "1", "--terms", "80"], "0.693147180559945"),
+    "fourier": (["fourier", "--order", "2", "--x", "3/10"], "-0.0216666666665802"),
+    "polylog": (["polylog", "--s", "2", "--z", "-1/2"], "-0.448414206923646"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_ONE_VALUE_COMMANDS))
+def test_one_value_documents_parse(capsys, command):
+    argv, cell = _ONE_VALUE_COMMANDS[command]
+    assert run_cli(capsys, *argv) == (0, cell + "\n")
+    if command != "polylog":  # polylog's json is its evaluation record
+        _, out = run_cli(capsys, *argv, "--format", "json")
+        assert json.loads(out) == cell and out.endswith("\n")
+    _, out = run_cli(capsys, *argv, "--format", "csv")
+    assert list(csv.reader(io.StringIO(out))) == [["value"], [cell]]
+    _, out = run_cli(capsys, *argv, "--format", "markdown")
+    assert out == f"| value |\n| --- |\n| {cell} |\n"
 
 
 def test_output_file(tmp_path, capsys):

@@ -158,6 +158,16 @@ def test_hurwitz_phi_rejects_zero_denominator():
         hurwitz_phi(0.3, 2, 1, -3, 100)
 
 
+def test_hurwitz_phi_pole_check_edges():
+    # the pole m = -beta/alpha is reached only as an integer in [1, K + 1]
+    with pytest.raises(ZeroDivisionError, match=r"^denominator alpha\*11 \+ beta = 0$"):
+        hurwitz_phi(0.3, 2, 1, -11, 10)
+    with pytest.raises(ZeroDivisionError, match=r"^denominator alpha\*4 \+ beta = 0$"):
+        hurwitz_phi(0.3, 2, "1/2", -2, 10)
+    for alpha, beta in ((1, -12), ("1/2", -6), (2, -3), (3, -1), (1, 0), (1, 1)):
+        assert math.isfinite(hurwitz_phi(0.3, 2, alpha, beta, 10).value)
+
+
 @pytest.mark.parametrize("evaluate, args", [
     (li_classic_series, (2, 0.9, 400)),
     (li_classic_series, (2, 0.5, 400)),
