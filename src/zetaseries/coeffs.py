@@ -16,10 +16,12 @@ exactly on their common domain:
 
 The recurrence runs once, into one growable integer table: row k holds
 M_k(j) = |c*(k, j)| j! L_j^(k-2), L_j = lcm(1..j), which no longer row
-changes.  ``s2star_rec`` reduces one cell to a Fraction;
-``_scaled_numerators(k, J)`` rescales a row to lcm(1..J)^(k-2) for the
-exact integer-weighted sums of :mod:`harmonic`; :mod:`special` rounds
-each M_k(j) / L_j^(k-2) to a double.
+changes.  Each row's producer carries M_k(j-1) and L_{j-1} and raises
+(L_j / L_{j-1})^(k-2) = p^(k-2) only at the prime powers j = p^a.
+``s2star_rec`` reduces one cell to a Fraction; ``_scaled_numerators(k,
+J)`` rescales a row to lcm(1..J)^(k-2) for the exact integer-weighted
+sums of :mod:`harmonic`; :mod:`special` rounds each M_k(j) / L_j^(k-2)
+to a double.
 
 Derived quantities: the scaled table, the t0/t1 remainder functions
 against unsigned Stirling-1 numbers, and the alpha*n+beta generalization.
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import count
 
 from .exactnum import SequenceTable, binomial, factorial
 from .harmonicnums import harmonic
@@ -48,19 +51,40 @@ __all__ = [
 ]
 
 
+def _lcms(values):
+    lcm = values[-1] if values else 1
+    for j in count(len(values)):
+        lcm = math.lcm(lcm, j) if j else 1
+        yield lcm
+
+
 def _numerator_row(e: int, rows: list) -> SequenceTable:
     """M_k(j) for k = e + 2: M_2(j) = [j >= 1] and
-    M_k(j) = M_k(j-1) (L_j / L_{j-1})^(k-2) + M_{k-1}(j) L_j / j.  Row 0
-    sits on the L table, so every row's chain extends L first."""
+    M_k(j) = M_k(j-1) (L_j / L_{j-1})^(k-2) + M_{k-1}(j) L_j / j, where
+    L_j / L_{j-1} is the prime p at a power of p and 1 elsewhere, so the
+    producer raises p^(k-2) only at the prime powers.  Row 0 sits on the
+    L table, so every row's chain extends L first."""
     if e == 0:
-        return SequenceTable(lambda j, row: int(j > 0), _LCM)
+        return SequenceTable(lambda row: (int(j > 0) for j in count(len(row))), _LCM)
     below = rows[e - 1]
-    return SequenceTable(
-        lambda j, row: row[j - 1] * (_LCM[j] // _LCM[j - 1]) ** e + below[j] * (_LCM[j] // j) if j else 0, below)
+
+    def produce(row):
+        j = len(row)
+        m, last = (row[-1], _LCM[j - 1]) if j else (0, 1)
+        for j in count(j):
+            if j:
+                lcm = _LCM[j]
+                if lcm != last:
+                    m *= (lcm // last) ** e
+                    last = lcm
+                m += below[j] * (lcm // j)
+            yield m
+
+    return SequenceTable(produce, below)
 
 
-_LCM = SequenceTable(lambda j, values: math.lcm(values[-1], j) if j else 1)
-_NUMERATORS = SequenceTable(_numerator_row)  # row k - 2 holds M_k
+_LCM = SequenceTable(_lcms)
+_NUMERATORS = SequenceTable(lambda rows: (_numerator_row(e, rows) for e in count(len(rows))))  # row k - 2: M_k
 
 
 def s2star_rec(k: int, j: int) -> Fraction:

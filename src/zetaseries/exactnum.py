@@ -7,7 +7,9 @@ here wrap the handful of integer/complex primitives the rest of the
 package needs, raising ValueError on arguments outside their domain,
 ``_linear_combination``, which sums integer multiples of rationals as
 integers over one common denominator, and :class:`SequenceTable`, the
-one memo the package keeps for a sequence.
+one memo the package keeps for a sequence: its values come from one
+resumable iterator, so a recurrence keeps its running state in locals
+and is never re-derived from the list per entry.
 """
 
 from __future__ import annotations
@@ -82,33 +84,56 @@ def root_of_unity(a: int, m: int) -> complex:
 
 
 class SequenceTable:
-    """f(0), f(1), ... built on demand in index order; ``step(n, values)``
-    returns f(n) from the list of f(0..n-1).  Values are appended under a
-    lock and never change, so reading a built index takes no lock.  A step
-    may read any table down its ``below`` chain (row k-1 of a two-index
-    recurrence, and the tables under it) up to n: every too-short table
-    down that chain is extended first, lowest first, so no extension nests
-    and no recursion grows with n."""
+    """f(0), f(1), ... built on demand in index order from one iterator:
+    ``produce(values)`` returns an iterator that yields f(len(values)),
+    f(len(values) + 1), ... and keeps its running state in locals.
+    Values are appended under a lock and never change, so reading a built
+    index is one bounds check and one list index.  A producer may read any
+    table down its ``below`` chain (row k-1 of a two-index recurrence, and
+    the tables under it) up to n: every too-short table down that chain is
+    extended first, lowest first, so no extension nests and no recursion
+    grows with n.  If a pull raises, the iterator is dropped, and the next
+    miss calls ``produce`` again on the values built so far."""
 
-    def __init__(self, step, below: SequenceTable | None = None):
-        self._step, self._below = step, below
-        self._values, self._lock = [], threading.Lock()
+    __slots__ = ("_produce", "_below", "_values", "_lock", "_source")
+
+    def __init__(self, produce, below: SequenceTable | None = None):
+        self._produce, self._below = produce, below
+        self._values, self._lock, self._source = [], threading.Lock(), None
 
     def __getitem__(self, n: int):
-        if n >= len(self._values):
+        values = self._values
+        if n < len(values) and n >= 0:
+            return values[n]
+        if n < 0:
+            raise IndexError(f"negative index {n}")
+        below = self._below
+        if below is None or n < len(below._values):  # the common case: only this table is short
+            short = (self,)
+        else:
             short, table = [], self
             while table is not None and len(table._values) <= n:
                 short.append(table)
                 table = table._below
-            for table in reversed(short):
-                with table._lock:
-                    values = table._values
-                    while len(values) <= n:
-                        values.append(table._step(len(values), values))
-        return self._values[n]
+            short.reverse()
+        for table in short:
+            with table._lock:
+                built = table._values
+                try:
+                    if table._source is None:
+                        table._source = table._produce(built)
+                    source = table._source
+                    while len(built) <= n:
+                        built.append(next(source))
+                except BaseException:
+                    table._source = None
+                    raise
+        return values[n]
 
     def prefix(self, n: int) -> list:
         """f(0), ..., f(n-1) as a new list."""
-        if n > 0:
+        if n < 0:
+            raise IndexError(f"negative prefix length {n}")
+        if n:
             self[n - 1]
         return self._values[:n]

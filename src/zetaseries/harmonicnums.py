@@ -7,6 +7,7 @@ order r; the identities built on them live in :mod:`zetaseries.harmonic`.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
 
 from .exactnum import SequenceTable
 
@@ -29,16 +30,26 @@ def harmonic(n: int, r: int = 1) -> Fraction:
     """
     if n < 0:
         raise ValueError("harmonic requires n >= 0")
-    table = _HARMONIC.get(r) or _HARMONIC.setdefault(
-        r, SequenceTable(lambda m, h: h[m - 1] + _inv_power(m, r) if m else Fraction(0)))
+    table = _HARMONIC.get(r) or _HARMONIC.setdefault(r, SequenceTable(lambda h: _prefix_sums(h, r)))
     return table[n]
+
+
+def _prefix_sums(h: list, r: int):
+    total = h[-1] if h else Fraction(0)
+    for m in count(len(h)):
+        if m:
+            total += _inv_power(m, r)
+        yield total
 
 
 def harmonic_real(n: int, rho: float) -> float:
     """H_n^{(rho)} = sum_{m=1}^{n} m^{-rho} in double precision."""
     if n < 0:
         raise ValueError("harmonic_real requires n >= 0")
-    return sum(m ** (-rho) for m in range(1, n + 1))
+    total = 0.0
+    for m in range(1, n + 1):  # left to right: sum() compensates since Python 3.12
+        total += m ** (-rho)
+    return total
 
 
 def harmonic_t(n: int, r: int, t) -> Fraction:

@@ -11,11 +11,14 @@ polynomials.
 Every coefficient series is summed by ``_binomial_series``: prefactor *
 sum_j a_j (-z/(1-z))^j over a row of doubles a_j, each a cell
 M_k(j) / lcm(1..j)^(k-2) of the integer c* table of :mod:`coeffs`
-rounded once.  ``li_new_series`` passes -|c*(s+2, j)| j! with prefactor
-1/(1-z), and ``zeta_star`` is -Li_s(-1) on it, bit for bit the direct
-sum, since its factors are powers of two.  The classical series and the
-modified Hurwitz zeta share one inner table: for alpha = 1, beta = 0 and
-s >= 1 it is the row of c*(s+1, k+1), through the identity
+rounded once.  The rows are growable tables, one per k, whose producer
+carries lcm(1..j)^(k-2) and multiplies it only where the lcm changes.
+``li_new_series`` passes -|c*(s+2, j)| j! with prefactor 1/(1-z), and
+``zeta_star`` is -Li_s(-1) on it, bit for bit the direct sum, since its
+factors are powers of two.  The classical series and the modified
+Hurwitz zeta share one inner table: for alpha = 1, beta = 0 and s >= 1
+it is a prefix of the classical row for s, a second family of growable
+rows, through the identity
 sum_{m=0}^{k} C(k, m) (-1)^{m+1} / (m+1)^s = -|c*(s+1, k+1)| k!.
 ``li_direct_sum`` keeps its own loop: its power / n^s rounds otherwise.
 
@@ -40,6 +43,7 @@ import cmath
 import math
 from fractions import Fraction
 from functools import cache
+from itertools import count
 from typing import NamedTuple
 
 from .coeffs import _HARMONIC_DENOM, _LCM, _NUMERATORS, _harmonic_bracket
@@ -78,7 +82,9 @@ def zeta_ref(s: int) -> float:
     if s < 2:
         raise ValueError("zeta_ref requires s >= 2")
     n_cut = 1000
-    total = sum(n ** (-float(s)) for n in range(1, n_cut))
+    total = 0.0
+    for n in range(1, n_cut):  # left to right: sum() compensates since Python 3.12
+        total += n ** (-float(s))
     x = float(n_cut)
     total += x ** (1 - s) / (s - 1) + x ** (-s) / 2 + s * x ** (-s - 1) / 12
     total -= s * (s + 1) * (s + 2) * x ** (-s - 3) / 720
@@ -102,12 +108,36 @@ def li_direct_sum(s: int, z, terms: int) -> EvalResult:
     return EvalResult(total, terms, last, "direct")
 
 
-def _double_row(e: int, rows: list) -> SequenceTable:
-    # the correctly rounded M_k(j) / L_j^(k-2), k = e + 2, on the integer row
-    return SequenceTable(lambda j, row: _NUMERATORS[e][j] / _LCM[j] ** e, _NUMERATORS[e])
+def _double_rows(cell) -> SequenceTable:
+    """Rows e = 0, 1, ... of doubles, cell j of row e being
+    cell(M_k(j), L_j^(k-2), j) for k = e + 2, each row on the integer row
+    of the c* table it rounds.  The producer carries P = L_j^(k-2) and
+    multiplies it by (L_j / L_{j-1})^(k-2) only where L changes, at the
+    prime powers j, so no cell raises a power."""
+
+    def row(e: int) -> SequenceTable:
+        numerators = _NUMERATORS[e]
+
+        def produce(values):
+            j = len(values)
+            last = _LCM[j]
+            power = last**e
+            for j in count(j):
+                lcm = _LCM[j]
+                if lcm != last:
+                    power *= (lcm // last) ** e
+                    last = lcm
+                yield cell(numerators[j], power, j)
+
+        return SequenceTable(produce, numerators)
+
+    return SequenceTable(lambda rows: map(row, count(len(rows))))
 
 
-_DOUBLE_ROWS = SequenceTable(_double_row)  # row k - 2: one per k, only extended
+# row k - 2: |c*(k, j)| j!, correctly rounded
+_DOUBLE_ROWS = _double_rows(lambda m, power, j: m / power)
+# row s - 1: sum_{m=0}^{j-1} C(j-1, m) (-1)^{m+1} / (m+1)^s = -|c*(s+1, j)| (j-1)!
+_CLASSIC_ROWS = _double_rows(lambda m, power, j: -m / (power * j) if j else 0.0)
 
 
 def _scaled_row(k: int, J: int) -> list:
@@ -170,19 +200,22 @@ def li_classic_series(s: int, z: float, K: int) -> EvalResult:
     return _binomial_series(_phi_inner_table(s, Fraction(1), Fraction(0), K), z, "classic_series")
 
 
-@cache
-def _phi_inner_table(s: int, alpha: Fraction, beta: Fraction, K: int) -> tuple:
+def _phi_inner_table(s: int, alpha: Fraction, beta: Fraction, K: int) -> list | tuple:
     """sum_{m=0}^{k} C(k, m) (-1)^{m+1} / (alpha (m+1) + beta)^s for
-    k = 0..K as doubles: for alpha = 1, beta = 0 and s >= 1 the cells
-    -M_{s+1}(k+1) / (lcm(1..k+1)^(s-1) (k+1)) of the c* table, otherwise
+    k = 0..K as doubles: for alpha = 1, beta = 0 and s >= 1 a prefix of
+    the classical row for s, built once and only extended; otherwise
     summed exactly over an integer common denominator (the alternating
     binomial sums cancel far below double precision termwise).
     """
     if K < 0:
         raise ValueError("the binomial series requires K >= 0")
     if alpha == 1 and beta == 0 and s >= 1:
-        numerators = _NUMERATORS[s - 1]
-        return tuple(-numerators[k + 1] / (_LCM[k + 1] ** (s - 1) * (k + 1)) for k in range(K + 1))
+        return _CLASSIC_ROWS[s - 1].prefix(K + 2)[1:]
+    return _phi_general_table(s, alpha, beta, K)
+
+
+@cache
+def _phi_general_table(s: int, alpha: Fraction, beta: Fraction, K: int) -> tuple:
     terms = [(alpha * (m + 1) + beta) ** -s for m in range(K + 1)]
     common = math.lcm(*(t.denominator for t in terms))
     # after i passes row[n] = sum_m C(i, m) weight[n + m], so row[0] is the k = i sum

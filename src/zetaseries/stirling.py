@@ -8,6 +8,7 @@ Stirling column k is one growable table, grown in n, so S(n, k) costs its
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
 
 from .exactnum import SequenceTable, binomial
 
@@ -28,11 +29,19 @@ def _columns(weight) -> SequenceTable:
 
     def column(k: int, columns: list) -> SequenceTable:
         if k == 0:
-            return SequenceTable(lambda n, col: int(n == 0))
+            return SequenceTable(lambda col: (int(n == 0) for n in count(len(col))))
         below = columns[k - 1]
-        return SequenceTable(lambda n, col: weight(n, k) * col[n - 1] + below[n - 1] if n else 0, below)
 
-    return SequenceTable(column)
+        def produce(col):
+            t = col[-1] if col else 0
+            for n in count(len(col)):
+                if n:
+                    t = weight(n, k) * t + below[n - 1]
+                yield t
+
+        return SequenceTable(produce, below)
+
+    return SequenceTable(lambda columns: (column(k, columns) for k in count(len(columns))))
 
 
 _STIRLING2 = _columns(lambda n, k: k)
@@ -63,7 +72,7 @@ def _bernoulli(n: int, b: list) -> Fraction:
     return (Fraction(int(n == 0)) - sum(binomial(n + 1, j) * b_j for j, b_j in enumerate(b))) / (n + 1)
 
 
-_BERNOULLI = SequenceTable(_bernoulli)
+_BERNOULLI = SequenceTable(lambda b: (_bernoulli(n, b) for n in count(len(b))))
 
 
 def bernoulli_number(n: int) -> Fraction:

@@ -3,7 +3,10 @@ unity, and the growable sequence table."""
 
 import cmath
 import math
+import sys
+import threading
 from fractions import Fraction
+from itertools import count
 
 import pytest
 from hypothesis import given
@@ -85,15 +88,87 @@ def test_root_of_unity_is_power(a, m):
 
 
 def test_sequence_table_extends_the_tables_below_first():
-    log, table = [], None
+    log, starts, table = [], [], None
     for level in range(3):
-        def step(n, values, level=level, below=table):
-            log.append((level, n))
-            return 1 if below is None else sum(values) + below[n]
-        table = SequenceTable(step, table)
+        def produce(values, level=level, below=table):
+            starts.append((level, len(values)))
+            total = sum(values)
+            for n in count(len(values)):
+                log.append((level, n))
+                value = 1 if below is None else total + below[n]
+                total += value
+                yield value
+        table = SequenceTable(produce, table)
     assert table[3] == 20
     assert log == [(level, n) for level in range(3) for n in range(4)]
     assert [table[n] for n in range(4)] == [1, 3, 8, 20] and len(log) == 12
-    assert table.prefix(0) == [] and table.prefix(4) == [1, 3, 8, 20] and len(log) == 12
-    assert table.prefix(5) == [1, 3, 8, 20, 48]
+    first = table.prefix(4)
+    assert table.prefix(0) == [] and first == [1, 3, 8, 20] and len(log) == 12
+    longer = table.prefix(5)
+    assert longer == [1, 3, 8, 20, 48] and all(x is y for x, y in zip(first, longer))
     assert log[12:] == [(0, 4), (1, 4), (2, 4)]
+    # each iterator is resumed, never rebuilt, while no pull raises
+    assert starts == [(0, 0), (1, 0), (2, 0)]
+
+
+def test_sequence_table_restarts_a_producer_that_raised():
+    calls = []
+
+    def produce(values):
+        calls.append(len(values))
+        for n in count(len(values)):
+            if n == 5 and len(calls) == 1:
+                raise ArithmeticError("first pass fails at 5")
+            yield n * n
+
+    table = SequenceTable(produce)
+    with pytest.raises(ArithmeticError):
+        table[7]
+    assert table.prefix(5) == [0, 1, 4, 9, 16] and calls == [0]
+    assert table[7] == 49 and calls == [0, 5]
+    assert table.prefix(9) == [n * n for n in range(9)] and calls == [0, 5]
+
+
+def test_sequence_table_rejects_negative_indices():
+    table = SequenceTable(lambda values: count(len(values)))
+    assert table[2] == 2
+    for read in (lambda: table[-1], lambda: table[-5], lambda: table.prefix(-1)):
+        with pytest.raises(IndexError):
+            read()
+    assert table.prefix(3) == [0, 1, 2]
+
+
+def test_sequence_table_threads_share_one_iterator():
+    # more readers than cores, switching often: every value is built once,
+    # by one resumed iterator, and read back in order by every thread
+    starts = []
+
+    def produce(values):
+        starts.append(len(values))
+        total = values[-1] if values else 0
+        for n in count(len(values)):
+            for _ in range(400):  # a pull long enough for a thread switch inside it
+                pass
+            total += n
+            yield total
+
+    below = SequenceTable(lambda values: count(len(values)))
+    table = SequenceTable(produce, below)
+    results, interval = [], sys.getswitchinterval()
+
+    def read():
+        results.append([table[n] for n in range(0, 3000, 7)] + [below[n] for n in range(3000)])
+
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    want = [n * (n + 1) // 2 for n in range(0, 3000, 7)] + list(range(3000))
+    assert len(results) == 8 and all(result == want for result in results)
+    assert starts == [0] and table.prefix(3000) == [n * (n + 1) // 2 for n in range(3000)]

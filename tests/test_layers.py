@@ -73,6 +73,7 @@ def test_one_scaled_row_kernel():
     assert not hasattr(special, "_SCALED_ROWS")
     for e in range(6):
         assert special._DOUBLE_ROWS[e]._below is coeffs._NUMERATORS[e]
+        assert special._CLASSIC_ROWS[e]._below is coeffs._NUMERATORS[e]
     # every c*-weighted series reads one all-n row sum; series keeps no
     # diagonal builders of its own
     assert _defining_modules("binomial_row_sums") == ["harmonic"]

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from zetaseries import special
-from zetaseries.coeffs import s2star_scaled
+from zetaseries.coeffs import _LCM, _NUMERATORS, s2star_scaled
 from zetaseries.exactnum import SequenceTable, binomial
 from zetaseries.special import (
     _phi_inner_table,
@@ -96,13 +96,41 @@ def test_scaled_row_matches_exact_coefficients_bit_for_bit():
 def test_scaled_row_is_one_row_per_k(monkeypatch, order):
     # a longer J extends the one double row for k and a shorter J reads its
     # prefix: the doubles read first are the very objects read later
-    monkeypatch.setattr(special, "_DOUBLE_ROWS", SequenceTable(special._double_row))
+    monkeypatch.setattr(special, "_DOUBLE_ROWS", SequenceTable(special._DOUBLE_ROWS._produce))
     row = special._DOUBLE_ROWS[5]
     rows = {J: _scaled_row(7, J) for J in order}
-    assert special._DOUBLE_ROWS[5] is row
+    assert special._DOUBLE_ROWS[5] is row and len(row._values) == 401
     assert [len(rows[J]) for J in (100, 400)] == [101, 401]
     assert [x.hex() for x in rows[100]] == [x.hex() for x in rows[400][:101]]
     assert all(x is y for x, y in zip(rows[100], rows[400]))
+
+
+@pytest.mark.parametrize("order", [(100, 400), (400, 100)])
+def test_classic_row_is_one_row_per_s(monkeypatch, order):
+    # li_classic_series and hurwitz_phi(..., 1, 0, K) read prefixes of one
+    # growable row for s: K = 100 and K = 400 share the very same doubles
+    monkeypatch.setattr(special, "_CLASSIC_ROWS", SequenceTable(special._CLASSIC_ROWS._produce))
+    row = special._CLASSIC_ROWS[2]
+    inner = {K: _phi_inner_table(3, Fraction(1), Fraction(0), K) for K in order}
+    assert special._CLASSIC_ROWS[2] is row and len(row._values) == 402
+    assert [len(inner[K]) for K in (100, 400)] == [101, 401]
+    assert all(x is y for x, y in zip(inner[100], inner[400]))
+    assert special.li_classic_series(3, -0.5, 400).value == special.hurwitz_phi(-0.5, 3, 1, 0, 400).value
+    assert special._CLASSIC_ROWS[2] is row and len(row._values) == 402
+
+
+def test_double_rows_match_one_power_per_cell():
+    # the producers carry L_j^(k-2) and multiply it only at prime powers;
+    # every cell is still the one correctly rounded quotient
+    J = 1500
+    for k in range(2, 12):
+        e = k - 2
+        row = _scaled_row(k, J)
+        assert [x.hex() for x in row] == [(_NUMERATORS[e][j] / _LCM[j] ** e).hex() for j in range(J + 1)]
+    for s in range(1, 11):
+        inner = _phi_inner_table(s, Fraction(1), Fraction(0), J - 1)
+        want = [-_NUMERATORS[s - 1][k + 1] / (_LCM[k + 1] ** (s - 1) * (k + 1)) for k in range(J)]
+        assert [x.hex() for x in inner] == [x.hex() for x in want]
 
 
 @pytest.mark.parametrize(
