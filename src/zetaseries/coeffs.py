@@ -18,10 +18,12 @@ The recurrence runs once, into one growable integer table: row k holds
 M_k(j) = |c*(k, j)| j! L_j^(k-2), L_j = lcm(1..j), which no longer row
 changes.  Each row's producer carries M_k(j-1) and L_{j-1} and raises
 (L_j / L_{j-1})^(k-2) = p^(k-2) only at the prime powers j = p^a.
-``s2star_rec`` reduces one cell to a Fraction; ``_scaled_numerators(k,
-J)`` rescales a row to lcm(1..J)^(k-2) for the exact integer-weighted
-sums of :mod:`harmonic`; :mod:`special` rounds each M_k(j) / L_j^(k-2)
-to a double.
+``s2star_rec`` reduces one cell (-1)^(j-1) M_k(j) / (L_j^(k-2) j!) to a
+Fraction by gcds against L_j alone, which holds every prime of that
+denominator (``exactnum._reduced``); ``_scaled_numerators(k, J)``
+rescales a row to lcm(1..J)^(k-2) for the exact integer-weighted sums of
+:mod:`harmonic`; :mod:`special` rounds each M_k(j) / L_j^(k-2) to a
+double.
 
 Derived quantities: the scaled table, the t0/t1 remainder functions
 against unsigned Stirling-1 numbers, and the alpha*n+beta generalization.
@@ -33,7 +35,7 @@ import math
 from fractions import Fraction
 from itertools import count
 
-from .exactnum import SequenceTable, binomial, factorial
+from .exactnum import SequenceTable, _reduced, binomial, factorial
 from .harmonicnums import harmonic
 from .powerseries import TruncSeries
 from .stirling import stirling1_unsigned
@@ -100,7 +102,8 @@ def s2star_rec(k: int, j: int) -> Fraction:
         return Fraction(0)
     if k < 2 or j == 0:
         return Fraction(int(j == k))
-    return Fraction((-1) ** (j - 1) * _NUMERATORS[k - 2][j], _LCM[j] ** (k - 2) * factorial(j))
+    lcm = _LCM[j]
+    return _reduced((-1) ** (j - 1) * _NUMERATORS[k - 2][j], lcm ** (k - 2) * factorial(j), lcm)
 
 
 def _scaled_numerators(k: int, J: int) -> tuple:

@@ -1,10 +1,13 @@
 """Exact rational arithmetic and complex floating-point helpers.
 
 All exact computation in this package is carried out over
-:class:`fractions.Fraction`, which keeps values in canonical form
-(positive denominator, gcd-reduced) after every operation.  The helpers
-here wrap the handful of integer/complex primitives the rest of the
-package needs, raising ValueError on arguments outside their domain,
+:class:`fractions.Fraction`, and every value is in canonical form
+(positive denominator, gcd-reduced).  Fraction arithmetic reduces by a
+full gcd after each operation; ``_reduced`` builds one canonical value
+from an integer quotient whose denominator's primes all divide a known
+radical, such as lcm(1..j), and reduces against that radical only.  The
+helpers here wrap the handful of integer/complex primitives the rest of
+the package needs, raising ValueError on arguments outside their domain,
 ``_linear_combination``, which sums integer multiples of rationals as
 integers over one common denominator, and :class:`SequenceTable`, the
 one memo the package keeps for a sequence: its values come from one
@@ -74,6 +77,29 @@ def _linear_combination(weights, values, over: int = 1) -> Fraction:
     common = math.lcm(*(q.denominator for q in values))
     total = sum(w * q.numerator * (common // q.denominator) for w, q in zip(weights, values))
     return Fraction(total, common * over)
+
+
+_FROM_COPRIME_INTS = getattr(Fraction, "_from_coprime_ints", None)  # Python 3.12+
+
+
+def _reduced(numerator: int, denominator: int, radical: int) -> Fraction:
+    """numerator / denominator in lowest terms, for denominator > 0 and
+    every prime of denominator dividing radical > 0.  Every common prime
+    then divides gcd(numerator, denominator, radical), which is taken on
+    the short residues mod radical; each round divides that common part
+    out and looks for what is left of it, and the result is built without
+    the full gcd of the two long integers that Fraction() would take."""
+    if not numerator:
+        return Fraction(0)
+    common = math.gcd(numerator % radical, denominator % radical, radical)
+    while common > 1:
+        numerator, denominator = numerator // common, denominator // common
+        common = math.gcd(numerator % common, denominator % common, common)
+    if _FROM_COPRIME_INTS is not None:
+        return _FROM_COPRIME_INTS(numerator, denominator)
+    value = object.__new__(Fraction)  # before 3.12: set the two slots Fraction() sets
+    value._numerator, value._denominator = numerator, denominator
+    return value
 
 
 def root_of_unity(a: int, m: int) -> complex:

@@ -22,7 +22,6 @@ from typing import NamedTuple, Sequence
 from .exactnum import _linear_combination, binomial, factorial
 from .harmonic import _weighted_row_sum
 from .harmonicnums import harmonic
-from .reports import IdentityReport, compare
 from .stirling import stirling1_signed, stirling1_unsigned
 
 __all__ = [
@@ -32,10 +31,7 @@ __all__ = [
     "m_value",
     "m_recurrence_residual",
     "almost_linear_sides",
-    "almost_linear_check",
     "general_relation_sides",
-    "general_relations_check",
-    "zeta5_diagnostic",
 ]
 
 _READINGS = ("unsigned", "signed")
@@ -150,15 +146,6 @@ def almost_linear_sides(which: int, k: int, n: int, m=Fraction(0), source: str =
     return lhs, rhs
 
 
-def almost_linear_check(which: int, k: int, n: int, m=Fraction(0), source: str = "alt") -> IdentityReport:
-    """Residual report of ``almost_linear_sides``."""
-    lhs, rhs = almost_linear_sides(which, k, n, m, source)
-    params = {"which": which, "k": k, "n": n, "source": source}
-    if which == 6:
-        params["m"] = str(Fraction(m))
-    return compare("msum_almost_linear", params, lhs, rhs)
-
-
 _FAMILY_SIZES = {1: 1, 2: 2, 3: 3}
 
 
@@ -210,30 +197,3 @@ def general_relation_sides(
             + (c1 - c2 + c3 + d) * M(5)
         )
     return lhs, rhs
-
-
-def general_relations_check(
-    family: int, coeffs: Sequence, d, k: int, n: int, source: str = "alt"
-) -> IdentityReport:
-    """Residual report of ``general_relation_sides``."""
-    lhs, rhs = general_relation_sides(family, coeffs, d, k, n, source)
-    params = {
-        "family": family,
-        "coeffs": ",".join(str(Fraction(c)) for c in coeffs),
-        "d": str(Fraction(d)),
-        "k": k,
-        "n": n,
-        "source": source,
-    }
-    return compare("msum_general_relation", params, lhs, rhs)
-
-
-def zeta5_diagnostic(n_values: Sequence[int], source: str = "def_unsigned") -> list:
-    """Partial values of 3 M_6^{(2)}(n) - M_6^{(3)}(n) (the combination
-    whose limit is compared against zeta(3) - zeta(5)); diagnostic only,
-    no convergence assertion."""
-    out = []
-    for n in n_values:
-        value = 3 * m_value(5, 2, n, source) - m_value(5, 3, n, source)
-        out.append((n, value))
-    return out

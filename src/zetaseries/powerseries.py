@@ -171,17 +171,6 @@ class TruncSeries:
             raise ValueError("series log requires constant term 1")
         return (self.derivative() * self.inverse().truncate(self.order - 1)).antiderivative()
 
-    def compose(self, inner: "TruncSeries") -> "TruncSeries":
-        """self(inner(z)); inner must have zero constant term."""
-        if inner.coeffs[0] != 0:
-            raise ValueError("series composition requires inner constant term 0")
-        order = min(self.order, inner.order)
-        result = TruncSeries.zero(order)
-        one = TruncSeries.one(order)
-        for c in reversed(self.coeffs[: order + 1]):
-            result = result * inner.truncate(order) + one.scale(c)
-        return result
-
     def binomial_transform(self) -> "TruncSeries":
         """self(-z/(1-z)) in O(n^2) coefficient operations:
         [z^n] = f_0 [n = 0] + sum_{m=1}^{n} (-1)^m C(n-1, m-1) f_m."""

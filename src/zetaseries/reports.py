@@ -31,9 +31,6 @@ class IdentityReport(NamedTuple):
     def passed(self) -> bool:
         return self.status != "fail"
 
-    def params_dict(self) -> dict:
-        return dict(self.params)
-
     def sort_key(self) -> tuple:
         return (self.id, tuple((k, str(v)) for k, v in self.params))
 

@@ -34,6 +34,7 @@ from zetaseries.harmonic import (
     s2star_from_hnum_int,
     s2star_from_hnum_real,
 )
+from zetaseries.reports import compare
 from zetaseries.series import (
     TruncSeries,
     dilog_functional_eq_check,
@@ -179,7 +180,7 @@ def test_criterion_06_harmonic_propositions(announce):
     # extended recurrences 3-6 are recorded, never asserted
     statuses = set()
     for which in (3, 4, 5, 6):
-        report = msums.almost_linear_check(which, 6, 2)
+        report = compare("msum_almost_linear", {"which": which}, *msums.almost_linear_sides(which, 6, 2))
         statuses.add(report.status)
         assert report.status in ("exact_pass", "fail")
     assert statuses  # reports produced for every recurrence
@@ -240,7 +241,7 @@ def test_criterion_10_section5_audit(announce):
     assert msums.m_recurrence_residual(3, 1, 1, "alt") == Fraction(-191, 32)
     residual_reports = [
         r for r in reports
-        if r.id == "msums.recurrence" and r.params_dict() == {"k": 3, "d": 1, "n": 1, "source": "alt"}
+        if r.id == "msums.recurrence" and dict(r.params) == {"k": 3, "d": 1, "n": 1, "source": "alt"}
     ]
     assert residual_reports and residual_reports[0].residual == "-191/32"
     document = audit.emit_report(reports, "json")

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -111,16 +112,10 @@ def test_assert_policy_matches_manifest():
                 assert identity in asserted
 
 
-# sha256 prefixes of emit_report(run_suite(suite), "json"): any change to a
-# report's bytes must be deliberate
-REPORT_SHA256 = {
-    "core": "6f2e802debb3fdbd",
-    "fourier": "ac2d7a3f2d36f761",
-    "harmonic": "9a538a72809b8305",
-    "msums": "16ab4fca89f980e5",
-    "series": "63da0f20ced58cd6",
-    "special": "52b763d651465bce",
-}
+# sha256 prefixes of the json, csv and markdown reports of each suite
+PINS = json.loads((pathlib.Path(__file__).parent / "pins.json").read_text())
+REPORT_SHA256 = PINS["report_sha256"]
+CSV_MARKDOWN_SHA256 = {suite: tuple(digests) for suite, digests in PINS["csv_markdown_sha256"].items()}
 
 
 @pytest.mark.parametrize("suite", audit.suite_names())
@@ -133,16 +128,6 @@ def test_emitted_ids_are_registered(suite):
 def test_json_report_bytes_pinned(suite):
     document = audit.emit_report(audit.run_suite(suite), "json")
     assert hashlib.sha256(document.encode()).hexdigest()[:16] == REPORT_SHA256[suite]
-
-
-CSV_MARKDOWN_SHA256 = {
-    "core": ("e07e6a7dcfe3e77b", "905cb29db5aa2f59"),
-    "fourier": ("ab7d693374b13e05", "632771293716b0cc"),
-    "harmonic": ("a19d5fb650f01743", "d5a8ebae77b65a65"),
-    "msums": ("100b02e6fdba75b3", "7427724ade706cab"),
-    "series": ("adcbc7581f6b78b1", "4aee5fabed0b3297"),
-    "special": ("ce6d2988f07d485d", "d1b554e1bb6d1374"),
-}
 
 
 @pytest.mark.parametrize("suite", audit.suite_names())

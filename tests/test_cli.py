@@ -295,53 +295,13 @@ def test_verify_csv_format(capsys):
     assert out.splitlines()[0] == "id,params,status,residual"
 
 
-# sha256 prefixes of whole CLI documents, one per command and --format;
-# verify falls back to json for frac and decimal
-_DOCUMENT_COMMANDS = {
-    "table": ["table", "--kmax", "6", "--jmax", "8"],
-    "table_scaled": ["table", "--kmax", "6", "--jmax", "8", "--scaled"],
-    "series_d": ["series", "--example", "d", "--k", "2", "--u", "9", "--t", "-1/3"],
-    "series_g": ["series", "--example", "g", "--k", "1", "--u", "4", "--a", "3", "--b", "1"],
-    "verify_core": ["verify", "--suite", "core"],
-    "polylog": ["polylog", "--s", "2", "--z", "-1/2"],
-    "polylog_zero": ["polylog", "--s", "1", "--z", "2/5", "--terms", "2"],
-    "zetastar": ["zetastar", "--s", "3", "--terms", "2000"],
-    "fourier": ["fourier", "--order", "2", "--x", "3/10"],
-}
-
+# sha256 prefixes of whole CLI documents, one per command and --format
+PINS = json.loads((GOLDEN.parent / "pins.json").read_text())
+_DOCUMENT_COMMANDS = PINS["document_commands"]
 DOCUMENT_SHA256 = {
-    ("table", "frac"): "8e24ce0e419af1d7",
-    ("table", "decimal"): "fe33e5e1cbf8cb69",
-    ("table", "csv"): "a7dfa7bba0be0000",
-    ("table", "json"): "5af40e8edfe85850",
-    ("table", "markdown"): "fe3272f53606ba74",
-    ("table_scaled", "frac"): "b1b9d45f43a82ecd",
-    ("table_scaled", "decimal"): "b0c348734bb4a4b3",
-    ("table_scaled", "csv"): "f5900437c17c0c6c",
-    ("table_scaled", "json"): "b8a7b1d3ce61908f",
-    ("table_scaled", "markdown"): "f4d0e109d956cab7",
-    ("series_d", "frac"): "024f579438bb8eeb",
-    ("series_d", "decimal"): "27697fd0916460a1",
-    ("series_d", "csv"): "8fe6acc31118ab99",
-    ("series_d", "json"): "c5e31d212e664c85",
-    ("series_d", "markdown"): "6f0b78e8cd12974b",
-    ("series_g", "frac"): "f1859437c34ec711",
-    ("series_g", "decimal"): "f1859437c34ec711",
-    ("series_g", "csv"): "7f803b3a5e1bb3b6",
-    ("series_g", "json"): "fc987e843932f118",
-    ("series_g", "markdown"): "c9aac3541a22f750",
-    ("verify_core", "frac"): "a98d588654706914",
-    ("verify_core", "decimal"): "a98d588654706914",
-    ("verify_core", "csv"): "e07e6a7dcfe3e77b",
-    ("verify_core", "json"): "a98d588654706914",
-    ("verify_core", "markdown"): "905cb29db5aa2f59",
-    # the numeric routes: a value's bits show in its json document, and
-    # polylog_zero sums to +0.0, which prints as 0, not -0
-    ("polylog", "decimal"): "7b088c9855bcb7c7",
-    ("polylog", "json"): "5ddccfcbf493dbc3",
-    ("polylog_zero", "decimal"): "9a271f2a916b0b6e",
-    ("zetastar", "decimal"): "63aeb4765dd2a376",
-    ("fourier", "decimal"): "eb386e57426b38eb",
+    (command, format): digest
+    for command, digests in PINS["document_sha256"].items()
+    for format, digest in digests.items()
 }
 
 

@@ -1,5 +1,5 @@
 """Exact-arithmetic helpers: parsing, combinatorial primitives, roots of
-unity, and the growable sequence table."""
+unity, reduction against a radical, and the growable sequence table."""
 
 import cmath
 import math
@@ -9,11 +9,12 @@ from fractions import Fraction
 from itertools import count
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from zetaseries.exactnum import (
     SequenceTable,
+    _reduced,
     binomial,
     factorial,
     falling_factorial,
@@ -85,6 +86,35 @@ def test_root_of_unity_values():
 @given(st.integers(1, 12), st.integers(-24, 24))
 def test_root_of_unity_is_power(a, m):
     assert root_of_unity(a, m) == pytest.approx(cmath.exp(2j * math.pi * m / a))
+
+
+_PRIMES = [p for p in range(2, 42) if all(p % q for q in range(2, p))]
+
+
+@st.composite
+def _quotients(draw):
+    """(numerator, denominator, lcm(1..b)) with the denominator built from
+    primes <= b and the numerator sharing some powers of them."""
+    b = draw(st.integers(1, 41))
+    powers = lambda: math.prod(p ** draw(st.integers(0, 5)) for p in _PRIMES if p <= b)
+    numerator = draw(st.integers(-10**40, 10**40)) * powers()
+    return numerator, powers(), math.lcm(*range(1, b + 1))
+
+
+@given(_quotients())
+@example((0, 7, 210))  # zero over a non-unit denominator comes out as 0/1
+@example((0, 1, 1))
+@example((-12, 18, 6))
+@example((-2**70 * 3**5, 2**64 * 3**9, 6))
+@example((7, 1, 1))  # denominator 1 and radical 1
+@example((-5, 1, 30))
+def test_reduced_matches_fraction(quotient):
+    numerator, denominator, radical = quotient
+    got, want = _reduced(numerator, denominator, radical), Fraction(numerator, denominator)
+    assert type(got) is Fraction
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert hash(got) == hash(want) and str(got) == str(want)
+    assert str(got * Fraction(-3, 4) + 1) == str(want * Fraction(-3, 4) + 1)
 
 
 def test_sequence_table_extends_the_tables_below_first():

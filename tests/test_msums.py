@@ -8,15 +8,15 @@ from zetaseries.exactnum import binomial, factorial
 from zetaseries.harmonicnums import harmonic
 from zetaseries.msums import (
     MSumSpec,
-    almost_linear_check,
-    general_relations_check,
+    almost_linear_sides,
+    general_relation_sides,
     m_alt,
     m_def,
     m_recurrence_residual,
     m_value,
-    zeta5_diagnostic,
 )
 from zetaseries.coeffs import s2star_rec
+from zetaseries.reports import compare
 from zetaseries.stirling import stirling1_signed, stirling1_unsigned
 
 
@@ -83,36 +83,32 @@ def test_d_equals_one_reduces_to_harmonic():
 
 def test_almost_linear_check_reports():
     for which in range(1, 7):
-        report = almost_linear_check(which, 6, 2)
+        report = compare("msum_almost_linear", {"which": which}, *almost_linear_sides(which, 6, 2))
         assert report.id == "msum_almost_linear"
         assert report.status in ("exact_pass", "fail")
     with pytest.raises(ValueError):
-        almost_linear_check(7, 6, 2)
+        almost_linear_sides(7, 6, 2)
 
 
 def test_general_relations_families():
-    report = general_relations_check(1, [Fraction(1)], Fraction(2), 6, 3)
+    report = compare("msum_general_relation", {}, *general_relation_sides(1, [Fraction(1)], Fraction(2), 6, 3))
     assert report.id == "msum_general_relation"
     with pytest.raises(ValueError):
-        general_relations_check(1, [1, 2], 1, 6, 3)
+        general_relation_sides(1, [1, 2], 1, 6, 3)
     with pytest.raises(ValueError):
-        general_relations_check(2, [1, 2], 0, 6, 3)
+        general_relation_sides(2, [1, 2], 0, 6, 3)
     with pytest.raises(ValueError):
-        general_relations_check(4, [1], 1, 6, 3)
+        general_relation_sides(4, [1], 1, 6, 3)
 
 
 def test_family_degeneration_matches():
     # family 2 with b1 = b2 = 0 and family 1 with a1 = 0 describe
     # different relations but share the same value sources; both produce
     # well-formed reports on the same grid point
-    r1 = general_relations_check(1, [Fraction(0)], Fraction(1), 6, 3, "alt")
-    r2 = general_relations_check(2, [Fraction(0), Fraction(0)], Fraction(1), 6, 3, "alt")
+    r1 = compare("msum_general_relation", {}, *general_relation_sides(1, [Fraction(0)], Fraction(1), 6, 3, "alt"))
+    r2 = compare(
+        "msum_general_relation", {},
+        *general_relation_sides(2, [Fraction(0), Fraction(0)], Fraction(1), 6, 3, "alt"),
+    )
     assert r1.status in ("exact_pass", "fail")
     assert r2.status in ("exact_pass", "fail")
-
-
-def test_zeta5_diagnostic_shape():
-    rows = zeta5_diagnostic([0, 1, 2, 3])
-    assert [n for n, _ in rows] == [0, 1, 2, 3]
-    assert all(isinstance(v, Fraction) for _, v in rows)
-    assert rows[0][1] == 3 * m_value(5, 2, 0, "def_unsigned") - m_value(5, 3, 0, "def_unsigned")

@@ -73,11 +73,22 @@ def test_exp_matches_exponential_series():
     assert list(z.exp().coeffs) == [Fraction(1, factorial(n)) for n in range(10)]
 
 
+def compose(outer, inner):
+    """outer(inner(z)) by Horner's rule in O(n^3): the oracle of
+    ``binomial_transform``; inner must have zero constant term."""
+    assert inner.coeff(0) == 0
+    order = min(outer.order, inner.order)
+    result, one = TruncSeries.zero(order), TruncSeries.one(order)
+    for c in reversed(outer.coeffs[: order + 1]):
+        result = result * inner.truncate(order) + one.scale(c)
+    return result
+
+
 def test_compose_geometric():
     # 1/(1-z) composed with z/(1+z) gives 1+z exactly (all higher terms 0)
     outer = TruncSeries.geometric(1, 8)
     inner = TruncSeries([Fraction(0), Fraction(1)] + [Fraction(0)] * 6) * TruncSeries.geometric(-1, 8)
-    result = outer.compose(inner)
+    result = compose(outer, inner)
     assert result.coeff(0) == 1
     assert result.coeff(1) == 1
     assert all(result.coeff(n) == 0 for n in range(2, 9))
@@ -88,7 +99,7 @@ def test_compose_geometric():
 @example(TruncSeries([Fraction(-2), Fraction(1, 3), Fraction(5), Fraction(-7, 4)]))
 def test_binomial_transform_is_compose_with_minus_z_over_one_minus_z(f):
     inner = TruncSeries([Fraction(0)] + [Fraction(-1)] * f.order)  # -z/(1-z)
-    assert f.binomial_transform() == f.compose(inner)
+    assert f.binomial_transform() == compose(f, inner)
 
 
 def test_series_reexports_the_powerseries_class():
