@@ -70,8 +70,7 @@ def summarize(pairs: list, metrics: list) -> dict:
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
         values = {side: [pair[side][name] for pair in pairs] for side in SIDES}
-        quartiles = {side: statistics.quantiles(values[side], n=4) if len(pairs) > 1 else values[side] * 3
-                     for side in SIDES}
+        quartiles = {side: statistics.quantiles(values[side], n=4) for side in SIDES}
         out[name] = {
             "parent_median": statistics.median(values["parent"]),
             "change_median": statistics.median(values["change"]),
@@ -95,8 +94,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=30)
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2, for quartiles")
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     revs = {"parent": args.parent, "change": args.change}
     document = {
