@@ -88,9 +88,9 @@ def _reduced(numerator: int, denominator: int, radical: int) -> Fraction:
     then divides gcd(numerator, denominator, radical), which is taken on
     the short residues mod radical; each round divides that common part
     out and looks for what is left of it, and the result is built without
-    the full gcd of the two long integers that Fraction() would take."""
-    if not numerator:
-        return Fraction(0)
+    the full gcd of the two long integers that Fraction() would take.  A
+    zero numerator shares every prime of the denominator, so 0/d comes
+    out as 0/1."""
     common = math.gcd(numerator % radical, denominator % radical, radical)
     while common > 1:
         numerator, denominator = numerator // common, denominator // common

@@ -3,12 +3,13 @@
     python tests/check_pins.py
 
 Needs only the standard library, so any interpreter the package supports
-can run it without pytest.  It recomputes the json, csv and markdown
-report hashes of every verification suite and the hash of every pinned
-CLI document, and checks ``exactnum._reduced`` against ``Fraction()`` on
-the c*(k, j) cells k = 2..12, j <= 400 and on edge cases, because the
-helper builds its Fractions one way before Python 3.12 and another from
-3.12 on.  It prints each mismatch and exits 1 on any.
+can run it without pytest; the pin tests of tier-1 call the same checks.
+It recomputes the json, csv and markdown report hashes of every
+verification suite and the hash of every pinned CLI document, and checks
+``exactnum._reduced`` against ``Fraction()`` on edge cases and on the
+c*(k, j) cells k = 2..14, j <= 600 of ``s2star_rec``, because the helper
+builds its Fractions one way before Python 3.12 and another from 3.12 on.
+It prints each mismatch and exits 1 on any.
 """
 
 from __future__ import annotations
@@ -27,63 +28,91 @@ sys.path.insert(0, str(TESTS.parent / "src"))
 
 from zetaseries import audit  # noqa: E402
 from zetaseries.cli import main  # noqa: E402
-from zetaseries.coeffs import _LCM, _NUMERATORS  # noqa: E402
+from zetaseries.coeffs import _scaled_numerators, s2star_rec  # noqa: E402
 from zetaseries.exactnum import _reduced, factorial  # noqa: E402
+
+PINS = json.loads((TESTS / "pins.json").read_text())
+
+# (numerator, denominator, radical) for _reduced
+EDGE_CASES = [
+    (0, 7, 210),  # zero over a non-unit denominator comes out as 0/1
+    (0, 1, 1),
+    (7, 1, 1),  # denominator 1 and radical 1
+    (-5, 1, 30),
+    (-12, 18, 6),
+    (-(2**70) * 3**5, 2**64 * 3**9, 6),  # more than one round per prime
+]
 
 
 def digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def report_mismatches(pins: dict):
-    for suite in audit.suite_names():
-        reports = audit.run_suite(suite)
-        got = digest(audit.emit_report(reports, "json"))
-        if got != pins["report_sha256"][suite]:
-            yield f"report {suite} json: {got} != {pins['report_sha256'][suite]}"
-        for format, want in zip(("csv", "markdown"), pins["csv_markdown_sha256"][suite]):
-            got = digest(audit.emit_report(reports, format))
-            if got != want:
-                yield f"report {suite} {format}: {got} != {want}"
+def report_mismatches(suite: str, formats=("json", "csv", "markdown")):
+    want = dict(zip(("csv", "markdown"), PINS["csv_markdown_sha256"][suite]), json=PINS["report_sha256"][suite])
+    reports = audit.run_suite(suite)
+    for format in formats:
+        got = digest(audit.emit_report(reports, format))
+        if got != want[format]:
+            yield f"report {suite} {format}: {got} != {want[format]}"
 
 
-def document_mismatches(pins: dict):
-    for command, digests in pins["document_sha256"].items():
-        for format, want in digests.items():
-            argv = [*pins["document_commands"][command], "--format", format]
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-                code = main(argv)
-            got = digest(out.getvalue())
-            if code != 0 or got != want:
-                yield f"document {command} {format}: exit {code}, {got} != {want}"
+def document_mismatches(command: str, format: str):
+    want = PINS["document_sha256"][command][format]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main([*PINS["document_commands"][command], "--format", format])
+    got = digest(out.getvalue())
+    if code != 0 or got != want:
+        yield f"document {command} {format}: exit {code}, {got} != {want}"
 
 
-def reduced_mismatches():
-    cases = [(0, 7, 210), (0, 1, 1), (7, 1, 1), (-5, 1, 30), (-12, 18, 6), (-(2**70) * 3**5, 2**64 * 3**9, 6)]
-    for k in range(2, 13):
-        for j in range(1, 401):
-            lcm = _LCM[j]
-            cases.append(((-1) ** (j - 1) * _NUMERATORS[k - 2][j], lcm ** (k - 2) * factorial(j), lcm))
+def terms(value: Fraction) -> tuple:
+    return value.numerator, value.denominator
+
+
+def fraction_mismatch(got, want: Fraction) -> bool:
+    """Whether got differs from the canonical want in type, terms, hash or
+    one arithmetic result."""
+    return not (
+        type(got) is Fraction
+        and terms(got) == terms(want)
+        and got.denominator > 0
+        and math.gcd(*terms(got)) == 1
+        and hash(got) == hash(want)
+        and terms(got * Fraction(-3, 4) + 1) == terms(want * Fraction(-3, 4) + 1)
+    )
+
+
+def reduced_mismatches(cases=EDGE_CASES):
     for numerator, denominator, radical in cases:
         got, want = _reduced(numerator, denominator, radical), Fraction(numerator, denominator)
-        same = (
-            type(got) is Fraction
-            and (got.numerator, got.denominator) == (want.numerator, want.denominator)
-            and math.gcd(got.numerator, got.denominator) == 1
-            and hash(got) == hash(want)
-            and str(got * Fraction(-3, 4) + 1) == str(want * Fraction(-3, 4) + 1)
-        )
-        if not same:
+        if fraction_mismatch(got, want) or str(got) != str(want):  # 0/d must print as 0
             yield f"_reduced{(numerator, denominator, radical)!r} differs from Fraction()"[:300]
 
 
+def rec_mismatches(kmax: int = 14, jmax: int = 600):
+    """s2star_rec reduces each cell against L_j only; the oracle normalizes
+    the same value over lcm(1..jmax)^(k-2) j! with Fraction()'s full gcd."""
+    for k in range(2, kmax + 1):
+        numerators, denominator = _scaled_numerators(k, jmax)
+        for j in range(1, jmax + 1):
+            want = Fraction((-1) ** (j - 1) * numerators[j], denominator * factorial(j))
+            if fraction_mismatch(s2star_rec(k, j), want):
+                yield f"s2star_rec({k}, {j}) differs from Fraction()"
+
+
 def main_check() -> int:
-    pins = json.loads((TESTS / "pins.json").read_text())
-    mismatches = [*report_mismatches(pins), *document_mismatches(pins), *reduced_mismatches()]
+    mismatches = [
+        *(line for suite in audit.suite_names() for line in report_mismatches(suite)),
+        *(line for command, digests in PINS["document_sha256"].items()
+          for format in digests for line in document_mismatches(command, format)),
+        *reduced_mismatches(),
+        *rec_mismatches(),
+    ]
     for line in mismatches:
         print(line)
-    pinned = 3 * len(pins["report_sha256"]) + sum(map(len, pins["document_sha256"].values()))
+    pinned = 3 * len(PINS["report_sha256"]) + sum(map(len, PINS["document_sha256"].values()))
     version = ".".join(map(str, sys.version_info[:3]))
     print(f"Python {version}: {pinned} pins and _reduced checked, {len(mismatches)} mismatches")
     return 1 if mismatches else 0

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import check_pins
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -171,16 +172,8 @@ def test_scaled_numerators_match_closed_sum():
 
 
 def test_rec_cells_are_in_lowest_terms_past_the_audit_grid():
-    # each cell is reduced against L_j only; the oracle normalizes the same
-    # value over lcm(1..J)^(k-2) j! with a full gcd
-    J = 600
-    for k in range(2, 15):
-        numerators, denominator = _scaled_numerators(k, J)
-        for j in range(1, J + 1):
-            cell = s2star_rec(k, j)
-            assert math.gcd(cell.numerator, cell.denominator) == 1 and cell.denominator > 0
-            want = Fraction((-1) ** (j - 1) * numerators[j], denominator * factorial(j))
-            assert (cell.numerator, cell.denominator) == (want.numerator, want.denominator)
+    # k = 2..14, j <= 600, each cell against Fraction()'s full gcd
+    assert list(check_pins.rec_mismatches(14, 600)) == []
 
 
 def test_ogf_coeff_far_beyond_the_denominator_degree():

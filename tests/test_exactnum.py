@@ -8,13 +8,13 @@ import threading
 from fractions import Fraction
 from itertools import count
 
+import check_pins
 import pytest
-from hypothesis import example, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from zetaseries.exactnum import (
     SequenceTable,
-    _reduced,
     binomial,
     factorial,
     falling_factorial,
@@ -102,19 +102,14 @@ def _quotients(draw):
 
 
 @given(_quotients())
-@example((0, 7, 210))  # zero over a non-unit denominator comes out as 0/1
-@example((0, 1, 1))
-@example((-12, 18, 6))
-@example((-2**70 * 3**5, 2**64 * 3**9, 6))
-@example((7, 1, 1))  # denominator 1 and radical 1
-@example((-5, 1, 30))
 def test_reduced_matches_fraction(quotient):
-    numerator, denominator, radical = quotient
-    got, want = _reduced(numerator, denominator, radical), Fraction(numerator, denominator)
-    assert type(got) is Fraction
-    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
-    assert hash(got) == hash(want) and str(got) == str(want)
-    assert str(got * Fraction(-3, 4) + 1) == str(want * Fraction(-3, 4) + 1)
+    # terms, hash, str and one arithmetic result
+    assert list(check_pins.reduced_mismatches([quotient])) == []
+
+
+def test_reduced_edge_cases_match_fraction():
+    # a zero numerator, negative numerators, denominator 1 and radical 1
+    assert list(check_pins.reduced_mismatches(check_pins.EDGE_CASES)) == []
 
 
 def test_sequence_table_extends_the_tables_below_first():

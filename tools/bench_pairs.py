@@ -1,17 +1,17 @@
 """Run the benchmark on two commits in alternating pairs.
 
     python3 tools/bench_pairs.py --parent REV --change REV --workload W \
-        [--workload W2 ...] --pairs N --out FILE [--seed S] [--seconds T]
+        [--workload W2 ...] --pairs N --out FILE
 
 Exports each commit with ``git archive`` into its own directory, so both
 sides run the benchmark code of their own commit from a clean tree.  Then,
 for every workload, it runs N pairs one process at a time, the parent first
 in even pairs and the change first in odd ones, each run being
 
-    PYTHONDONTWRITEBYTECODE=1 python3 bench/run.py --workload W --seed S \
-        --seconds T --trace 0
+    PYTHONDONTWRITEBYTECODE=1 python3 bench/run.py --workload W --trace 0
 
-in that side's directory.  Each run's end-to-end metrics come from the final
+in that side's directory, so the seed and run length are the benchmark's
+own defaults.  Each run's end-to-end metrics come from the final
 JSON line of ``bench/run.py``, its rounds from the summary line on stderr.
 FILE gets every pair, and per metric each side's median and quartiles, the
 parent's interquartile range and the number of pairs the change won; the
@@ -47,9 +47,8 @@ def export(rev: str, target: Path) -> None:
         tar.extractall(target, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
 
 
-def run_side(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    command = [sys.executable, "bench/run.py", "--workload", workload,
-               "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+def run_side(checkout: Path, workload: str) -> dict:
+    command = [sys.executable, "bench/run.py", "--workload", workload, "--trace", "0"]
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     env.pop("PYTHONPATH", None)  # each side imports its own src/
     proc = subprocess.run(command, cwd=checkout, env=env, capture_output=True, text=True)
@@ -91,8 +90,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=30)
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2, for quartiles")
@@ -102,8 +99,7 @@ def main(argv=None) -> int:
         "description": "End-to-end metrics of bench/run.py, parent commit against this change, runs alternating "
                        "which side goes first, written by tools/bench_pairs.py. Quartiles by "
                        "statistics.quantiles(n=4); change_better_pairs counts pairs where the change reads better.",
-        "command": f"PYTHONDONTWRITEBYTECODE=1 python3 bench/run.py --workload W --seed {args.seed} "
-                   f"--seconds {args.seconds:g} --trace 0",
+        "command": "PYTHONDONTWRITEBYTECODE=1 python3 bench/run.py --workload W --trace 0",
         "host": f"{os.cpu_count()} CPUs, {platform.system()}, Python {platform.python_version()}",
         **{side: {"commit": git("rev-parse", f"{rev}^{{commit}}"), "src_tree": git("rev-parse", f"{rev}:src")}
            for side, rev in revs.items()},
@@ -120,7 +116,7 @@ def main(argv=None) -> int:
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 pair = {"first": order[0]}
                 for side in order:
-                    pair[side] = run_side(checkouts[side], workload, args.seed, args.seconds)
+                    pair[side] = run_side(checkouts[side], workload)
                 pairs.append(pair)
                 print(f"{workload} pair {i + 1}/{args.pairs}: "
                       + ", ".join(f"{side} wall_s {pair[side]['wall_s']:.4f}" for side in SIDES), file=sys.stderr)
