@@ -35,7 +35,7 @@ import math
 from fractions import Fraction
 from itertools import count
 
-from .exactnum import SequenceTable, _reduced, binomial, factorial
+from .exactnum import SequenceTable, _reduced, factorial
 from .harmonicnums import harmonic
 from .powerseries import TruncSeries
 from .stirling import stirling1_unsigned
@@ -226,9 +226,16 @@ def s2star_general_f(k: int, j: int, alpha, beta) -> Fraction:
 
     alpha = 1, beta = 0 is the closed sum ``s2star_sum``.  Written over
     integers, f(m) = (a m + b) / q with a = alpha.num * beta.den,
-    b = beta.num * alpha.den and q = alpha.den * beta.den, so the sum is
-    taken over the common denominator lcm(a m + b : m = 1..j)^{k-2} and
-    one Fraction is built at the end.
+    b = beta.num * alpha.den and q = alpha.den * beta.den, so with
+    e = k - 2 and P = lcm(a m + b : m = 1..j)^e the sum is
+    sum_m (-1)^{j-m} T_m q^e / (P j!) over the integers
+    T_m = C(j, m) P / (a m + b)^e.  P is raised once, and each T_m comes
+    from the one before by the ratio of small integers
+    T_m = T_{m-1} (j - m + 1) (a(m-1) + b)^e / (m (a m + b)^e), since
+    C(j, m) m = C(j, m-1) (j - m + 1).  The quotient is the integer T_m,
+    so each floor division is exact, whatever the signs of f(m) and of
+    its odd powers.  One Fraction is built at the end, reduced by gcds
+    against lcm(a m + b) and L_j only (``exactnum._reduced``).
     """
     if k < 2:
         raise ValueError("generalized coefficients require k >= 2")
@@ -240,9 +247,18 @@ def s2star_general_f(k: int, j: int, alpha, beta) -> Fraction:
     values = [a * m + b for m in range(1, j + 1)]
     if 0 in values:
         raise ZeroDivisionError(f"f({values.index(0) + 1}) = 0 for alpha={alpha}, beta={beta}")
+    e = k - 2
     lcm = math.lcm(*values)
-    total = sum(binomial(j, m) * (-1) ** (j - m) * (lcm // p_m) ** (k - 2) for m, p_m in enumerate(values, 1))
-    return Fraction(total * q ** (k - 2), lcm ** (k - 2) * factorial(j))
+    power = lcm**e
+    last = values[0] ** e
+    term = total = j * (power // last)
+    for m in range(2, j + 1):
+        p_e = values[m - 1] ** e
+        term = term * (j - m + 1) * last // (m * p_e)
+        last = p_e
+        total = term - total  # ends as sum_m (-1)^(j-m) T_m
+    # every prime of the denominator divides lcm or is at most j
+    return _reduced(total * q**e, power * factorial(j), math.lcm(lcm, _LCM[j]))
 
 
 def s2star_reverse_binomial(k: int, j: int) -> Fraction:

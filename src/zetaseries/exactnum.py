@@ -21,6 +21,7 @@ import cmath
 import math
 import threading
 from fractions import Fraction
+from itertools import islice
 
 # Canonical exact value type used throughout the package.
 Rational = Fraction
@@ -163,3 +164,10 @@ class SequenceTable:
         if n:
             self[n - 1]
         return self._values[:n]
+
+    def cells(self, start: int, stop: int):
+        """f(start), ..., f(stop-1) as an iterator over the built values,
+        which are read in place, not copied."""
+        if stop > start:
+            self[stop - 1]
+        return islice(self._values, start, stop)

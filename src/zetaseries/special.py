@@ -12,10 +12,11 @@ Every coefficient series is summed by ``_binomial_series``: prefactor *
 sum_j a_j (-z/(1-z))^j over a row of doubles a_j, each a cell
 M_k(j) / lcm(1..j)^(k-2) of the integer c* table of :mod:`coeffs`
 rounded once.  The rows are growable tables, one per k, whose producer
-carries lcm(1..j)^(k-2) and multiplies it only where the lcm changes.
-``li_new_series`` passes -|c*(s+2, j)| j! with prefactor 1/(1-z), and
-``zeta_star`` is -Li_s(-1) on it, bit for bit the direct sum, since its
-factors are powers of two.  The classical series and the modified
+carries lcm(1..j)^(k-2) and multiplies it only where the lcm changes;
+each row holds the sign its series sums, and the loop reads cells 1..J
+of it in place.  ``li_new_series`` passes -|c*(s+2, j)| j! with
+prefactor 1/(1-z), and ``zeta_star`` is -Li_s(-1) on it, bit for bit the
+direct sum, since its factors are powers of two.  The classical series and the modified
 Hurwitz zeta share one inner table: for alpha = 1, beta = 0 and s >= 1
 it is a prefix of the classical row for s, a second family of growable
 rows, through the identity
@@ -134,15 +135,15 @@ def _double_rows(cell) -> SequenceTable:
     return SequenceTable(lambda rows: map(row, count(len(rows))))
 
 
-# row k - 2: |c*(k, j)| j!, correctly rounded
-_DOUBLE_ROWS = _double_rows(lambda m, power, j: m / power)
+# row k - 2: -|c*(k, j)| j! = (-1)^j c*(k, j) j!, correctly rounded, the sign li_new_series sums
+_DOUBLE_ROWS = _double_rows(lambda m, power, j: -m / power)
 # row s - 1: sum_{m=0}^{j-1} C(j-1, m) (-1)^{m+1} / (m+1)^s = -|c*(s+1, j)| (j-1)!
 _CLASSIC_ROWS = _double_rows(lambda m, power, j: -m / (power * j) if j else 0.0)
 
 
 def _scaled_row(k: int, J: int) -> list:
     """|c*(k, j)| j!, j = 0..J (k >= 2), as doubles that no longer J changes."""
-    return _DOUBLE_ROWS[k - 2].prefix(J + 1)
+    return [abs(x) for x in _DOUBLE_ROWS[k - 2].prefix(J + 1)]
 
 
 def li_new_series(s: int, z, J: int) -> EvalResult:
@@ -167,15 +168,15 @@ def li_new_series(s: int, z, J: int) -> EvalResult:
             raise ValueError("Li_s(z) series diverge for |z/(1-z)| >= 1 and |z| >= 1")
         terms = max(J, int(math.log(1e-14) / math.log(abs(z))) + 1)
         return li_direct_sum(s, z, terms)._replace(method="direct_fallback", domain_warning=True)
-    # negate the coefficients, not the sum, so that a sum of +0.0 stays +0.0
-    return _binomial_series([-x for x in _scaled_row(s + 2, J)[1:]], z, "coeff_series", 1 / (1 - z))
+    # the row holds the coefficients negated, not the sum, so that a sum of +0.0 stays +0.0
+    return _binomial_series(_DOUBLE_ROWS[s].cells(1, J + 1), J, z, "coeff_series", 1 / (1 - z))
 
 
-def _binomial_series(coefficients, z, method: str, prefactor=1.0) -> EvalResult:
-    """prefactor * sum_{j=1}^{J} coefficients[j-1] (-z/(1-z))^j (J =
-    len(coefficients)), the one loop of every coefficient series.  Raises
-    ValueError where |z/(1-z)| >= 1, outside its convergence domain
-    Re z < 1/2."""
+def _binomial_series(coefficients, J: int, z, method: str, prefactor=1.0) -> EvalResult:
+    """prefactor * sum_{j=1}^{J} a_j (-z/(1-z))^j over the J coefficients
+    a_1, ..., a_J that ``coefficients`` yields in order, the one loop of
+    every coefficient series.  Raises ValueError where |z/(1-z)| >= 1,
+    outside its convergence domain Re z < 1/2."""
     if z == 1:
         raise ValueError("z = 1 is a pole of the binomial series")
     if z == 0:
@@ -191,13 +192,15 @@ def _binomial_series(coefficients, z, method: str, prefactor=1.0) -> EvalResult:
         term = value * power * prefactor
         total += term
         last = abs(term)
-    return EvalResult(total, len(coefficients), last, method)
+    return EvalResult(total, J, last, method)
 
 
 def li_classic_series(s: int, z: float, K: int) -> EvalResult:
     """Li_s(z) = sum_{k=0}^{K} (-z/(1-z))^{k+1}
     sum_{m=0}^{k} C(k, m) (-1)^{m+1} / (m+1)^s."""
-    return _binomial_series(_phi_inner_table(s, Fraction(1), Fraction(0), K), z, "classic_series")
+    if s >= 1 and K >= 0:  # the inner sums are cells 1..K+1 of the classical row, read in place
+        return _binomial_series(_CLASSIC_ROWS[s - 1].cells(1, K + 2), K + 1, z, "classic_series")
+    return _binomial_series(_phi_inner_table(s, Fraction(1), Fraction(0), K), K + 1, z, "classic_series")
 
 
 def _phi_inner_table(s: int, alpha: Fraction, beta: Fraction, K: int) -> list | tuple:
@@ -210,7 +213,7 @@ def _phi_inner_table(s: int, alpha: Fraction, beta: Fraction, K: int) -> list | 
     if K < 0:
         raise ValueError("the binomial series requires K >= 0")
     if alpha == 1 and beta == 0 and s >= 1:
-        return _CLASSIC_ROWS[s - 1].prefix(K + 2)[1:]
+        return list(_CLASSIC_ROWS[s - 1].cells(1, K + 2))
     return _phi_general_table(s, alpha, beta, K)
 
 
@@ -237,7 +240,7 @@ def hurwitz_phi(z: float, s: int, alpha, beta, K: int) -> EvalResult:
     m = -beta / alpha
     if m.denominator == 1 and 1 <= m <= K + 1:
         raise ZeroDivisionError(f"denominator alpha*{m} + beta = 0")
-    return _binomial_series(_phi_inner_table(s, alpha, beta, K), z, "phi_series")
+    return _binomial_series(_phi_inner_table(s, alpha, beta, K), K + 1, z, "phi_series")
 
 
 def zeta_star(s: int, J: int = 120, method: str = "series") -> float:

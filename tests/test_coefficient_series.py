@@ -106,15 +106,15 @@ def test_classic_row_cells_match_the_rescaled_row(s):
         row = _phi_inner_table(s, Fraction(1), Fraction(0), K)
         assert [x.hex() for x in row] == [x.hex() for x in want]
         for z in REAL_Z:
-            same_result(li_classic_series(s, z, K), _binomial_series(want, z, "classic_series"))
+            same_result(li_classic_series(s, z, K), _binomial_series(want, len(want), z, "classic_series"))
 
 
 def test_one_loop_sums_every_coefficient_series(monkeypatch):
     methods = []
 
-    def counted(inner, z, method, prefactor=1.0):
+    def counted(inner, J, z, method, prefactor=1.0):
         methods.append(method)
-        return _binomial_series(inner, z, method, prefactor)
+        return _binomial_series(inner, J, z, method, prefactor)
 
     monkeypatch.setattr(special, "_binomial_series", counted)
     special.li_new_series(2, -0.5, 10)

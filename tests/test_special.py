@@ -95,14 +95,17 @@ def test_scaled_row_matches_exact_coefficients_bit_for_bit():
 @pytest.mark.parametrize("order", [(100, 400), (400, 100)])
 def test_scaled_row_is_one_row_per_k(monkeypatch, order):
     # a longer J extends the one double row for k and a shorter J reads its
-    # prefix: the doubles read first are the very objects read later
+    # prefix: the doubles stored first are the very objects stored later
     monkeypatch.setattr(special, "_DOUBLE_ROWS", SequenceTable(special._DOUBLE_ROWS._produce))
     row = special._DOUBLE_ROWS[5]
-    rows = {J: _scaled_row(7, J) for J in order}
+    rows, stored = {}, []
+    for J in order:
+        rows[J] = _scaled_row(7, J)
+        stored.append(list(row._values))
     assert special._DOUBLE_ROWS[5] is row and len(row._values) == 401
     assert [len(rows[J]) for J in (100, 400)] == [101, 401]
     assert [x.hex() for x in rows[100]] == [x.hex() for x in rows[400][:101]]
-    assert all(x is y for x, y in zip(rows[100], rows[400]))
+    assert all(x is y for x, y in zip(*stored))
 
 
 @pytest.mark.parametrize("order", [(100, 400), (400, 100)])
