@@ -16,10 +16,10 @@ carries lcm(1..j)^(k-2) and multiplies it only where the lcm changes;
 each row holds the sign its series sums, and the loop reads cells 1..J
 of it in place.  ``li_new_series`` passes -|c*(s+2, j)| j! with
 prefactor 1/(1-z), and ``zeta_star`` is -Li_s(-1) on it, bit for bit the
-direct sum, since its factors are powers of two.  The classical series and the modified
-Hurwitz zeta share one inner table: for alpha = 1, beta = 0 and s >= 1
-it is a prefix of the classical row for s, a second family of growable
-rows, through the identity
+direct sum, since its factors are powers of two.  The classical series
+and the modified Hurwitz zeta share one inner table: for alpha = 1,
+beta = 0 and s >= 1 it is a prefix of the classical row for s, a second
+family of growable rows, through the identity
 sum_{m=0}^{k} C(k, m) (-1)^{m+1} / (m+1)^s = -|c*(s+1, k+1)| k!.
 ``li_direct_sum`` keeps its own loop: its power / n^s rounds otherwise.
 
@@ -135,7 +135,7 @@ def _double_rows(cell) -> SequenceTable:
     return SequenceTable(lambda rows: map(row, count(len(rows))))
 
 
-# row k - 2: -|c*(k, j)| j! = (-1)^j c*(k, j) j!, correctly rounded, the sign li_new_series sums
+# row k - 2: -|c*(k, j)| j!, correctly rounded, the sign li_new_series sums
 _DOUBLE_ROWS = _double_rows(lambda m, power, j: -m / power)
 # row s - 1: sum_{m=0}^{j-1} C(j-1, m) (-1)^{m+1} / (m+1)^s = -|c*(s+1, j)| (j-1)!
 _CLASSIC_ROWS = _double_rows(lambda m, power, j: -m / (power * j) if j else 0.0)
@@ -168,7 +168,7 @@ def li_new_series(s: int, z, J: int) -> EvalResult:
             raise ValueError("Li_s(z) series diverge for |z/(1-z)| >= 1 and |z| >= 1")
         terms = max(J, int(math.log(1e-14) / math.log(abs(z))) + 1)
         return li_direct_sum(s, z, terms)._replace(method="direct_fallback", domain_warning=True)
-    # the row holds the coefficients negated, not the sum, so that a sum of +0.0 stays +0.0
+    # the row holds the coefficients negated, so the sum is not negated and +0.0 stays +0.0
     return _binomial_series(_DOUBLE_ROWS[s].cells(1, J + 1), J, z, "coeff_series", 1 / (1 - z))
 
 

@@ -48,7 +48,8 @@ def test_summary_counts_the_pairs_the_change_won_in_either_direction():
 def test_summary_reads_each_metric_by_name():
     pairs = [{"first": "parent", "parent": {"a": 1.0, "b": 9.0}, "change": {"a": 2.0, "b": 8.0}},
              {"first": "change", "parent": {"a": 1.0, "b": 9.0}, "change": {"a": 2.0, "b": 8.0}}]
-    summary = bench_pairs.summarize(pairs, [{"name": "a", "better": "higher"}, {"name": "b", "better": "lower"}])
+    metrics = [{"name": "a", "better": "higher"}, {"name": "b", "better": "lower"}]
+    summary = bench_pairs.summarize(pairs, metrics)
     assert sorted(summary) == ["a", "b"]
     assert (summary["a"]["change_median"], summary["b"]["change_median"]) == (2.0, 8.0)
     assert summary["a"]["change_better_pairs"] == summary["b"]["change_better_pairs"] == 2
@@ -56,7 +57,8 @@ def test_summary_reads_each_metric_by_name():
 
 def test_one_pair_is_a_usage_error():
     stderr = io.StringIO()
-    argv = ["--parent", "HEAD", "--change", "HEAD", "--workload", "exact_tables", "--pairs", "1", "--out", "unused.json"]
+    argv = ["--parent", "HEAD", "--change", "HEAD", "--workload", "exact_tables",
+            "--pairs", "1", "--out", "unused.json"]
     with contextlib.redirect_stderr(stderr):
         try:
             bench_pairs.main(argv)

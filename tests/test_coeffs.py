@@ -117,10 +117,30 @@ def test_scaled_is_positive_for_k_at_least_2():
             assert s2star_scaled(k, j) > 0
 
 
+def general_f_per_term(k, j, alpha, beta):
+    # the sum as it was first written over integers: a fresh binomial and a
+    # fresh power (lcm / f(m))^(k-2) for every term, and Fraction()'s gcd
+    alpha, beta = Fraction(alpha), Fraction(beta)
+    a, b = alpha.numerator * beta.denominator, beta.numerator * alpha.denominator
+    q = alpha.denominator * beta.denominator
+    values = [a * m + b for m in range(1, j + 1)]
+    lcm = math.lcm(*values)
+    total = sum(binomial(j, m) * (-1) ** (j - m) * (lcm // p_m) ** (k - 2) for m, p_m in enumerate(values, 1))
+    return Fraction(total * q ** (k - 2), lcm ** (k - 2) * factorial(j))
+
+
+def same_fraction(got, want):
+    assert type(got) is Fraction
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+
 def test_general_f_reduces_to_closed_sum():
-    for k in range(2, 7):
-        for j in range(1, 10):
-            assert s2star_general_f(k, j, 1, 0) == s2star_rec(k, j)
+    # out to j = 400, where the ratio chain of the closed sum is long
+    for k in range(2, 15):
+        for j in [*range(1, 10), 17, 64, 101, 199, 256, 331, 400]:
+            want = s2star_rec(k, j)
+            same_fraction(s2star_general_f(k, j, 1, 0), want)
+            same_fraction(s2star_sum(k, j), want)
 
 
 GENERAL_F_PAIRS = [
@@ -161,23 +181,10 @@ def test_general_f_rejects_zero_denominator():
         s2star_general_f(3, 4, 1, -2)
     with pytest.raises(ZeroDivisionError, match=r"^f\(3\) = 0 for alpha=1/2, beta=-3/2$"):
         s2star_general_f(2, 5, "2/4", Fraction(-3, 2))
-
-
-def general_f_per_term(k, j, alpha, beta):
-    # the sum as it was first written over integers: a fresh binomial and a
-    # fresh power (lcm / f(m))^(k-2) for every term, and Fraction()'s gcd
-    alpha, beta = Fraction(alpha), Fraction(beta)
-    a, b = alpha.numerator * beta.denominator, beta.numerator * alpha.denominator
-    q = alpha.denominator * beta.denominator
-    values = [a * m + b for m in range(1, j + 1)]
-    lcm = math.lcm(*values)
-    total = sum(binomial(j, m) * (-1) ** (j - m) * (lcm // p_m) ** (k - 2) for m, p_m in enumerate(values, 1))
-    return Fraction(total * q ** (k - 2), lcm ** (k - 2) * factorial(j))
-
-
-def same_fraction(got, want):
-    assert type(got) is Fraction
-    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    with pytest.raises(ZeroDivisionError, match=r"^f\(5\) = 0 for alpha=-1, beta=5$"):
+        s2star_general_f(4, 7, -1, 5)
+    with pytest.raises(ZeroDivisionError, match=r"^f\(1\) = 0 for alpha=0, beta=0$"):
+        s2star_general_f(2, 1, 0, 0)
 
 
 @pytest.mark.parametrize("alpha, beta", GENERAL_F_PAIRS + [(0, 5), (0, Fraction(-2, 3)), (1, 0)])
@@ -196,19 +203,6 @@ def test_general_f_ratio_chain_with_a_large_power(k, j):
     same_fraction(s2star_sum(k, j), general_f_per_term(k, j, 1, 0))
     same_fraction(s2star_general_f(k, j, Fraction(-3, 2), Fraction(1, 5)),
                   general_f_per_term(k, j, Fraction(-3, 2), Fraction(1, 5)))
-
-
-def test_closed_sum_matches_recurrence_far_out():
-    for k in range(2, 15):
-        for j in (1, 2, 3, 17, 64, 101, 199, 256, 331, 400):
-            same_fraction(s2star_sum(k, j), s2star_rec(k, j))
-
-
-def test_general_f_zero_denominator_messages_name_the_first_zero():
-    with pytest.raises(ZeroDivisionError, match=r"^f\(5\) = 0 for alpha=-1, beta=5$"):
-        s2star_general_f(4, 7, -1, 5)
-    with pytest.raises(ZeroDivisionError, match=r"^f\(1\) = 0 for alpha=0, beta=0$"):
-        s2star_general_f(2, 1, 0, 0)
 
 
 def test_scaled_numerators_match_closed_sum():
