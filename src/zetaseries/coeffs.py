@@ -111,9 +111,9 @@ def _scaled_numerators(k: int, J: int) -> tuple:
     D = lcm(1..J)^(k-2), with N_k(j) / D = |c*(k, j)| j! (k >= 2): the
     table's M_k(j) rescaled by (L_J / L_j)^(k-2)."""
     e = k - 2
-    numerators = _NUMERATORS[e].prefix(J + 1)
-    lcms = _LCM.prefix(J + 1)
-    return [m * (lcms[J] // lcm) ** e for m, lcm in zip(numerators, lcms)], lcms[J] ** e
+    top = _LCM[J]
+    cells = zip(_NUMERATORS[e].cells(0, J + 1), _LCM.cells(0, J + 1))
+    return [m * (top // lcm) ** e for m, lcm in cells], top**e
 
 
 def s2star_sum(k: int, j: int) -> Fraction:

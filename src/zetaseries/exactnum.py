@@ -12,7 +12,8 @@ the package needs, raising ValueError on arguments outside their domain,
 integers over one common denominator, and :class:`SequenceTable`, the
 one memo the package keeps for a sequence: its values come from one
 resumable iterator, so a recurrence keeps its running state in locals
-and is never re-derived from the list per entry.
+and is never re-derived from the list per entry; ``cells(start, stop)``
+is the one reader of a range of it, in place.
 """
 
 from __future__ import annotations
@@ -157,17 +158,11 @@ class SequenceTable:
                     raise
         return values[n]
 
-    def prefix(self, n: int) -> list:
-        """f(0), ..., f(n-1) as a new list."""
-        if n < 0:
-            raise IndexError(f"negative prefix length {n}")
-        if n:
-            self[n - 1]
-        return self._values[:n]
-
     def cells(self, start: int, stop: int):
         """f(start), ..., f(stop-1) as an iterator over the built values,
         which are read in place, not copied."""
+        if start < 0 or stop < 0:
+            raise IndexError(f"negative range {start}:{stop}")
         if stop > start:
             self[stop - 1]
         return islice(self._values, start, stop)

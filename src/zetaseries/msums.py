@@ -146,21 +146,16 @@ def almost_linear_sides(which: int, k: int, n: int, m=Fraction(0), source: str =
     return lhs, rhs
 
 
-_FAMILY_SIZES = {1: 1, 2: 2, 3: 3}
-
-
 def general_relation_sides(
     family: int, coeffs: Sequence, d, k: int, n: int, source: str = "alt"
 ) -> tuple:
     """Both sides of the parameterized relations the displayed
     recurrences specialize, with free constants a1 / b1,b2 / c1,c2,c3
     and a common scale d != 0."""
-    if family not in _FAMILY_SIZES:
+    if family not in (1, 2, 3):
         raise ValueError("family must be in 1..3")
-    if len(coeffs) != _FAMILY_SIZES[family]:
-        raise ValueError(
-            f"family {family} takes {_FAMILY_SIZES[family]} constants, got {len(coeffs)}"
-        )
+    if len(coeffs) != family:
+        raise ValueError(f"family {family} takes {family} constants, got {len(coeffs)}")
     d = Fraction(d)
     if d == 0:
         raise ValueError("the scale d must be nonzero")

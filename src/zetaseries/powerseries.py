@@ -36,14 +36,6 @@ class TruncSeries:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, order: int) -> "TruncSeries":
-        return cls([Fraction(0)] * (order + 1))
-
-    @classmethod
-    def one(cls, order: int) -> "TruncSeries":
-        return cls([Fraction(1)] + [Fraction(0)] * order)
-
-    @classmethod
     def geometric(cls, t, order: int) -> "TruncSeries":
         """1/(1 - t z) truncated."""
         t = t if isinstance(t, (complex, float)) else Fraction(t)

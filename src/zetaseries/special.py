@@ -17,9 +17,10 @@ each row holds the sign its series sums, and the loop reads cells 1..J
 of it in place.  ``li_new_series`` passes -|c*(s+2, j)| j! with
 prefactor 1/(1-z), and ``zeta_star`` is -Li_s(-1) on it, bit for bit the
 direct sum, since its factors are powers of two.  The classical series
-and the modified Hurwitz zeta share one inner table: for alpha = 1,
-beta = 0 and s >= 1 it is a prefix of the classical row for s, a second
-family of growable rows, through the identity
+and the modified Hurwitz zeta read their inner table through one entry,
+``_phi_inner_table``: for alpha = 1, beta = 0 and s >= 1 it reads cells
+of the classical row for s in place, a second family of growable rows,
+through the identity
 sum_{m=0}^{k} C(k, m) (-1)^{m+1} / (m+1)^s = -|c*(s+1, k+1)| k!.
 ``li_direct_sum`` keeps its own loop: its power / n^s rounds otherwise.
 
@@ -141,11 +142,6 @@ _DOUBLE_ROWS = _double_rows(lambda m, power, j: -m / power)
 _CLASSIC_ROWS = _double_rows(lambda m, power, j: -m / (power * j) if j else 0.0)
 
 
-def _scaled_row(k: int, J: int) -> list:
-    """|c*(k, j)| j!, j = 0..J (k >= 2), as doubles that no longer J changes."""
-    return [abs(x) for x in _DOUBLE_ROWS[k - 2].prefix(J + 1)]
-
-
 def li_new_series(s: int, z, J: int) -> EvalResult:
     """Li_s(z) = sum_{j=1}^{J} c*(s+2, j) z^j j! / (1-z)^{j+1}.
 
@@ -198,22 +194,21 @@ def _binomial_series(coefficients, J: int, z, method: str, prefactor=1.0) -> Eva
 def li_classic_series(s: int, z: float, K: int) -> EvalResult:
     """Li_s(z) = sum_{k=0}^{K} (-z/(1-z))^{k+1}
     sum_{m=0}^{k} C(k, m) (-1)^{m+1} / (m+1)^s."""
-    if s >= 1 and K >= 0:  # the inner sums are cells 1..K+1 of the classical row, read in place
-        return _binomial_series(_CLASSIC_ROWS[s - 1].cells(1, K + 2), K + 1, z, "classic_series")
-    return _binomial_series(_phi_inner_table(s, Fraction(1), Fraction(0), K), K + 1, z, "classic_series")
+    return _binomial_series(_phi_inner_table(s, 1, 0, K), K + 1, z, "classic_series")
 
 
-def _phi_inner_table(s: int, alpha: Fraction, beta: Fraction, K: int) -> list | tuple:
+def _phi_inner_table(s: int, alpha: Fraction, beta: Fraction, K: int):
     """sum_{m=0}^{k} C(k, m) (-1)^{m+1} / (alpha (m+1) + beta)^s for
-    k = 0..K as doubles: for alpha = 1, beta = 0 and s >= 1 a prefix of
-    the classical row for s, built once and only extended; otherwise
-    summed exactly over an integer common denominator (the alternating
-    binomial sums cancel far below double precision termwise).
+    k = 0..K as doubles: for alpha = 1, beta = 0 and s >= 1 cells 1..K+1
+    of the classical row for s, read in place from a row built once and
+    only extended; otherwise a tuple summed exactly over an integer
+    common denominator (the alternating binomial sums cancel far below
+    double precision termwise).
     """
     if K < 0:
         raise ValueError("the binomial series requires K >= 0")
     if alpha == 1 and beta == 0 and s >= 1:
-        return list(_CLASSIC_ROWS[s - 1].cells(1, K + 2))
+        return _CLASSIC_ROWS[s - 1].cells(1, K + 2)
     return _phi_general_table(s, alpha, beta, K)
 
 
@@ -365,17 +360,20 @@ def bernoulli_fourier(order: int, x: float, J: int = 60) -> float:
     return value.real
 
 
-def _li2_complex(z: complex, terms: int = 4000) -> complex:
+_LI2_TERMS = 4000
+
+
+def _li2_complex(z: complex) -> complex:
     """Dilogarithm at a complex point by direct summation for |z| <= 0.9,
     and through the inversion formula Li_2(z) = -Li_2(1/z) - pi^2/6 -
     Log(-z)^2/2 for |1/z| <= 0.9.  In the annulus between, neither route
     is taken and this raises ValueError."""
     if abs(z) <= 0.9:
-        return li_direct_sum(2, z, terms).value
+        return li_direct_sum(2, z, _LI2_TERMS).value
     if abs(1 / z) > 0.9:
         raise ValueError(f"Li_2 at |z| = {abs(z):.6g}: direct summation needs |z| <= 0.9 or |1/z| <= 0.9, "
                          "and the annulus 0.9 < |z| < 1/0.9 lies between")
-    return -li_direct_sum(2, 1 / z, terms).value - math.pi**2 / 6 - cmath.log(-z) ** 2 / 2
+    return -li_direct_sum(2, 1 / z, _LI2_TERMS).value - math.pi**2 / 6 - cmath.log(-z) ** 2 / 2
 
 
 def bernoulli_closed_logforms(order: int, x: float) -> complex:

@@ -19,7 +19,6 @@ from zetaseries.special import (
     EvalResult,
     _binomial_series,
     _phi_inner_table,
-    _scaled_row,
     li_classic_series,
     li_new_series,
     zeta_star,
@@ -28,7 +27,7 @@ from zetaseries.special import (
 
 def li_new_series_loop(s, z, J):
     w = z / (1 - z)
-    scaled = _scaled_row(s + 2, J)
+    scaled = [abs(x) for x in special._DOUBLE_ROWS[s].cells(0, J + 1)]
     prefactor = 1.0 / (1 - z)
     total = 0.0 * w
     power = 1.0 + 0.0 * w
@@ -42,7 +41,7 @@ def li_new_series_loop(s, z, J):
 
 
 def zeta_star_loop(s, J):
-    scaled = _scaled_row(s + 2, J)
+    scaled = [abs(x) for x in special._DOUBLE_ROWS[s].cells(0, J + 1)]
     total = 0.0
     for j in range(1, J + 1):
         total += math.ldexp(scaled[j], -(j + 1))

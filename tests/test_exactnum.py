@@ -127,9 +127,9 @@ def test_sequence_table_extends_the_tables_below_first():
     assert table[3] == 20
     assert log == [(level, n) for level in range(3) for n in range(4)]
     assert [table[n] for n in range(4)] == [1, 3, 8, 20] and len(log) == 12
-    first = table.prefix(4)
-    assert table.prefix(0) == [] and first == [1, 3, 8, 20] and len(log) == 12
-    longer = table.prefix(5)
+    first = list(table.cells(0, 4))
+    assert list(table.cells(0, 0)) == [] and first == [1, 3, 8, 20] and len(log) == 12
+    longer = list(table.cells(0, 5))
     assert longer == [1, 3, 8, 20, 48] and all(x is y for x, y in zip(first, longer))
     assert log[12:] == [(0, 4), (1, 4), (2, 4)]
     # each iterator is resumed, never rebuilt, while no pull raises
@@ -149,18 +149,20 @@ def test_sequence_table_restarts_a_producer_that_raised():
     table = SequenceTable(produce)
     with pytest.raises(ArithmeticError):
         table[7]
-    assert table.prefix(5) == [0, 1, 4, 9, 16] and calls == [0]
+    assert list(table.cells(0, 5)) == [0, 1, 4, 9, 16] and calls == [0]
     assert table[7] == 49 and calls == [0, 5]
-    assert table.prefix(9) == [n * n for n in range(9)] and calls == [0, 5]
+    assert list(table.cells(0, 9)) == [n * n for n in range(9)] and calls == [0, 5]
 
 
 def test_sequence_table_rejects_negative_indices():
     table = SequenceTable(lambda values: count(len(values)))
     assert table[2] == 2
-    for read in (lambda: table[-1], lambda: table[-5], lambda: table.prefix(-1)):
+    for read in (lambda: table[-1], lambda: table[-5], lambda: table.cells(-1, 3), lambda: table.cells(0, -1)):
         with pytest.raises(IndexError):
             read()
-    assert table.prefix(3) == [0, 1, 2]
+    # an empty range builds nothing, even past the end
+    assert list(table.cells(3, 3)) == [] and list(table.cells(9, 9)) == [] and len(table._values) == 3
+    assert list(table.cells(0, 3)) == [0, 1, 2]
 
 
 def test_sequence_table_threads_share_one_iterator():
@@ -196,4 +198,4 @@ def test_sequence_table_threads_share_one_iterator():
     assert not any(thread.is_alive() for thread in threads)
     want = [n * (n + 1) // 2 for n in range(0, 3000, 7)] + list(range(3000))
     assert len(results) == 8 and all(result == want for result in results)
-    assert starts == [0] and table.prefix(3000) == [n * (n + 1) // 2 for n in range(3000)]
+    assert starts == [0] and list(table.cells(0, 3000)) == [n * (n + 1) // 2 for n in range(3000)]

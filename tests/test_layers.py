@@ -57,6 +57,7 @@ def _defining_modules(name):
 def test_one_scaled_row_kernel():
     # one c* recurrence, the integer table of coeffs, behind every route
     from zetaseries import coeffs, series, special
+    from zetaseries.exactnum import SequenceTable
     special_source = (PACKAGE / "special.py").read_text(encoding="utf-8")
     assert not re.search(r"\b_scaled_numerators\b", special_source)
     # one loop sums every coefficient series: these two only pass it a row
@@ -71,6 +72,13 @@ def test_one_scaled_row_kernel():
     # special builds no rows of its own: each double row rounds the cells of
     # the integer row below it, and no dict of rows is rebuilt for longer J
     assert not hasattr(special, "_SCALED_ROWS")
+    # a table's range has one reader, cells, and the classical row one
+    # entry: li_classic_series passes the row _phi_inner_table reads
+    assert not hasattr(SequenceTable, "prefix") and not hasattr(special, "_scaled_row")
+    assert not re.search(r"\b_CLASSIC_ROWS\b", inspect.getsource(special.li_classic_series))
+    readers = [node.name for node in ast.parse(special_source).body
+               if isinstance(node, ast.FunctionDef) and "_CLASSIC_ROWS" in ast.unparse(node)]
+    assert readers == ["_phi_inner_table"]
     for e in range(6):
         assert special._DOUBLE_ROWS[e]._below is coeffs._NUMERATORS[e]
         assert special._CLASSIC_ROWS[e]._below is coeffs._NUMERATORS[e]

@@ -78,7 +78,7 @@ def compose(outer, inner):
     ``binomial_transform``; inner must have zero constant term."""
     assert inner.coeff(0) == 0
     order = min(outer.order, inner.order)
-    result, one = TruncSeries.zero(order), TruncSeries.one(order)
+    result, one = TruncSeries([Fraction(0)], order), TruncSeries([Fraction(1)], order)
     for c in reversed(outer.coeffs[: order + 1]):
         result = result * inner.truncate(order) + one.scale(c)
     return result

@@ -10,7 +10,6 @@ from zetaseries.coeffs import _LCM, _NUMERATORS, s2star_scaled
 from zetaseries.exactnum import SequenceTable, binomial
 from zetaseries.special import (
     _phi_inner_table,
-    _scaled_row,
     bernoulli_closed_logforms,
     bernoulli_fourier,
     hurwitz_phi,
@@ -86,7 +85,7 @@ def test_classic_inner_sum_scaled_coefficient_identity():
 def test_scaled_row_matches_exact_coefficients_bit_for_bit():
     for J in (100, 400):
         for k in range(2, 11):
-            row = _scaled_row(k, J)
+            row = [abs(x) for x in special._DOUBLE_ROWS[k - 2].cells(0, J + 1)]
             assert len(row) == J + 1 and row[0] == 0.0
             for j in range(1, J + 1):
                 assert row[j] == float(s2star_scaled(k, j))
@@ -100,7 +99,7 @@ def test_scaled_row_is_one_row_per_k(monkeypatch, order):
     row = special._DOUBLE_ROWS[5]
     rows, stored = {}, []
     for J in order:
-        rows[J] = _scaled_row(7, J)
+        rows[J] = [abs(x) for x in special._DOUBLE_ROWS[5].cells(0, J + 1)]
         stored.append(list(row._values))
     assert special._DOUBLE_ROWS[5] is row and len(row._values) == 401
     assert [len(rows[J]) for J in (100, 400)] == [101, 401]
@@ -114,7 +113,7 @@ def test_classic_row_is_one_row_per_s(monkeypatch, order):
     # growable row for s: K = 100 and K = 400 share the very same doubles
     monkeypatch.setattr(special, "_CLASSIC_ROWS", SequenceTable(special._CLASSIC_ROWS._produce))
     row = special._CLASSIC_ROWS[2]
-    inner = {K: _phi_inner_table(3, Fraction(1), Fraction(0), K) for K in order}
+    inner = {K: list(_phi_inner_table(3, Fraction(1), Fraction(0), K)) for K in order}
     assert special._CLASSIC_ROWS[2] is row and len(row._values) == 402
     assert [len(inner[K]) for K in (100, 400)] == [101, 401]
     assert all(x is y for x, y in zip(inner[100], inner[400]))
@@ -128,7 +127,7 @@ def test_double_rows_match_one_power_per_cell():
     J = 1500
     for k in range(2, 12):
         e = k - 2
-        row = _scaled_row(k, J)
+        row = [abs(x) for x in special._DOUBLE_ROWS[e].cells(0, J + 1)]
         assert [x.hex() for x in row] == [(_NUMERATORS[e][j] / _LCM[j] ** e).hex() for j in range(J + 1)]
     for s in range(1, 11):
         inner = _phi_inner_table(s, Fraction(1), Fraction(0), J - 1)
@@ -144,7 +143,7 @@ def test_phi_inner_table_matches_fraction_reference(s, alpha, beta):
     # (3, 1, -5/2) has negative alpha (m+1) + beta at m = 0, 1 with odd s
     alpha, beta = Fraction(alpha), Fraction(beta)
     K = 40
-    table = _phi_inner_table(s, alpha, beta, K)
+    table = list(_phi_inner_table(s, alpha, beta, K))
     for k in range(K + 1):
         exact = sum(
             binomial(k, m) * Fraction((-1) ** (m + 1)) / (alpha * (m + 1) + beta) ** s
