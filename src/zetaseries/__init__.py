@@ -9,7 +9,9 @@ transform coefficient table (:mod:`coeffs`), harmonic-number identities
 its constructions on series (:mod:`series`), numeric special functions
 (:mod:`special`), remainder-term sums (:mod:`msums`), and the identity
 verification registry (:mod:`audit`) behind the :mod:`cli`.  No module
-imports a later one.
+imports a later one.  ``zetaseries.harmonic`` is the function
+``harmonicnums.harmonic``, even as ``import zetaseries.harmonic as m``;
+``from zetaseries.harmonic import ...`` or ``importlib`` reach the module.
 
 Importing the package loads every layer below :mod:`audit`.  The
 verification layer loads on first use: reading ``run_suite``,

@@ -5,15 +5,15 @@ All exact computation in this package is carried out over
 (positive denominator, gcd-reduced).  Fraction arithmetic reduces by a
 full gcd after each operation; ``_reduced`` builds one canonical value
 from an integer quotient whose denominator's primes all divide a known
-radical, such as lcm(1..j), and reduces against that radical only.  The
-helpers here wrap the handful of integer/complex primitives the rest of
-the package needs, raising ValueError on arguments outside their domain,
-``_linear_combination``, which sums integer multiples of rationals as
-integers over one common denominator, and :class:`SequenceTable`, the
-one memo the package keeps for a sequence: its values come from one
-resumable iterator, so a recurrence keeps its running state in locals
-and is never re-derived from the list per entry; ``cells(start, stop)``
-is the one reader of a range of it, in place.
+radical, such as lcm(1..j), and reduces against that radical only.
+Integer/complex primitives raise ValueError outside their domain.
+``_linear_combination`` sums integer multiples of rationals over one
+common denominator; ``_binomial_sums`` is the one Pascal-rule kernel of
+every binomial transform; :class:`SequenceTable` is the one memo the
+package keeps for a sequence: its values come from one resumable
+iterator, so a recurrence keeps its running state in locals and is never
+re-derived from the list per entry; ``cells(start, stop)`` is the one
+reader of a range of it, in place.
 """
 
 from __future__ import annotations
@@ -79,6 +79,16 @@ def _linear_combination(weights, values, over: int = 1) -> Fraction:
     common = math.lcm(*(q.denominator for q in values))
     total = sum(w * q.numerator * (common // q.denominator) for w, q in zip(weights, values))
     return Fraction(total, common * over)
+
+
+def _binomial_sums(values) -> list:
+    """[sum_{m<=i} C(i, m) values[m] for each i] by Pascal's rule: after i passes
+    row[n] = sum_m C(i, m) values[n + m].  It only adds, so any summable type works."""
+    row, out = list(values), []
+    while row:
+        out.append(row[0])
+        row = [x + y for x, y in zip(row, row[1:])]
+    return out
 
 
 _FROM_COPRIME_INTS = getattr(Fraction, "_from_coprime_ints", None)  # Python 3.12+

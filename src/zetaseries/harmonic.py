@@ -6,21 +6,20 @@ caller or the audit registry.  Exact paths return Fractions; real-order
 paths return doubles.
 
 Each exact sum is taken over plain integers and builds one Fraction.
-Sums weighted by c*(k, j) read one integer row of :mod:`coeffs`
-(``_weighted_row_sum`` for one n, ``_binomial_row_sums`` for every
-n <= N); sums of harmonic numbers against integer weights go through
-``exactnum._linear_combination``, over the lcm of their denominators.
-Both regroup the displayed sum without applying an identity.
+Sums weighted by c*(k, j) read one integer row of :mod:`coeffs`: one n by
+``_weighted_row_sum``, every n <= N by ``_binomial_row_sums`` through the
+Pascal-rule kernel ``exactnum._binomial_sums``.  Sums of harmonic numbers
+against integer weights go through ``exactnum._linear_combination``.  All
+regroup the displayed sum without applying an identity.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add, mul
 
 from .coeffs import _LCM, _scaled_numerators, s2star_rec
-from .exactnum import _linear_combination, binomial, factorial, falling_factorial
+from .exactnum import _binomial_sums, _linear_combination, binomial, factorial, falling_factorial
 from .harmonicnums import harmonic, harmonic_real, harmonic_t
 from .stirling import stirling1_unsigned, stirling2
 
@@ -52,17 +51,12 @@ def _weighted_row_sum(k: int, n: int, weight, over: int = 1) -> Fraction:
 
 def _binomial_row_sums(k: int, N: int, shift: int) -> list:
     """[sum_{j=1}^{n} c*(k, j) j! C(n+shift, j+shift) for n = 0..N] (k >= 2):
-    one kernel row at J = N serves every n.  The weights are Pascal's row
-    n + shift, grown across n by integer additions; each n builds one
-    Fraction.  At shift 0 entry n is 1/n^(k-2) for n >= 1."""
+    one kernel row at J = N serves every n.  Entry n is entry n + shift of
+    ``exactnum._binomial_sums`` over shift + 1 zeros and the signed integer
+    row; each n builds one Fraction.  At shift 0 it is 1/n^(k-2) (n >= 1)."""
     numerators, denominator = _scaled_numerators(k, N)
     signed = [(-1) ** (j - 1) * numerators[j] for j in range(1, N + 1)]
-    pascal = [binomial(shift, m) for m in range(shift + 1)]
-    sums = []
-    for _ in range(N + 1):
-        sums.append(Fraction(sum(map(mul, signed, pascal[shift + 1:])), denominator))
-        pascal = [1, *map(add, pascal, pascal[1:]), 1]
-    return sums
+    return [Fraction(x, denominator) for x in _binomial_sums([0] * (shift + 1) + signed)[shift:]]
 
 
 def npow_inverse(n: int, k: int) -> Fraction:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .exactnum import binomial, factorial
+from .exactnum import _binomial_sums, factorial
 
 __all__ = ["TruncSeries"]
 
@@ -164,13 +164,10 @@ class TruncSeries:
         return (self.derivative() * self.inverse().truncate(self.order - 1)).antiderivative()
 
     def binomial_transform(self) -> "TruncSeries":
-        """self(-z/(1-z)) in O(n^2) coefficient operations:
-        [z^n] = f_0 [n = 0] + sum_{m=1}^{n} (-1)^m C(n-1, m-1) f_m."""
-        f, zero = self.coeffs, _zero_like(self.coeffs)
-        return TruncSeries([f[0]] + [
-            sum(((-1) ** m * binomial(n - 1, m - 1) * f[m] for m in range(1, n + 1)), zero)
-            for n in range(1, self.order + 1)
-        ])
+        """self(-z/(1-z)): [z^n] = f_0 [n = 0] + sum_{m=1}^{n} (-1)^m C(n-1, m-1) f_m, entry
+        n - 1 of ``exactnum._binomial_sums`` over -f_1, f_2, -f_3, ...: O(n^2) additions."""
+        f = self.coeffs
+        return TruncSeries([f[0], *_binomial_sums([c if m % 2 else -c for m, c in enumerate(f[1:])])])
 
     def scale_arg(self, c) -> "TruncSeries":
         """f(c z): multiply coefficient n by c^n."""

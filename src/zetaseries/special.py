@@ -21,7 +21,8 @@ and the modified Hurwitz zeta read their inner table through one entry,
 ``_phi_inner_table``: for alpha = 1, beta = 0 and s >= 1 it reads cells
 of the classical row for s in place, a second family of growable rows,
 through the identity
-sum_{m=0}^{k} C(k, m) (-1)^{m+1} / (m+1)^s = -|c*(s+1, k+1)| k!.
+sum_{m=0}^{k} C(k, m) (-1)^{m+1} / (m+1)^s = -|c*(s+1, k+1)| k!;
+any other row is ``exactnum._binomial_sums`` of exact signed terms.
 ``li_direct_sum`` keeps its own loop: its power / n^s rounds otherwise.
 
 Four displayed forms evaluated here required sign/term repairs that are
@@ -49,7 +50,7 @@ from itertools import count
 from typing import NamedTuple
 
 from .coeffs import _HARMONIC_DENOM, _LCM, _NUMERATORS, _harmonic_bracket
-from .exactnum import SequenceTable, factorial
+from .exactnum import SequenceTable, _binomial_sums, factorial
 from .harmonicnums import harmonic
 from .reports import IdentityReport, compare
 
@@ -201,9 +202,9 @@ def _phi_inner_table(s: int, alpha: Fraction, beta: Fraction, K: int):
     """sum_{m=0}^{k} C(k, m) (-1)^{m+1} / (alpha (m+1) + beta)^s for
     k = 0..K as doubles: for alpha = 1, beta = 0 and s >= 1 cells 1..K+1
     of the classical row for s, read in place from a row built once and
-    only extended; otherwise a tuple summed exactly over an integer
-    common denominator (the alternating binomial sums cancel far below
-    double precision termwise).
+    only extended; otherwise a tuple summed exactly by the Pascal-rule
+    kernel over an integer common denominator (the alternating binomial
+    sums cancel far below double precision termwise).
     """
     if K < 0:
         raise ValueError("the binomial series requires K >= 0")
@@ -216,13 +217,8 @@ def _phi_inner_table(s: int, alpha: Fraction, beta: Fraction, K: int):
 def _phi_general_table(s: int, alpha: Fraction, beta: Fraction, K: int) -> tuple:
     terms = [(alpha * (m + 1) + beta) ** -s for m in range(K + 1)]
     common = math.lcm(*(t.denominator for t in terms))
-    # after i passes row[n] = sum_m C(i, m) weight[n + m], so row[0] is the k = i sum
-    row = [(-1) ** (m + 1) * t.numerator * (common // t.denominator) for m, t in enumerate(terms)]
-    out = []
-    while row:
-        out.append(row[0] / common)
-        row = [x + y for x, y in zip(row, row[1:])]
-    return tuple(out)
+    signed = [(-1) ** (m + 1) * t.numerator * (common // t.denominator) for m, t in enumerate(terms)]
+    return tuple(x / common for x in _binomial_sums(signed))
 
 
 def hurwitz_phi(z: float, s: int, alpha, beta, K: int) -> EvalResult:

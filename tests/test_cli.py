@@ -226,6 +226,13 @@ def test_thread_count_below_one_is_a_malformed_command_line(capsys, threads):
     assert "thread count must be >= 1" in captured.err
 
 
+def test_thread_count_does_not_change_the_report(capsys):
+    one = run_cli(capsys, "verify", "--suite", "fourier", "--threads", "1")
+    two = run_cli(capsys, "verify", "--suite", "fourier", "--threads", "2")
+    assert one[0] == two[0] == 0
+    assert two[1] == one[1]
+
+
 @pytest.mark.parametrize("format", ["frac", "decimal", "csv", "json", "markdown"])
 def test_domain_warning_on_stderr_in_every_format(capsys, format):
     code = main(["polylog", "--s", "2", "--z", "0.9", "--format", format])

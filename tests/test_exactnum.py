@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from zetaseries.exactnum import (
     SequenceTable,
+    _binomial_sums,
     binomial,
     factorial,
     falling_factorial,
@@ -61,6 +62,20 @@ def test_binomial_out_of_range_is_zero():
 @given(st.integers(1, 60), st.integers(0, 60))
 def test_pascal_rule(n, k):
     assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
+
+
+@pytest.mark.parametrize("values", [
+    [3, -1, 4, -1, 5, -9, 2, 6],
+    [Fraction(1, m + 1) * (-1) ** m for m in range(12)],
+    [complex(m, -m * m) / 4 for m in range(7)],  # dyadic, so both sums are exact
+    [Fraction(-5, 7)],
+    [],
+], ids=["int", "fraction", "complex", "one", "empty"])
+def test_binomial_sums_match_binomial_weighted_sums(values):
+    expected = [sum(math.comb(i, m) * values[m] for m in range(i + 1)) for i in range(len(values))]
+    got = _binomial_sums(values)
+    assert got == expected
+    assert [type(x) for x in got] == [type(x) for x in values]
 
 
 def test_falling_factorial_direct():

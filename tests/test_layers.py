@@ -11,6 +11,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -103,6 +104,24 @@ def test_one_kernel_per_exact_sum():
     assert msums._weighted_row_sum is harmonic._weighted_row_sum
     for module in ("harmonic", "msums"):
         assert "Fraction(0)\n" not in (PACKAGE / f"{module}.py").read_text(encoding="utf-8"), module
+
+
+def test_one_pascal_rule_kernel():
+    # every binomial transform is the kernel of exactnum over one row
+    # zetaseries.harmonic is the function harmonicnums.harmonic, so the
+    # identities module is reached through importlib
+    harmonic, powerseries, special = (importlib.import_module(f"zetaseries.{name}")
+                                      for name in ("harmonic", "powerseries", "special"))
+    assert _defining_modules("binomial_sums") == ["exactnum"]
+    assert [path.stem for path in PACKAGE.glob("*.py") if "row[1:]" in path.read_text(encoding="utf-8")] == ["exactnum"]
+    imported = {alias.name for node in ast.walk(ast.parse((PACKAGE / "powerseries.py").read_text(encoding="utf-8")))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "binomial" not in imported and "_binomial_sums" in imported
+    for function in (harmonic._binomial_row_sums, special._phi_general_table.__wrapped__,
+                     powerseries.TruncSeries.binomial_transform):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
+        assert not any(isinstance(node, (ast.For, ast.While)) for node in ast.walk(tree)), function
+        assert "_binomial_sums" in ast.unparse(tree), function
 
 
 AUDIT_NAMES = {"run_suite", "suite_names", "suite_passes", "emit_report"}

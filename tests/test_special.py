@@ -9,6 +9,7 @@ from zetaseries import special
 from zetaseries.coeffs import _LCM, _NUMERATORS, s2star_scaled
 from zetaseries.exactnum import SequenceTable, binomial
 from zetaseries.special import (
+    EvalResult,
     _phi_inner_table,
     bernoulli_closed_logforms,
     bernoulli_fourier,
@@ -183,6 +184,15 @@ def test_hurwitz_phi_direct_sum():
     assert got == pytest.approx(direct, abs=1e-12)
 
 
+@pytest.mark.parametrize("evaluate, args, method", [
+    (li_new_series, (2, 0.0, 5), "coeff_series"),
+    (li_classic_series, (2, 0.0, 5), "classic_series"),
+    (hurwitz_phi, (0.0, 2, 2, 1, 5), "phi_series"),
+], ids=["new", "classic", "phi"])
+def test_series_at_zero_sum_nothing(evaluate, args, method):
+    assert evaluate(*args) == EvalResult(0.0, 0, 0.0, method)
+
+
 def test_hurwitz_phi_rejects_zero_denominator():
     with pytest.raises((ValueError, ZeroDivisionError)):
         hurwitz_phi(0.3, 2, 1, -3, 100)
@@ -202,11 +212,13 @@ def test_hurwitz_phi_pole_check_edges():
     (li_classic_series, (2, 0.9, 400)),
     (li_classic_series, (2, 0.5, 400)),
     (hurwitz_phi, (0.9, 2, 2, 1, 150)),
-], ids=["classic_z0.9", "classic_z0.5", "phi_z0.9"])
+    (li_classic_series, (2, 1.0, 5)),
+    (hurwitz_phi, (1.0, 2, 2, 1, 5)),
+], ids=["classic_z0.9", "classic_z0.5", "phi_z0.9", "classic_pole", "phi_pole"])
 def test_binomial_series_rejects_divergent_points(evaluate, args):
     # |z/(1-z)| >= 1: the partial sums here were nan, 0.5904 against
-    # Li_2(1/2) = 0.5822, and 6.6e140
-    with pytest.raises(ValueError):
+    # Li_2(1/2) = 0.5822, and 6.6e140; z = 1 is the pole of the series
+    with pytest.raises(ValueError, match="binomial series"):
         evaluate(*args)
 
 
