@@ -20,7 +20,10 @@ changes.  Each row's producer carries M_k(j-1) and L_{j-1} and raises
 (L_j / L_{j-1})^(k-2) = p^(k-2) only at the prime powers j = p^a.
 ``s2star_rec`` reduces one cell (-1)^(j-1) M_k(j) / (L_j^(k-2) j!) to a
 Fraction by gcds against L_j alone, which holds every prime of that
-denominator (``exactnum._reduced``); ``_scaled_numerators(k, J)``
+denominator (``exactnum._reduced``).  It keeps one (j, L_j^(k-2) j!) pair
+per row k, the last cell that row reduced, so a row read in order takes
+each denominator from the one before by j (L_j / L_{j-1})^(k-2), the
+producer's prime-power rule; ``_scaled_numerators(k, J)``
 rescales a row to lcm(1..J)^(k-2) for the exact integer-weighted sums of
 :mod:`harmonic`; :mod:`special` rounds each M_k(j) / L_j^(k-2) to a
 double.
@@ -87,6 +90,7 @@ def _numerator_row(e: int, rows: list) -> SequenceTable:
 
 _LCM = SequenceTable(_lcms)
 _NUMERATORS = SequenceTable(lambda rows: (_numerator_row(e, rows) for e in count(len(rows))))  # row k - 2: M_k
+_DENOMINATORS = {}  # k -> (j, L_j^(k-2) j!) of the last cell row k reduced; one tuple, so threads read a matching pair
 
 
 def s2star_rec(k: int, j: int) -> Fraction:
@@ -96,14 +100,23 @@ def s2star_rec(k: int, j: int) -> Fraction:
 
     with base rows c*(0, j) = [j = 0], c*(1, j) = [j = 1] and base column
     c*(k, 0) = [k = 0]; for k >= 2 and j >= 1 it is read from the integer
-    table as (-1)^(j-1) M_k(j) / (L_j^(k-2) j!).
+    table as (-1)^(j-1) M_k(j) / (L_j^(k-2) j!).  Right after cell
+    (k, j - 1) that denominator is the row's last one times
+    j (L_j / L_{j-1})^(k-2), one small multiply; any other read raises
+    L_j^(k-2) j! afresh.  Either way the row then keeps (j, denominator).
     """
     if k < 0 or j < 0:
         return Fraction(0)
     if k < 2 or j == 0:
         return Fraction(int(j == k))
-    lcm = _LCM[j]
-    return _reduced((-1) ** (j - 1) * _NUMERATORS[k - 2][j], lcm ** (k - 2) * factorial(j), lcm)
+    e, lcm = k - 2, _LCM[j]
+    last, denominator = _DENOMINATORS.get(k, (0, 1))  # L_0^e 0! = 1
+    if last == j - 1:
+        denominator *= j * (lcm // _LCM[j - 1]) ** e
+    else:
+        denominator = lcm**e * factorial(j)
+    _DENOMINATORS[k] = (j, denominator)
+    return _reduced((-1) ** (j - 1) * _NUMERATORS[e][j], denominator, lcm)
 
 
 def _scaled_numerators(k: int, J: int) -> tuple:

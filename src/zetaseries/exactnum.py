@@ -97,13 +97,16 @@ _FROM_COPRIME_INTS = getattr(Fraction, "_from_coprime_ints", None)  # Python 3.1
 def _reduced(numerator: int, denominator: int, radical: int) -> Fraction:
     """numerator / denominator in lowest terms, for denominator > 0 and
     every prime of denominator dividing radical > 0.  Every common prime
-    then divides gcd(numerator, denominator, radical), which is taken on
-    the short residues mod radical; each round divides that common part
-    out and looks for what is left of it, and the result is built without
-    the full gcd of the two long integers that Fraction() would take.  A
-    zero numerator shares every prime of the denominator, so 0/d comes
-    out as 0/1."""
-    common = math.gcd(numerator % radical, denominator % radical, radical)
+    then divides gcd(numerator, denominator, radical) =
+    gcd(gcd(numerator, radical), denominator), taken in two steps: c =
+    gcd(numerator mod radical, radical), then gcd(denominator mod c, c),
+    so the long denominator is reduced modulo c, usually a few digits,
+    not modulo radical.  Each round divides that common part out and looks for what
+    is left of it, and the result is built without the full gcd of the
+    two long integers that Fraction() would take.  A zero numerator
+    shares every prime of the denominator, so 0/d comes out as 0/1."""
+    common = math.gcd(numerator % radical, radical)
+    common = math.gcd(denominator % common, common)
     while common > 1:
         numerator, denominator = numerator // common, denominator // common
         common = math.gcd(numerator % common, denominator % common, common)

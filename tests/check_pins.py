@@ -7,8 +7,10 @@ can run it without pytest; the pin tests of tier-1 call the same checks.
 It recomputes the json, csv and markdown report hashes of every
 verification suite and the hash of every pinned CLI document, and checks
 ``exactnum._reduced`` against ``Fraction()`` on edge cases and on the
-c*(k, j) cells k = 2..14, j <= 600 of ``s2star_rec``, because the helper
-builds its Fractions one way before Python 3.12 and another from 3.12 on.
+c*(k, j) cells k = 2..14, j <= 600 of ``s2star_rec``, read once with j
+ascending and once descending, because the helper builds its Fractions
+one way before Python 3.12 and another from 3.12 on, and the recurrence
+derives a row's denominators one way in order and another out of it.
 It prints each mismatch and exits 1 on any.
 """
 
@@ -41,6 +43,8 @@ EDGE_CASES = [
     (-5, 1, 30),
     (-12, 18, 6),
     (-(2**70) * 3**5, 2**64 * 3**9, 6),  # more than one round per prime
+    (30, 4, 30),  # the numerator holds radical primes 3 and 5 that the denominator lacks
+    (2**5 * 3 * 7, 2**3 * 5, 210),  # 3 and 7 in the numerator only, next to the shared 2
 ]
 
 
@@ -91,15 +95,19 @@ def reduced_mismatches(cases=EDGE_CASES):
             yield f"_reduced{(numerator, denominator, radical)!r} differs from Fraction()"[:300]
 
 
-def rec_mismatches(kmax: int = 14, jmax: int = 600):
+def rec_mismatches(kmax: int = 14, jmax: int = 600, orders=(sorted, reversed)):
     """s2star_rec reduces each cell against L_j only; the oracle normalizes
-    the same value over lcm(1..jmax)^(k-2) j! with Fraction()'s full gcd."""
+    the same value over lcm(1..jmax)^(k-2) j! with Fraction()'s full gcd.
+    Each row is read once per order, each order mapping j = 1..jmax to a
+    reading order: ascending j takes each denominator from the cell
+    before, descending j raises every one afresh."""
     for k in range(2, kmax + 1):
         numerators, denominator = _scaled_numerators(k, jmax)
-        for j in range(1, jmax + 1):
-            want = Fraction((-1) ** (j - 1) * numerators[j], denominator * factorial(j))
-            if fraction_mismatch(s2star_rec(k, j), want):
-                yield f"s2star_rec({k}, {j}) differs from Fraction()"
+        for order in orders:
+            for j in order(range(1, jmax + 1)):
+                want = Fraction((-1) ** (j - 1) * numerators[j], denominator * factorial(j))
+                if fraction_mismatch(s2star_rec(k, j), want):
+                    yield f"s2star_rec({k}, {j}) read by {order.__name__} differs from Fraction()"
 
 
 def main_check() -> int:

@@ -6,6 +6,8 @@ by its path.  Only the standard library is used."""
 import contextlib
 import importlib.util
 import io
+import json
+import subprocess
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
@@ -53,6 +55,58 @@ def test_summary_reads_each_metric_by_name():
     assert sorted(summary) == ["a", "b"]
     assert (summary["a"]["change_median"], summary["b"]["change_median"]) == (2.0, 8.0)
     assert summary["a"]["change_better_pairs"] == summary["b"]["change_better_pairs"] == 2
+
+
+def operation_pairs(parent, change):
+    """Pairs of (failed, attempted) per side."""
+    return [{"first": "parent", "parent": {"failed": pf, "attempted": pa}, "change": {"failed": cf, "attempted": ca}}
+            for (pf, pa), (cf, ca) in zip(parent, change)]
+
+
+def test_operations_total_each_side_and_flag_a_larger_failed_share():
+    ops = bench_pairs.operations(operation_pairs([(0, 40), (1, 40)], [(0, 40), (0, 40)]))
+    assert ops == {"parent_failed": 1, "parent_attempted": 80, "change_failed": 0, "change_attempted": 80,
+                   "change_failed_more": False}
+    assert bench_pairs.operations(operation_pairs([(0, 40), (0, 40)], [(0, 40), (2, 40)]))["change_failed_more"]
+    # equal counts are no worse; the share decides when the sides attempted different numbers
+    assert not bench_pairs.operations(operation_pairs([(1, 40)], [(1, 40)]))["change_failed_more"]
+    assert bench_pairs.operations(operation_pairs([(2, 80)], [(2, 40)]))["change_failed_more"]
+    assert not bench_pairs.operations(operation_pairs([(2, 40)], [(3, 80)]))["change_failed_more"]
+    # nothing attempted reads as nothing failed
+    assert bench_pairs.operations(operation_pairs([(0, 0)], [(1, 40)]))["change_failed_more"]
+    assert not bench_pairs.operations(operation_pairs([(0, 40)], [(0, 0)]))["change_failed_more"]
+
+
+def test_seed_defaults_to_the_benchmark_seed_and_reaches_bench_run(monkeypatch):
+    argv = ["--parent", "HEAD", "--change", "HEAD", "--workload", "exact_tables", "--pairs", "2", "--out", "unused.json"]
+    assert bench_pairs.parse_args(argv).seed == 1
+    assert bench_pairs.parse_args([*argv, "--seed", "2"]).seed == 2
+    commands = []
+
+    def fake_run(command, **kwargs):
+        commands.append(command)
+        result = {"attempted": 3, "failed": 0, "metrics": {"wall_s": {"value": 0.5, "unit": "s"}}}
+        return subprocess.CompletedProcess(command, 0, json.dumps(result) + "\n", '{"rounds": 4}\n')
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    run = bench_pairs.run_side(Path("side"), "exact_tables", 2)
+    assert run == {"rounds": 4, "attempted": 3, "failed": 0, "wall_s": 0.5}
+    assert commands[0][1:] == ["bench/run.py", "--workload", "exact_tables", "--seed", "2", "--trace", "0"]
+
+
+def test_a_seed_that_is_not_an_integer_is_a_usage_error():
+    stderr = io.StringIO()
+    argv = ["--parent", "HEAD", "--change", "HEAD", "--workload", "exact_tables",
+            "--pairs", "2", "--seed", "two", "--out", "unused.json"]
+    with contextlib.redirect_stderr(stderr):
+        try:
+            bench_pairs.parse_args(argv)
+        except SystemExit as stop:
+            code = stop.code
+        else:
+            code = None
+    assert code == 2
+    assert "argument --seed: invalid int value: 'two'" in stderr.getvalue()
 
 
 def test_one_pair_is_a_usage_error():

@@ -1,6 +1,7 @@
 """Transform coefficient table: frozen values, method agreement, remainders."""
 
 import math
+import random
 from fractions import Fraction
 
 import check_pins
@@ -217,8 +218,20 @@ def test_scaled_numerators_match_closed_sum():
 
 
 def test_rec_cells_are_in_lowest_terms_past_the_audit_grid():
-    # k = 2..14, j <= 600, each cell against Fraction()'s full gcd
+    # k = 2..14, j <= 600, each cell against Fraction()'s full gcd, j ascending and descending
     assert list(check_pins.rec_mismatches(14, 600)) == []
+
+
+def shuffled(js):
+    return random.Random(20).sample(js, len(js))
+
+
+def test_rec_cells_do_not_depend_on_reading_order():
+    # ascending j takes each denominator from the cell before; descending j
+    # finds the row's last cell past every one and raises it afresh; a
+    # shuffle mixes both
+    orders = (sorted, reversed, shuffled)
+    assert list(check_pins.rec_mismatches(14, 300, orders)) == []
 
 
 def test_ogf_coeff_far_beyond_the_denominator_degree():
