@@ -94,21 +94,6 @@ def test_seed_defaults_to_the_benchmark_seed_and_reaches_bench_run(monkeypatch):
     assert commands[0][1:] == ["bench/run.py", "--workload", "exact_tables", "--seed", "2", "--trace", "0"]
 
 
-def test_a_seed_that_is_not_an_integer_is_a_usage_error():
-    stderr = io.StringIO()
-    argv = ["--parent", "HEAD", "--change", "HEAD", "--workload", "exact_tables",
-            "--pairs", "2", "--seed", "two", "--out", "unused.json"]
-    with contextlib.redirect_stderr(stderr):
-        try:
-            bench_pairs.parse_args(argv)
-        except SystemExit as stop:
-            code = stop.code
-        else:
-            code = None
-    assert code == 2
-    assert "argument --seed: invalid int value: 'two'" in stderr.getvalue()
-
-
 def test_one_pair_is_a_usage_error():
     stderr = io.StringIO()
     argv = ["--parent", "HEAD", "--change", "HEAD", "--workload", "exact_tables",

@@ -19,8 +19,8 @@ FILE gets every pair, and per metric each side's median and quartiles, the
 parent's interquartile range and the number of pairs the change won; the
 metrics and their direction are read from BENCHMARK.json.  Each
 workload's summary also gets each side's total failed and attempted
-operations and whether a larger share of the change's failed.  Needs only
-the standard library, git and no network.
+operations and whether the change failed a larger share of its own.
+Needs only the standard library, git and no network.
 """
 
 from __future__ import annotations
