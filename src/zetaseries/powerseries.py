@@ -39,19 +39,11 @@ class TruncSeries:
     def geometric(cls, t, order: int) -> "TruncSeries":
         """1/(1 - t z) truncated."""
         t = t if isinstance(t, (complex, float)) else Fraction(t)
-        c, out = 1 * t**0, []
-        for _ in range(order + 1):
-            out.append(c)
-            c = c * t
-        return cls(out)
+        return cls([t**0] * (order + 1)).scale_arg(t)
 
     @classmethod
     def exp_z(cls, order: int) -> "TruncSeries":
         return cls([Fraction(1, factorial(n)) for n in range(order + 1)])
-
-    @classmethod
-    def log_one_minus_z(cls, order: int) -> "TruncSeries":
-        return cls([Fraction(0)] + [Fraction(-1, n) for n in range(1, order + 1)])
 
     @classmethod
     def polylog(cls, s: int, order: int) -> "TruncSeries":
@@ -92,8 +84,7 @@ class TruncSeries:
     def __sub__(self, other):
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        n = min(self.order, other.order)
-        return TruncSeries([self.coeffs[i] - other.coeffs[i] for i in range(n + 1)])
+        return self + -other
 
     def __neg__(self):
         return TruncSeries([-c for c in self.coeffs])

@@ -148,7 +148,7 @@ def stirling1_egf_check(k: int, order: int) -> tuple[TruncSeries, TruncSeries]:
     lhs = TruncSeries(
         [Fraction(stirling1_unsigned(j + 1, k + 1), factorial(j)) for j in range(order + 1)]
     )
-    log_inv = -TruncSeries.log_one_minus_z(order)  # log(1/(1-z))
+    log_inv = TruncSeries.polylog(1, order)  # log(1/(1-z))
     rhs = TruncSeries.geometric(1, order)
     for _ in range(k):
         rhs = rhs * log_inv
@@ -173,7 +173,7 @@ def dilog_functional_eq_sides(order: int) -> tuple[TruncSeries, TruncSeries]:
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    log1mz = TruncSeries.log_one_minus_z(order)
+    log1mz = -TruncSeries.polylog(1, order)
     rhs = (log1mz * log1mz).scale(Fraction(-1, 2)) - TruncSeries.polylog(2, order).binomial_transform()
     return TruncSeries.polylog(2, order), rhs
 
@@ -184,7 +184,5 @@ def dilog_functional_eq_check(order: int):
     Returns (passed, first_mismatch) with the witness coefficient pair.
     """
     lhs, rhs = dilog_functional_eq_sides(order)
-    for n in range(order + 1):
-        if lhs.coeff(n) != rhs.coeff(n):
-            return False, (n, lhs.coeff(n), rhs.coeff(n))
-    return True, None
+    first = next(((n, a, b) for n, (a, b) in enumerate(zip(lhs.coeffs, rhs.coeffs)) if a != b), None)
+    return first is None, first

@@ -51,7 +51,7 @@ from typing import NamedTuple
 
 from .coeffs import _HARMONIC_DENOM, _LCM, _NUMERATORS, _harmonic_bracket
 from .exactnum import SequenceTable, _binomial_sums, factorial
-from .harmonicnums import harmonic
+from .harmonicnums import harmonic, harmonic_real
 from .reports import IdentityReport, compare
 
 __all__ = [
@@ -80,14 +80,12 @@ class EvalResult(NamedTuple):
 
 
 def zeta_ref(s: int) -> float:
-    """Riemann zeta reference value by direct summation with an
+    """Riemann zeta reference value: ``harmonic_real(999, s)`` plus an
     Euler-Maclaurin tail correction (tail error far below 1e-13)."""
     if s < 2:
         raise ValueError("zeta_ref requires s >= 2")
     n_cut = 1000
-    total = 0.0
-    for n in range(1, n_cut):  # left to right: sum() compensates since Python 3.12
-        total += n ** (-float(s))
+    total = harmonic_real(n_cut - 1, float(s))
     x = float(n_cut)
     total += x ** (1 - s) / (s - 1) + x ** (-s) / 2 + s * x ** (-s - 1) / 12
     total -= s * (s + 1) * (s + 2) * x ** (-s - 3) / 720
@@ -141,6 +139,7 @@ def _double_rows(cell) -> SequenceTable:
 _DOUBLE_ROWS = _double_rows(lambda m, power, j: -m / power)
 # row s - 1: sum_{m=0}^{j-1} C(j-1, m) (-1)^{m+1} / (m+1)^s = -|c*(s+1, j)| (j-1)!
 _CLASSIC_ROWS = _double_rows(lambda m, power, j: -m / (power * j) if j else 0.0)
+_FALLBACK_TERMS_CAP = 10**7  # the most terms li_new_series sums directly, about 2 s
 
 
 def li_new_series(s: int, z, J: int) -> EvalResult:
@@ -148,8 +147,8 @@ def li_new_series(s: int, z, J: int) -> EvalResult:
 
     Convergent for |z/(1-z)| < 1 (Re z < 1/2 on the real line).  On or
     beyond that boundary the call is flagged with domain_warning and,
-    when |z| < 1 still permits it, evaluated by direct summation
-    instead; otherwise it raises ValueError, since both series diverge.
+    where |z| < 1, summed directly until |z|^n < 1e-14 (at least J terms,
+    at most ``_FALLBACK_TERMS_CAP``); otherwise it raises ValueError.
     """
     if s < 1:
         raise ValueError("li_new_series requires s >= 1")
@@ -157,13 +156,12 @@ def li_new_series(s: int, z, J: int) -> EvalResult:
         raise ValueError("the coefficient series requires J >= 1")
     if z == 1:
         raise ValueError("z = 1 is a pole of the derivative series")
-    if z == 0:
-        return EvalResult(0.0, 0, 0.0, "coeff_series")
-    w = z / (1 - z)
-    if abs(w) >= 1:
+    if abs(z / (1 - z)) >= 1:
         if abs(z) >= 1:
             raise ValueError("Li_s(z) series diverge for |z/(1-z)| >= 1 and |z| >= 1")
         terms = max(J, int(math.log(1e-14) / math.log(abs(z))) + 1)
+        if terms > _FALLBACK_TERMS_CAP:
+            raise ValueError(f"direct summation needs {terms} terms, over the cap of {_FALLBACK_TERMS_CAP}")
         return li_direct_sum(s, z, terms)._replace(method="direct_fallback", domain_warning=True)
     # the row holds the coefficients negated, so the sum is not negated and +0.0 stays +0.0
     return _binomial_series(_DOUBLE_ROWS[s].cells(1, J + 1), J, z, "coeff_series", 1 / (1 - z))
@@ -248,8 +246,6 @@ def zeta_star(s: int, J: int = 120, method: str = "series") -> float:
             return math.log(2)
         return (1 - 2.0 ** (1 - s)) * zeta_ref(s)
     if method == "series":
-        if J < 1:
-            raise ValueError("zeta_star series requires J >= 1")
         return -li_new_series(s, -1.0, J).value
     raise ValueError("method must be 'series' or 'closed'")
 

@@ -3,14 +3,15 @@
 Stirling numbers of both kinds, Bernoulli numbers and polynomials,
 Faulhaber power sums, and the Stirling-2 weighted power sum.  Each
 Stirling column k is one growable table, grown in n, so S(n, k) costs its
-(k+1) x (n+1) strip; the Bernoulli numbers are one more."""
+(k+1) x (n+1) strip; the Bernoulli numbers are one more.  The two power
+sums reuse ``bernoulli_poly`` and ``exactnum.falling_factorial``."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count
 
-from .exactnum import SequenceTable, binomial
+from .exactnum import SequenceTable, binomial, falling_factorial
 
 __all__ = [
     "stirling2",
@@ -95,35 +96,24 @@ def bernoulli_poly(n: int, x: Fraction) -> Fraction:
 
 
 def faulhaber_sum(k: int, n: int) -> Fraction:
-    """sum_{j=0}^{n-1} j^k in closed form through Bernoulli numbers."""
+    """sum_{j=0}^{n-1} j^k = (B_{k+1}(n) - B_{k+1}) / (k+1), by ``bernoulli_poly``."""
     if k < 0 or n < 0:
         raise ValueError("faulhaber_sum requires k, n >= 0")
-    total = Fraction(0)
-    for m in range(k + 1):
-        total += binomial(k + 1, m) * bernoulli_number(m) * Fraction(n) ** (k + 1 - m)
-    return total / (k + 1)
+    return (bernoulli_poly(k + 1, n) - bernoulli_number(k + 1)) / (k + 1)
 
 
 def stirling2_power_sum(k: int, n: int, x: Fraction) -> Fraction:
     """sum_{j=0}^{n} j^k x^j via Stirling-2 weighted derivatives.
 
-    Evaluates sum_j S2(k,j) x^j d^j/dx^j [1 + x + ... + x^n] with exact
-    polynomial differentiation.  x = 0 and x = 1 are rejected (the source
+    Evaluates sum_j S2(k,j) x^j d^j/dx^j [1 + x + ... + x^n] as
+    sum_j sum_{i>=j} S2(k, j) i!/(i-j)! x^i, each monomial's derivative
+    by ``falling_factorial``.  x = 0 and x = 1 are rejected (the source
     identity's quotient form is singular there).
     """
     x = Fraction(x)
     if x == 0 or x == 1:
         raise ValueError("stirling2_power_sum requires x not in {0, 1}")
-    # coefficients of the geometric polynomial 1 + x + ... + x^n
-    poly = [Fraction(1)] * (n + 1)
-    total = Fraction(0)
-    for j in range(k + 1):
-        s2 = stirling2(k, j)
-        if s2:
-            value = sum(c * x**i for i, c in enumerate(poly))
-            total += s2 * x**j * value
-        # differentiate once for the next j
-        poly = [i * c for i, c in enumerate(poly)][1:]
-        if not poly:
-            break
-    return total
+    return sum(
+        (stirling2(k, j) * falling_factorial(i, j) * x**i for j in range(k + 1) for i in range(j, n + 1)),
+        Fraction(0),
+    )

@@ -178,6 +178,7 @@ def test_polylog_pole_exits_one(capsys):
 @pytest.mark.parametrize("argv", [
     ("polylog", "--s", "2", "--z", "2"),
     ("fourier", "--order", "2", "--x", "1/10"),
+    ("polylog", "--s", "2", "--z", "999999999/1000000000"),  # over the direct-sum term cap
 ])
 def test_divergent_evaluation_exits_one(capsys, argv):
     code = main(list(argv))

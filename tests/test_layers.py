@@ -124,6 +124,19 @@ def test_one_pascal_rule_kernel():
         assert "_binomial_sums" in ast.unparse(tree), function
 
 
+def test_no_second_copies():
+    # each of these calls the kernel that already computes its concept:
+    # bernoulli_poly, harmonic_real, scale_arg, __add__ and the first-
+    # difference scan of reports.compare
+    from zetaseries import series, special, stirling
+    from zetaseries.powerseries import TruncSeries
+    for function in (stirling.faulhaber_sum, special.zeta_ref, TruncSeries.geometric, TruncSeries.__sub__,
+                     series.dilog_functional_eq_check):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
+        assert not any(isinstance(node, (ast.For, ast.While)) for node in ast.walk(tree)), function
+    assert not hasattr(TruncSeries, "log_one_minus_z")
+
+
 AUDIT_NAMES = {"run_suite", "suite_names", "suite_passes", "emit_report"}
 
 # Loads the CLI in a fresh interpreter, runs commands through main and

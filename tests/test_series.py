@@ -102,6 +102,24 @@ def test_binomial_transform_is_compose_with_minus_z_over_one_minus_z(f):
     assert f.binomial_transform() == compose(f, inner)
 
 
+@pytest.mark.parametrize("t", [Fraction(-1, 3), 0.5])
+def test_geometric_is_repeated_products(t):
+    powers = [t**0]
+    while len(powers) < 9:
+        powers.append(powers[-1] * t)
+    assert TruncSeries.geometric(t, 8).coeffs == tuple(powers)
+
+
+def test_sub_is_elementwise_difference_with_signed_zeros():
+    a = [0.0, -0.0, 1.5, -0.0, 0.0, -2.25]
+    b = [-0.0, -0.0, 0.0, 0.0, 2.0]
+    complex_a = [complex(x, y) for x, y in zip(a, b)] + [complex(-0.0, 1)]
+    complex_b = [complex(y, -x) for x, y in zip(a, b)]
+    for x, y in ((a, b), (complex_a, complex_b)):
+        difference = (TruncSeries(x) - TruncSeries(y)).coeffs
+        assert [repr(c) for c in difference] == [repr(p - q) for p, q in zip(x, y)]
+
+
 def test_series_reexports_the_powerseries_class():
     assert series.TruncSeries is powerseries.TruncSeries
 

@@ -1,6 +1,7 @@
 """Numeric special functions against frozen high-precision constants."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -57,6 +58,22 @@ def test_li_new_series_boundary_falls_back():
     assert result.domain_warning
     assert result.method == "direct_fallback"
     assert result.value == pytest.approx(LI2_HALF, abs=1e-8)
+
+
+def test_li_new_series_caps_its_direct_fallback():
+    # about 3.2e10 terms at z = 1 - 1e-9: refused before any is summed
+    terms = int(math.log(1e-14) / math.log(1 - 1e-9)) + 1
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"needs {terms} terms"):
+        li_new_series(2, 1 - 1e-9, 400)
+    assert time.perf_counter() - start < 1
+    result = li_new_series(2, 0.9, 400)
+    assert result.method == "direct_fallback" and result.domain_warning
+
+
+def test_li_new_series_at_zero():
+    for z in (0, 0.0, 0j):
+        assert li_new_series(2, z, 5) == EvalResult(0.0, 0, 0.0, "coeff_series")
 
 
 def test_li_new_series_rejects_pole():
@@ -247,6 +264,8 @@ def test_zeta_star_series_and_closed():
         closed = (1 - 2.0 ** (1 - s)) * ZETA[s]
         assert zeta_star(s, 120, "series") == pytest.approx(closed, abs=1e-8)
         assert zeta_star(s, method="closed") == pytest.approx(closed, abs=1e-12)
+    with pytest.raises(ValueError, match="J >= 1"):  # li_new_series' own check
+        zeta_star(2, 0)
 
 
 def test_zeta_star_harmonic_polynomial_form():

@@ -101,7 +101,7 @@ def test_bernoulli_poly_special_points():
 
 
 def test_faulhaber_vs_direct_sum():
-    for k in range(7):
+    for k in range(10):
         for n in range(0, 20):
             direct = sum(Fraction(m) ** k for m in range(n))  # 0^0 = 1
             assert faulhaber_sum(k, n) == direct
@@ -109,9 +109,9 @@ def test_faulhaber_vs_direct_sum():
 
 def test_stirling2_power_sum_matches_geometric_weighted():
     # sum_{m=0}^{n} m^k x^m evaluated two ways (0^0 = 1)
-    for k in range(4):
-        for n in range(1, 8):
-            for x in (Fraction(1, 2), Fraction(-2), Fraction(3)):
+    for k in range(6):
+        for n in range(0, 8):
+            for x in (Fraction(1, 2), Fraction(-2), Fraction(3), Fraction(-7, 5)):
                 direct = sum(Fraction(m) ** k * x**m for m in range(n + 1))
                 assert stirling2_power_sum(k, n, x) == direct
 
