@@ -139,7 +139,7 @@ def _double_rows(cell) -> SequenceTable:
 _DOUBLE_ROWS = _double_rows(lambda m, power, j: -m / power)
 # row s - 1: sum_{m=0}^{j-1} C(j-1, m) (-1)^{m+1} / (m+1)^s = -|c*(s+1, j)| (j-1)!
 _CLASSIC_ROWS = _double_rows(lambda m, power, j: -m / (power * j) if j else 0.0)
-_FALLBACK_TERMS_CAP = 10**7  # the most terms li_new_series sums directly, about 2 s
+_FALLBACK_TERMS_CAP = 10**7  # the most terms li_new_series sums directly: about 2 s on CPython 3.11
 
 
 def li_new_series(s: int, z, J: int) -> EvalResult:

@@ -71,11 +71,6 @@ def test_li_new_series_caps_its_direct_fallback():
     assert result.method == "direct_fallback" and result.domain_warning
 
 
-def test_li_new_series_at_zero():
-    for z in (0, 0.0, 0j):
-        assert li_new_series(2, z, 5) == EvalResult(0.0, 0, 0.0, "coeff_series")
-
-
 def test_li_new_series_rejects_pole():
     with pytest.raises(ValueError):
         li_new_series(2, 1, 100)
@@ -205,7 +200,9 @@ def test_hurwitz_phi_direct_sum():
     (li_new_series, (2, 0.0, 5), "coeff_series"),
     (li_classic_series, (2, 0.0, 5), "classic_series"),
     (hurwitz_phi, (0.0, 2, 2, 1, 5), "phi_series"),
-], ids=["new", "classic", "phi"])
+    (li_new_series, (2, 0, 5), "coeff_series"),
+    (li_new_series, (2, 0j, 5), "coeff_series"),
+], ids=["new", "classic", "phi", "new_int", "new_complex"])
 def test_series_at_zero_sum_nothing(evaluate, args, method):
     assert evaluate(*args) == EvalResult(0.0, 0, 0.0, method)
 
