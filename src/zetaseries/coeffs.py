@@ -68,21 +68,23 @@ def _numerator_row(e: int, rows: list) -> SequenceTable:
     M_k(j) = M_k(j-1) (L_j / L_{j-1})^(k-2) + M_{k-1}(j) L_j / j, where
     L_j / L_{j-1} is the prime p at a power of p and 1 elsewhere, so the
     producer raises p^(k-2) only at the prime powers.  Row 0 sits on the
-    L table, so every row's chain extends L first."""
+    L table, so every row's chain extends L first, and the producer reads
+    M_{k-1}(j) and L_j in place."""
     if e == 0:
         return SequenceTable(lambda row: (int(j > 0) for j in count(len(row))), _LCM)
     below = rows[e - 1]
+    lower, lcms = below._values, _LCM._values
 
     def produce(row):
         j = len(row)
-        m, last = (row[-1], _LCM[j - 1]) if j else (0, 1)
+        m, last = (row[-1], lcms[j - 1]) if j else (0, 1)
         for j in count(j):
             if j:
-                lcm = _LCM[j]
+                lcm = lcms[j]
                 if lcm != last:
                     m *= (lcm // last) ** e
                     last = lcm
-                m += below[j] * (lcm // j)
+                m += lower[j] * (lcm // j)
             yield m
 
     return SequenceTable(produce, below)

@@ -12,8 +12,10 @@ common denominator; ``_binomial_sums`` is the one Pascal-rule kernel of
 every binomial transform; :class:`SequenceTable` is the one memo the
 package keeps for a sequence: its values come from one resumable
 iterator, so a recurrence keeps its running state in locals and is never
-re-derived from the list per entry; ``cells(start, stop)`` is the one
-reader of a range of it, in place.
+re-derived from the list per entry; a table of a two-index family reads
+the table below it in place, at its own index, and a miss builds a run of
+``_RUN`` = 8 cells past the one asked for; ``cells(start, stop)`` is the
+one reader of a range of it, in place.
 """
 
 from __future__ import annotations
@@ -124,17 +126,25 @@ def root_of_unity(a: int, m: int) -> complex:
     return cmath.exp(2j * cmath.pi * m / a)
 
 
+_RUN = 8  # the cells a miss builds past the one it asks for
+
+
 class SequenceTable:
     """f(0), f(1), ... built on demand in index order from one iterator:
     ``produce(values)`` returns an iterator that yields f(len(values)),
     f(len(values) + 1), ... and keeps its running state in locals.
     Values are appended under a lock and never change, so reading a built
-    index is one bounds check and one list index.  A producer may read any
-    table down its ``below`` chain (row k-1 of a two-index recurrence, and
-    the tables under it) up to n: every too-short table down that chain is
-    extended first, lowest first, so no extension nests and no recursion
-    grows with n.  If a pull raises, the iterator is dropped, and the next
-    miss calls ``produce`` again on the values built so far."""
+    index is one bounds check and one list index.  A table may sit on a
+    ``below`` table (row k-1 of a two-index recurrence), and its producer
+    reads the tables down that chain in place, as lists, at an index no
+    higher than its own: a miss at n builds every table down the chain
+    that is shorter than n + 1 + ``_RUN``, lowest first and each through
+    n + ``_RUN`` (no further than the table below it holds), so no
+    extension nests, no recursion grows with n, and reads past the end
+    miss once per run of cells.  If a pull raises, the iterator is
+    dropped, and the next miss calls ``produce`` again on the values built
+    so far; a pull past n, for a cell not asked for, raises nothing: the
+    read that asks for that cell raises it."""
 
     __slots__ = ("_produce", "_below", "_values", "_lock", "_source")
 
@@ -148,27 +158,25 @@ class SequenceTable:
             return values[n]
         if n < 0:
             raise IndexError(f"negative index {n}")
-        below = self._below
-        if below is None or n < len(below._values):  # the common case: only this table is short
-            short = (self,)
-        else:
-            short, table = [], self
-            while table is not None and len(table._values) <= n:
-                short.append(table)
-                table = table._below
-            short.reverse()
-        for table in short:
+        stop = n + 1 + _RUN
+        short, table = [], self
+        while table is not None and len(table._values) < stop:
+            short.append(table)
+            table = table._below
+        for table in reversed(short):
             with table._lock:
-                built = table._values
+                built, below = table._values, table._below
+                end = stop if below is None else min(stop, len(below._values))
                 try:
                     if table._source is None:
                         table._source = table._produce(built)
                     source = table._source
-                    while len(built) <= n:
+                    while len(built) < end:
                         built.append(next(source))
-                except BaseException:
+                except BaseException as error:  # an interrupt, or a failed pull through n, still raises
                     table._source = None
-                    raise
+                    if len(built) <= n or not isinstance(error, Exception):
+                        raise
         return values[n]
 
     def cells(self, start: int, stop: int):

@@ -114,21 +114,23 @@ def _double_rows(cell) -> SequenceTable:
     cell(M_k(j), L_j^(k-2), j) for k = e + 2, each row on the integer row
     of the c* table it rounds.  The producer carries P = L_j^(k-2) and
     multiplies it by (L_j / L_{j-1})^(k-2) only where L changes, at the
-    prime powers j, so no cell raises a power."""
+    prime powers j, so no cell raises a power.  It reads M_k(j) and L_j in
+    place, at the row's own index j."""
 
     def row(e: int) -> SequenceTable:
         numerators = _NUMERATORS[e]
+        lower, lcms = numerators._values, _LCM._values
 
         def produce(values):
             j = len(values)
-            last = _LCM[j]
+            last = lcms[j]
             power = last**e
             for j in count(j):
-                lcm = _LCM[j]
+                lcm = lcms[j]
                 if lcm != last:
                     power *= (lcm // last) ** e
                     last = lcm
-                yield cell(numerators[j], power, j)
+                yield cell(lower[j], power, j)
 
         return SequenceTable(produce, numerators)
 

@@ -2,8 +2,10 @@
 
 Stirling numbers of both kinds, Bernoulli numbers and polynomials,
 Faulhaber power sums, and the Stirling-2 weighted power sum.  Each
-Stirling column k is one growable table, grown in n, so S(n, k) costs its
-(k+1) x (n+1) strip; the Bernoulli numbers are one more.  The two power
+Stirling column k is one growable table that starts at its first
+nonzero cell S(k, k) and is grown in n, so S(n, k) costs its
+(k+1) x (n-k+9) strip, a miss building a run of eight cells past n
+(``exactnum.SequenceTable``); the Bernoulli numbers are one more.  The two power
 sums reuse ``bernoulli_poly`` and ``exactnum.falling_factorial``."""
 
 from __future__ import annotations
@@ -26,18 +28,20 @@ __all__ = [
 
 def _columns(weight) -> SequenceTable:
     """Columns k = 0, 1, ... of T(n, k) = weight(n, k) T(n-1, k) + T(n-1, k-1)
-    with T(0, 0) = 1 and T(n, 0) = 0 for n >= 1, each grown in n."""
+    with T(0, 0) = 1 and T(n, 0) = 0 for n >= 1, each indexed from its first
+    nonzero cell: entry i of column k is T(k+i, k), the weighted entry i-1
+    plus entry i of column k-1, read in place."""
 
     def column(k: int, columns: list) -> SequenceTable:
         if k == 0:
-            return SequenceTable(lambda col: (int(n == 0) for n in count(len(col))))
+            return SequenceTable(lambda col: (int(i == 0) for i in count(len(col))))
         below = columns[k - 1]
+        lower = below._values
 
         def produce(col):
             t = col[-1] if col else 0
-            for n in count(len(col)):
-                if n:
-                    t = weight(n, k) * t + below[n - 1]
+            for i in count(len(col)):
+                t = weight(k + i, k) * t + lower[i]
                 yield t
 
         return SequenceTable(produce, below)
@@ -53,14 +57,14 @@ def stirling2(n: int, k: int) -> int:
     """Stirling number of the second kind, Iverson base case at n=k=0."""
     if n < 0 or k < 0 or k > n:
         return 0
-    return _STIRLING2[k][n]
+    return _STIRLING2[k][n - k]
 
 
 def stirling1_unsigned(n: int, k: int) -> int:
     """Unsigned Stirling number of the first kind (cycle counts)."""
     if n < 0 or k < 0 or k > n:
         return 0
-    return _STIRLING1[k][n]
+    return _STIRLING1[k][n - k]
 
 
 def stirling1_signed(n: int, k: int) -> int:

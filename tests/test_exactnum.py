@@ -14,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from zetaseries.exactnum import (
+    _RUN,
     SequenceTable,
     _binomial_sums,
     binomial,
@@ -139,14 +140,20 @@ def test_sequence_table_extends_the_tables_below_first():
                 total += value
                 yield value
         table = SequenceTable(produce, table)
+    # a miss at 3 builds each level through 3 + _RUN, lowest first
     assert table[3] == 20
-    assert log == [(level, n) for level in range(3) for n in range(4)]
-    assert [table[n] for n in range(4)] == [1, 3, 8, 20] and len(log) == 12
+    built = 3 * (4 + _RUN)
+    assert log == [(level, n) for level in range(3) for n in range(4 + _RUN)]
+    assert [table[n] for n in range(4)] == [1, 3, 8, 20] and len(log) == built
     first = list(table.cells(0, 4))
-    assert list(table.cells(0, 0)) == [] and first == [1, 3, 8, 20] and len(log) == 12
+    assert list(table.cells(0, 0)) == [] and first == [1, 3, 8, 20] and len(log) == built
     longer = list(table.cells(0, 5))
     assert longer == [1, 3, 8, 20, 48] and all(x is y for x, y in zip(first, longer))
-    assert log[12:] == [(0, 4), (1, 4), (2, 4)]
+    assert len(log) == built
+    # the next miss, at 4 + _RUN, builds the next run on each level, lowest first
+    assert table[4 + _RUN] == (6 + _RUN) * 2 ** (3 + _RUN)
+    assert log[built:] == [(level, n) for level in range(3) for n in range(4 + _RUN, 5 + 2 * _RUN)]
+    assert list(table.cells(0, 5 + 2 * _RUN)) == [(n + 2) * 2**n // 2 for n in range(5 + 2 * _RUN)]
     # each iterator is resumed, never rebuilt, while no pull raises
     assert starts == [(0, 0), (1, 0), (2, 0)]
 
@@ -175,9 +182,34 @@ def test_sequence_table_rejects_negative_indices():
     for read in (lambda: table[-1], lambda: table[-5], lambda: table.cells(-1, 3), lambda: table.cells(0, -1)):
         with pytest.raises(IndexError):
             read()
-    # an empty range builds nothing, even past the end
-    assert list(table.cells(3, 3)) == [] and list(table.cells(9, 9)) == [] and len(table._values) == 3
+    # an empty range builds nothing, even past the end of the run table[2] built
+    assert list(table.cells(3, 3)) == [] and list(table.cells(9, 9)) == [] and len(table._values) == 3 + _RUN
+    assert list(table.cells(20, 20)) == [] and len(table._values) == 3 + _RUN
     assert list(table.cells(0, 3)) == [0, 1, 2]
+
+
+def test_sequence_table_read_ahead_raises_nothing():
+    # a pull past the index asked for that raises keeps the cells built so far,
+    # drops the iterator and raises nothing; the read of that cell raises
+    calls = []
+
+    def produce(values):
+        calls.append(len(values))
+        for n in count(len(values)):
+            if n == 8:
+                raise OverflowError("cell 8 does not fit")
+            yield n * n
+
+    table = SequenceTable(produce)
+    assert table[5] == 25 and table._values == [n * n for n in range(8)] and calls == [0]
+    assert table._source is None
+    # a table above it reads ahead no further than the table below holds
+    above = SequenceTable(lambda values: (2 * table._values[n] for n in count(len(values))), table)
+    assert above[5] == 50 and len(above._values) == 8 and calls == [0, 8]
+    for read in (lambda: table[8], lambda: above[8], lambda: table.cells(0, 9)):
+        with pytest.raises(OverflowError):
+            read()
+    assert len(table._values) == len(above._values) == 8 and calls == [0, 8, 8, 8, 8]
 
 
 def test_sequence_table_threads_share_one_iterator():

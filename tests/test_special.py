@@ -8,7 +8,7 @@ import pytest
 
 from zetaseries import special
 from zetaseries.coeffs import _LCM, _NUMERATORS, s2star_scaled
-from zetaseries.exactnum import SequenceTable, binomial
+from zetaseries.exactnum import _RUN, SequenceTable, binomial
 from zetaseries.special import (
     EvalResult,
     _phi_inner_table,
@@ -114,7 +114,7 @@ def test_scaled_row_is_one_row_per_k(monkeypatch, order):
     for J in order:
         rows[J] = [abs(x) for x in special._DOUBLE_ROWS[5].cells(0, J + 1)]
         stored.append(list(row._values))
-    assert special._DOUBLE_ROWS[5] is row and len(row._values) == 401
+    assert special._DOUBLE_ROWS[5] is row and len(row._values) == 401 + _RUN
     assert [len(rows[J]) for J in (100, 400)] == [101, 401]
     assert [x.hex() for x in rows[100]] == [x.hex() for x in rows[400][:101]]
     assert all(x is y for x, y in zip(*stored))
@@ -127,11 +127,11 @@ def test_classic_row_is_one_row_per_s(monkeypatch, order):
     monkeypatch.setattr(special, "_CLASSIC_ROWS", SequenceTable(special._CLASSIC_ROWS._produce))
     row = special._CLASSIC_ROWS[2]
     inner = {K: list(_phi_inner_table(3, Fraction(1), Fraction(0), K)) for K in order}
-    assert special._CLASSIC_ROWS[2] is row and len(row._values) == 402
+    assert special._CLASSIC_ROWS[2] is row and len(row._values) == 402 + _RUN
     assert [len(inner[K]) for K in (100, 400)] == [101, 401]
     assert all(x is y for x, y in zip(inner[100], inner[400]))
     assert special.li_classic_series(3, -0.5, 400).value == special.hurwitz_phi(-0.5, 3, 1, 0, 400).value
-    assert special._CLASSIC_ROWS[2] is row and len(row._values) == 402
+    assert special._CLASSIC_ROWS[2] is row and len(row._values) == 402 + _RUN
 
 
 def test_double_rows_match_one_power_per_cell():

@@ -1,12 +1,14 @@
 """Stirling and Bernoulli numbers against independent brute-force oracles."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from zetaseries.exactnum import binomial, factorial
+from zetaseries import stirling
+from zetaseries.exactnum import SequenceTable, binomial, factorial
 from zetaseries.stirling import (
     bernoulli_number,
     bernoulli_poly,
@@ -72,6 +74,26 @@ def test_stirling2_recurrence(n, k):
 @given(st.integers(1, 40), st.integers(0, 40))
 def test_stirling1_recurrence(n, k):
     assert stirling1_unsigned(n, k) == (n - 1) * stirling1_unsigned(n - 1, k) + stirling1_unsigned(n - 1, k - 1)
+
+
+def test_columns_match_the_textbook_recurrence_in_any_read_order(monkeypatch):
+    # fresh columns, each indexed from its first nonzero cell, read in a
+    # shuffled order against the full (n, k) tables of the textbook recurrences
+    N = 300
+    want = {}
+    for kind, weight in (("s1", lambda n, k: n - 1), ("s2", lambda n, k: k)):
+        rows = [[1]]
+        for n in range(1, N + 1):
+            prev = rows[-1] + [0]
+            rows.append([0] + [weight(n, k) * prev[k] + prev[k - 1] for k in range(1, n + 1)])
+        want[kind] = rows
+    monkeypatch.setattr(stirling, "_STIRLING1", SequenceTable(stirling._STIRLING1._produce))
+    monkeypatch.setattr(stirling, "_STIRLING2", SequenceTable(stirling._STIRLING2._produce))
+    grid = [(kind, n, k) for kind in want for n in range(N + 1) for k in range(n + 2)]
+    random.Random(22).shuffle(grid)
+    read = {"s1": stirling1_unsigned, "s2": stirling2}
+    for kind, n, k in grid:
+        assert read[kind](n, k) == (want[kind][n][k] if k <= n else 0), (kind, n, k)
 
 
 def test_bernoulli_frozen_values():

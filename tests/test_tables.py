@@ -16,6 +16,7 @@ import pytest
 
 import zetaseries
 from zetaseries.coeffs import s2star_rec
+from zetaseries.exactnum import _RUN
 from zetaseries.harmonicnums import harmonic
 from zetaseries.stirling import bernoulli_number, stirling1_unsigned, stirling2
 
@@ -70,6 +71,7 @@ from fractions import Fraction
 
 sys.setrecursionlimit(150)
 from zetaseries.audit import TABLE1
+from zetaseries import stirling
 from zetaseries.coeffs import s2star_rec, s2star_sum
 from zetaseries.harmonicnums import harmonic
 from zetaseries.stirling import stirling1_unsigned, stirling2
@@ -79,13 +81,16 @@ tracemalloc.start()
 s1 = stirling1_unsigned(1500, 5)
 peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
 tracemalloc.stop()
+s2 = stirling2(1500, 5)
+# cells held by each column object, the columns of S1 and of S2
+strips = [[len(column._values) for column in table._values] for table in (stirling._STIRLING1, stirling._STIRLING2)]
 
 # x (x+1) ... (x+1499) truncated to degree 5
 rising = [0, 1, 0, 0, 0, 0]
 for m in range(1, 1500):
     rising = [m * rising[0]] + [m * rising[d] + rising[d - 1] for d in range(1, 6)]
 checks["stirling1(1500, 5)"] = s1 == rising[5]
-checks["stirling2(1500, 5)"] = stirling2(1500, 5) == sum(
+checks["stirling2(1500, 5)"] = s2 == sum(
     (-1) ** i * math.comb(5, i) * (5 - i) ** 1500 for i in range(6)) // math.factorial(5)
 
 # a far cell read first, the printed table after it
@@ -97,7 +102,7 @@ checks["c*(300, 40)"] = s2star_rec(300, 40) == s2star_sum(300, 40)
 checks["c*(4, 3000)"] = s2star_rec(4, 3000) == s2star_sum(4, 3000)
 lcm = math.lcm(*range(1, 5001))
 checks["H_5000"] = harmonic(5000) == Fraction(sum(lcm // m for m in range(1, 5001)), lcm)
-print(json.dumps({"checks": checks, "peak_mb": peak_mb}))
+print(json.dumps({"checks": checks, "peak_mb": peak_mb, "strips": strips}))
 """
 
 
@@ -106,6 +111,11 @@ def test_large_indices_need_no_recursion_and_a_small_strip():
     assert out["checks"] == {name: True for name in out["checks"]}
     assert len(out["checks"]) == 7
     assert out["peak_mb"] < 50
+    # S(1500, 5) builds columns 0..5 from their first nonzero cell, cell
+    # 1495 of column 5 and at most one run past it, and no cell of column 6
+    for strip in out["strips"]:
+        assert [k for k, cells in enumerate(strip) if cells] == list(range(6))
+        assert all(1496 <= cells <= 1496 + _RUN for cells in strip[:6])
 
 
 THREADED = r"""
