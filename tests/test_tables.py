@@ -83,7 +83,8 @@ peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
 tracemalloc.stop()
 s2 = stirling2(1500, 5)
 # cells held by each column object, the columns of S1 and of S2
-strips = [[len(column._values) for column in table._values] for table in (stirling._STIRLING1, stirling._STIRLING2)]
+strips = [[len(column._values) for column in table._values]
+          for table in (stirling._STIRLING1, stirling._STIRLING2)]
 
 # x (x+1) ... (x+1499) truncated to degree 5
 rising = [0, 1, 0, 0, 0, 0]
