@@ -446,10 +446,11 @@ def _suite_special() -> list:
         ),
         IdentitySpec(
             "special.trilog_functional_eq", tuple({"z": z, "J": 400} for z in (-0.5, -0.1, -0.9)),
-            lambda p: special.trilog_functional_eq_sides(p["z"], p["J"]), tolerance=1e-7,
+            lambda p: special.trilog_functional_eq_sides(p["z"], p["J"]), tolerance=special._TRILOG_TOLERANCE,
         ),
         IdentitySpec(
-            "special.trilog_printed_sign", ({"z": -0.5},), trilog_printed, tolerance=1e-7, assert_pass=False,
+            "special.trilog_printed_sign", ({"z": -0.5},), trilog_printed,
+            tolerance=special._TRILOG_TOLERANCE, assert_pass=False,
         ),
         IdentitySpec(
             "special.hurwitz_direct",

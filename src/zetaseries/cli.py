@@ -155,13 +155,7 @@ def cmd_polylog(args) -> str:
 
 
 def cmd_zetastar(args) -> str:
-    if args.method == "harmonic":
-        value = special.zeta_star_harmonic_form(args.s, args.terms)
-    elif args.method == "euler":
-        value = special.zeta_star_euler_form(args.s, args.terms)
-    else:
-        value = special.zeta_star(args.s, args.terms, args.method)
-    return _value_doc(_decimal_str(value), args.format)
+    return _value_doc(_decimal_str(special.zeta_star(args.s, args.terms, args.method)), args.format)
 
 
 def cmd_fourier(args) -> str:
@@ -327,7 +321,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except KeyError as error:
         print(f"error: {error.args[0]}", file=sys.stderr)
         return 2
-    except (ValueError, ZeroDivisionError, ArithmeticError) as error:
+    except (ValueError, ArithmeticError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
     _emit(document, args.output)

@@ -8,25 +8,27 @@ exactly on their common domain:
 * the non-triangular recurrence (``s2star_rec``),
 * the closed binomial sum (``s2star_sum``, the alpha = 1, beta = 0 case
   of ``s2star_general_f``),
-* harmonic-number closed forms for k = 2..6 (``s2star_harmonic``),
+* harmonic-number closed forms for k = 2..6 (``s2star_harmonic``, one
+  table of |c*(k, j)| j! in ``_harmonic_form``, exact or in doubles),
 * a harmonic-number heuristic recurrence (``s2star_heuristic``),
 * coefficient extraction from the column OGFs in k (``s2star_ogf_coeff``),
 * a reverse binomial transform of truncated polylog series
   (``s2star_reverse_binomial``, by ``TruncSeries.binomial_transform``).
 
-The recurrence runs once, into one growable integer table: row k holds
-M_k(j) = |c*(k, j)| j! L_j^(k-2), L_j = lcm(1..j), which no longer row
-changes.  Each row's producer carries M_k(j-1) and L_{j-1} and raises
-(L_j / L_{j-1})^(k-2) = p^(k-2) only at the prime powers j = p^a.
-``s2star_rec`` reduces one cell (-1)^(j-1) M_k(j) / (L_j^(k-2) j!) to a
-Fraction by gcds against L_j alone, which holds every prime of that
-denominator (``exactnum._reduced``).  It keeps one (j, L_j^(k-2) j!) pair
-per row k, the last cell that row reduced, so a row read in order takes
-each denominator from the one before by j (L_j / L_{j-1})^(k-2), the
-producer's prime-power rule; ``_scaled_numerators(k, J)``
-rescales a row to lcm(1..J)^(k-2) for the exact integer-weighted sums of
-:mod:`harmonic`; :mod:`special` rounds each M_k(j) / L_j^(k-2) to a
-double.
+The row format.  The recurrence runs once, into one growable integer
+table: row k holds M_k(j) = |c*(k, j)| j! L_j^(k-2), L_j = lcm(1..j),
+which no longer row changes.  Each row's producer carries M_k(j-1) and
+L_{j-1} and raises (L_j / L_{j-1})^(k-2) = p^(k-2) only at the prime
+powers j = p^a.  ``s2star_rec`` reduces one cell
+(-1)^(j-1) M_k(j) / (L_j^(k-2) j!) to a Fraction by gcds against L_j
+alone (``exactnum._reduced``), keeping per row k the (j, L_j^(k-2) j!)
+of the last cell it reduced, so a row read in order takes each
+denominator from the one before by j (L_j / L_{j-1})^(k-2);
+``_scaled_numerators(k, J)`` rescales a row to lcm(1..J)^(k-2) for the
+exact sums of :mod:`harmonic`.  Two row families of doubles, summed by
+:mod:`special`, round M_k(j) / L_j^(k-2) once per cell, each row on the
+integer row it rounds: ``_DOUBLE_ROWS`` holds -|c*(k, j)| j! in row
+k - 2, ``_CLASSIC_ROWS`` -|c*(s+1, j)| (j-1)! in row s - 1.
 
 Derived quantities: the scaled table, the t0/t1 remainder functions
 against unsigned Stirling-1 numbers, and the alpha*n+beta generalization.
@@ -90,8 +92,40 @@ def _numerator_row(e: int, rows: list) -> SequenceTable:
     return SequenceTable(produce, below)
 
 
+def _double_rows(cell) -> SequenceTable:
+    """Rows e = 0, 1, ... of doubles, cell j of row e being
+    cell(M_k(j), L_j^(k-2), j) for k = e + 2, each row on the integer row
+    of the c* table it rounds.  The producer carries P = L_j^(k-2) and
+    multiplies it by (L_j / L_{j-1})^(k-2) only where L changes, at the
+    prime powers j, so no cell raises a power.  It reads M_k(j) and L_j in
+    place, at the row's own index j."""
+
+    def row(e: int) -> SequenceTable:
+        numerators = _NUMERATORS[e]
+        lower, lcms = numerators._values, _LCM._values
+
+        def produce(values):
+            j = len(values)
+            last = lcms[j]
+            power = last**e
+            for j in count(j):
+                lcm = lcms[j]
+                if lcm != last:
+                    power *= (lcm // last) ** e
+                    last = lcm
+                yield cell(lower[j], power, j)
+
+        return SequenceTable(produce, numerators)
+
+    return SequenceTable(lambda rows: map(row, count(len(rows))))
+
+
 _LCM = SequenceTable(_lcms)
 _NUMERATORS = SequenceTable(lambda rows: (_numerator_row(e, rows) for e in count(len(rows))))  # row k - 2: M_k
+# row k - 2: -|c*(k, j)| j!, correctly rounded, the sign li_new_series sums
+_DOUBLE_ROWS = _double_rows(lambda m, power, j: -m / power)
+# row s - 1: sum_{m=0}^{j-1} C(j-1, m) (-1)^{m+1} / (m+1)^s = -|c*(s+1, j)| (j-1)!
+_CLASSIC_ROWS = _double_rows(lambda m, power, j: -m / (power * j) if j else 0.0)
 _DENOMINATORS = {}  # k -> (j, L_j^(k-2) j!) of the last cell row k reduced; one tuple, so threads read a matching pair
 
 
@@ -139,9 +173,9 @@ def s2star_sum(k: int, j: int) -> Fraction:
     return s2star_general_f(k, j, 1, 0)
 
 
-def _harmonic_bracket(k: int, j: int, value=Fraction):
-    """The harmonic-number polynomial multiplying (-1)^{j-1}/(c j!), with
-    the harmonic numbers converted by ``value`` (exact by default)."""
+def _harmonic_form(k: int, j: int, value=Fraction):
+    """|c*(k, j)| j! by the printed harmonic-number closed forms, k = 2..6,
+    with the harmonic numbers converted by ``value`` (exact by default)."""
     h1 = value(harmonic(j, 1))
     if k == 2:
         return value(1)
@@ -149,25 +183,21 @@ def _harmonic_bracket(k: int, j: int, value=Fraction):
         return h1
     h2 = value(harmonic(j, 2))
     if k == 4:
-        return h1**2 + h2
+        return (h1**2 + h2) / 2
     h3 = value(harmonic(j, 3))
     if k == 5:
-        return h1**3 + 3 * h1 * h2 + 2 * h3
+        return (h1**3 + 3 * h1 * h2 + 2 * h3) / 6
     h4 = value(harmonic(j, 4))
-    return h1**4 + 6 * h1**2 * h2 + 3 * h2**2 + 8 * h1 * h3 + 6 * h4
-
-
-_HARMONIC_DENOM = {2: 1, 3: 1, 4: 2, 5: 6, 6: 24}
+    return (h1**4 + 6 * h1**2 * h2 + 3 * h2**2 + 8 * h1 * h3 + 6 * h4) / 24
 
 
 def s2star_harmonic(k: int, j: int) -> Fraction:
     """Printed harmonic closed forms, k = 2..6 only."""
-    if k not in _HARMONIC_DENOM:
+    if not 2 <= k <= 6:
         raise ValueError("harmonic closed forms exist for k in 2..6")
     if j < 1:
         raise ValueError("harmonic closed forms require j >= 1")
-    sign = Fraction((-1) ** (j - 1))
-    return sign * _harmonic_bracket(k, j) / (_HARMONIC_DENOM[k] * factorial(j))
+    return (-1) ** (j - 1) * _harmonic_form(k, j) / factorial(j)
 
 
 def s2star_heuristic(k: int, j: int) -> Fraction:

@@ -5,8 +5,10 @@ All exact computation in this package is carried out over
 (positive denominator, gcd-reduced).  Fraction arithmetic reduces by a
 full gcd after each operation; ``_reduced`` builds one canonical value
 from an integer quotient whose denominator's primes all divide a known
-radical, such as lcm(1..j), and reduces against that radical only.
-Integer/complex primitives raise ValueError outside their domain.
+radical, such as lcm(1..j), reduces against that radical only, and sets
+the two slots of a new Fraction on every Python.  ``factorial`` and
+``falling_factorial`` are ``math.factorial`` and ``math.perm``; every
+integer/complex primitive raises ValueError outside its domain.
 ``_linear_combination`` sums integer multiples of rationals over one
 common denominator; ``_binomial_sums`` is the one Pascal-rule kernel of
 every binomial transform; :class:`SequenceTable` is the one memo the
@@ -58,19 +60,8 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def factorial(n: int) -> int:
-    if n < 0:
-        raise ValueError("factorial requires n >= 0")
-    return math.factorial(n)
-
-
-def falling_factorial(n: int, j: int) -> int:
-    """n!/(n-j)! = n (n-1) ... (n-j+1); zero when j > n."""
-    if j < 0:
-        raise ValueError("falling_factorial requires j >= 0")
-    if j > n:
-        return 0
-    return math.perm(n, j)
+factorial = math.factorial  # n!; ValueError for n < 0
+falling_factorial = math.perm  # n!/(n-j)! = n (n-1) ... (n-j+1); zero when j > n, ValueError for n < 0 or j < 0
 
 
 def _linear_combination(weights, values, over: int = 1) -> Fraction:
@@ -93,9 +84,6 @@ def _binomial_sums(values) -> list:
     return out
 
 
-_FROM_COPRIME_INTS = getattr(Fraction, "_from_coprime_ints", None)  # Python 3.12+
-
-
 def _reduced(numerator: int, denominator: int, radical: int) -> Fraction:
     """numerator / denominator in lowest terms, for denominator > 0 and
     every prime of denominator dividing radical > 0.  Every common prime
@@ -112,9 +100,7 @@ def _reduced(numerator: int, denominator: int, radical: int) -> Fraction:
     while common > 1:
         numerator, denominator = numerator // common, denominator // common
         common = math.gcd(numerator % common, denominator % common, common)
-    if _FROM_COPRIME_INTS is not None:
-        return _FROM_COPRIME_INTS(numerator, denominator)
-    value = object.__new__(Fraction)  # before 3.12: set the two slots Fraction() sets
+    value = object.__new__(Fraction)  # set the two slots Fraction() sets
     value._numerator, value._denominator = numerator, denominator
     return value
 

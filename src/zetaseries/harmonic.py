@@ -69,7 +69,7 @@ def npow_inverse(n: int, k: int) -> Fraction:
 
 
 def npow_forward(n: int, k: int) -> Fraction:
-    """sum_{j} S2(k, j) n!/(n-j)!; equals n^k (k >= 0)."""
+    """sum_{j} S2(k, j) n!/(n-j)!; equals n^k (n, k >= 0)."""
     if k < 0:
         raise ValueError("npow_forward requires k >= 0")
     return Fraction(sum(stirling2(k, j) * falling_factorial(n, j) for j in range(k + 1)))

@@ -9,20 +9,15 @@ equation check, and Fourier-type series for the periodic Bernoulli
 polynomials.
 
 Every coefficient series is summed by ``_binomial_series``: prefactor *
-sum_j a_j (-z/(1-z))^j over a row of doubles a_j, each a cell
-M_k(j) / lcm(1..j)^(k-2) of the integer c* table of :mod:`coeffs`
-rounded once.  The rows are growable tables, one per k, whose producer
-carries lcm(1..j)^(k-2) and multiplies it only where the lcm changes;
-each row holds the sign its series sums, and the loop reads cells 1..J
-of it in place.  ``li_new_series`` passes -|c*(s+2, j)| j! with
-prefactor 1/(1-z), and ``zeta_star`` is -Li_s(-1) on it, bit for bit the
-direct sum, since its factors are powers of two.  The classical series
-and the modified Hurwitz zeta read their inner table through one entry,
-``_phi_inner_table``: for alpha = 1, beta = 0 and s >= 1 it reads cells
-of the classical row for s in place, a second family of growable rows,
-through the identity
-sum_{m=0}^{k} C(k, m) (-1)^{m+1} / (m+1)^s = -|c*(s+1, k+1)| k!;
-any other row is ``exactnum._binomial_sums`` of exact signed terms.
+sum_j a_j (-z/(1-z))^j over a row of doubles a_j read in place from
+:mod:`coeffs`, cells 1..J, with the sign its series sums.
+``li_new_series`` reads ``_DOUBLE_ROWS`` with prefactor 1/(1-z), and
+``zeta_star`` is -Li_s(-1) on it, bit for bit the direct sum, since its
+factors are powers of two.  The classical series and the modified
+Hurwitz zeta read their inner table through one entry,
+``_phi_inner_table``: for alpha = 1, beta = 0 and s >= 1 it reads
+``_CLASSIC_ROWS``; any other row is ``exactnum._binomial_sums`` of exact
+signed terms.
 ``li_direct_sum`` keeps its own loop: its power / n^s rounds otherwise.
 
 Four displayed forms evaluated here required sign/term repairs that are
@@ -46,11 +41,10 @@ import cmath
 import math
 from fractions import Fraction
 from functools import cache
-from itertools import count
 from typing import NamedTuple
 
-from .coeffs import _HARMONIC_DENOM, _LCM, _NUMERATORS, _harmonic_bracket
-from .exactnum import SequenceTable, _binomial_sums, factorial
+from .coeffs import _CLASSIC_ROWS, _DOUBLE_ROWS, _harmonic_form
+from .exactnum import _binomial_sums, factorial
 from .harmonicnums import harmonic, harmonic_real
 from .reports import IdentityReport, compare
 
@@ -109,39 +103,8 @@ def li_direct_sum(s: int, z, terms: int) -> EvalResult:
     return EvalResult(total, terms, last, "direct")
 
 
-def _double_rows(cell) -> SequenceTable:
-    """Rows e = 0, 1, ... of doubles, cell j of row e being
-    cell(M_k(j), L_j^(k-2), j) for k = e + 2, each row on the integer row
-    of the c* table it rounds.  The producer carries P = L_j^(k-2) and
-    multiplies it by (L_j / L_{j-1})^(k-2) only where L changes, at the
-    prime powers j, so no cell raises a power.  It reads M_k(j) and L_j in
-    place, at the row's own index j."""
-
-    def row(e: int) -> SequenceTable:
-        numerators = _NUMERATORS[e]
-        lower, lcms = numerators._values, _LCM._values
-
-        def produce(values):
-            j = len(values)
-            last = lcms[j]
-            power = last**e
-            for j in count(j):
-                lcm = lcms[j]
-                if lcm != last:
-                    power *= (lcm // last) ** e
-                    last = lcm
-                yield cell(lower[j], power, j)
-
-        return SequenceTable(produce, numerators)
-
-    return SequenceTable(lambda rows: map(row, count(len(rows))))
-
-
-# row k - 2: -|c*(k, j)| j!, correctly rounded, the sign li_new_series sums
-_DOUBLE_ROWS = _double_rows(lambda m, power, j: -m / power)
-# row s - 1: sum_{m=0}^{j-1} C(j-1, m) (-1)^{m+1} / (m+1)^s = -|c*(s+1, j)| (j-1)!
-_CLASSIC_ROWS = _double_rows(lambda m, power, j: -m / (power * j) if j else 0.0)
 _FALLBACK_TERMS_CAP = 10**7  # the most terms li_new_series sums directly: about 2 s on CPython 3.11
+_TRILOG_TOLERANCE = 1e-7  # of the trilog functional equation, here and in its audit specs
 
 
 def li_new_series(s: int, z, J: int) -> EvalResult:
@@ -235,11 +198,14 @@ def hurwitz_phi(z: float, s: int, alpha, beta, K: int) -> EvalResult:
 
 
 def zeta_star(s: int, J: int = 120, method: str = "series") -> float:
-    """Alternating zeta value sum_{n>=1} (-1)^{n-1}/n^s.
+    """Alternating zeta value sum_{n>=1} (-1)^{n-1}/n^s by one of four
+    methods:
 
-    series: -Li_s(-1) by li_new_series, that is
-            sum_j c*(s+2, j) (-1)^{j-1} j!/2^{j+1}
-    closed: (1 - 2^{1-s}) zeta(s) for s > 1, log 2 for s = 1.
+    series:   -Li_s(-1) by li_new_series, that is
+              sum_j c*(s+2, j) (-1)^{j-1} j!/2^{j+1}, at J terms;
+    closed:   (1 - 2^{1-s}) zeta(s) for s > 1, log 2 for s = 1;
+    harmonic: ``zeta_star_harmonic_form(s, J)``, s = 1..4;
+    euler:    ``zeta_star_euler_form(s, J)``, s = 3..5.
     """
     if s < 1:
         raise ValueError("zeta_star requires s >= 1")
@@ -249,21 +215,24 @@ def zeta_star(s: int, J: int = 120, method: str = "series") -> float:
         return (1 - 2.0 ** (1 - s)) * zeta_ref(s)
     if method == "series":
         return -li_new_series(s, -1.0, J).value
-    raise ValueError("method must be 'series' or 'closed'")
+    if method == "harmonic":
+        return zeta_star_harmonic_form(s, J)
+    if method == "euler":
+        return zeta_star_euler_form(s, J)
+    raise ValueError("method must be 'series', 'closed', 'harmonic' or 'euler'")
 
 
 def zeta_star_harmonic_form(s: int, J: int = 120) -> float:
     """The displayed harmonic-polynomial series for the alternating zeta
     values, s = 1..4 (e.g. s = 2: sum_j (H_j^2 + H_j^{(2)})/(4*2^j)), whose
-    numerators are the brackets of the closed forms of c*(s+2, j)."""
+    terms are the closed forms of |c*(s+2, j)| j! over 2^{j+1}."""
     if not 1 <= s <= 4:
         raise ValueError("harmonic-polynomial forms exist for s in 1..4")
     if J < 1:
         raise ValueError("harmonic-polynomial forms require J >= 1")
-    denominator = 2 * _HARMONIC_DENOM[s + 2]
     total = 0.0
     for j in range(1, J + 1):
-        total += math.ldexp(_harmonic_bracket(s + 2, j, float) / denominator, -j)
+        total += math.ldexp(_harmonic_form(s + 2, j, float), -j - 1)
     return total
 
 
@@ -331,8 +300,8 @@ def trilog_functional_eq_sides(z: float, J: int = 400) -> tuple:
 
 
 def trilog_functional_eq_check(z: float, J: int = 400) -> IdentityReport:
-    """Report of ``trilog_functional_eq_sides`` at z, within 1e-7."""
-    return compare("special.trilog_functional_eq", {"z": z, "J": J}, *trilog_functional_eq_sides(z, J), 1e-7)
+    """Report of ``trilog_functional_eq_sides`` at z, within ``_TRILOG_TOLERANCE``."""
+    return compare("special.trilog_functional_eq", {"z": z, "J": J}, *trilog_functional_eq_sides(z, J), _TRILOG_TOLERANCE)
 
 
 def bernoulli_fourier(order: int, x: float, J: int = 60) -> float:

@@ -8,9 +8,8 @@ It recomputes the json, csv and markdown report hashes of every
 verification suite and the hash of every pinned CLI document, and checks
 ``exactnum._reduced`` against ``Fraction()`` on edge cases and on the
 c*(k, j) cells k = 2..14, j <= 600 of ``s2star_rec``, read once with j
-ascending and once descending, because the helper builds its Fractions
-one way before Python 3.12 and another from 3.12 on, and the recurrence
-derives a row's denominators one way in order and another out of it.
+ascending and once descending, because the recurrence derives a row's
+denominators one way in order and another out of it.
 It prints each mismatch and exits 1 on any.
 """
 

@@ -164,6 +164,16 @@ def test_failing_trilog_check_fails_verify(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_trilog_tolerance_is_stated_once(monkeypatch):
+    # the check and both trilog specs of the audit read special's one constant
+    monkeypatch.setattr(special, "_TRILOG_TOLERANCE", 0.25)
+    specs = {spec.id: spec for spec in audit._build("special")}
+    assert specs["special.trilog_functional_eq"].tolerance == 0.25
+    assert specs["special.trilog_printed_sign"].tolerance == 0.25
+    monkeypatch.setattr(special, "compare", lambda *args: args[-1])
+    assert special.trilog_functional_eq_check(-0.5) == 0.25
+
+
 def test_unknown_suite_raises():
     with pytest.raises(KeyError):
         audit.run_suite("nope")

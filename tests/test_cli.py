@@ -258,6 +258,9 @@ def test_zetastar_methods(capsys):
     _, euler = run_cli(capsys, "zetastar", "--s", "3", "--method", "euler", "--terms", "200")
     assert float(harm) == pytest.approx(float(closed), abs=1e-8)
     assert float(euler) == pytest.approx(float(closed), abs=5e-6)
+    # every method goes through zeta_star, so s is checked once for all four
+    assert main(["zetastar", "--s", "0", "--method", "harmonic"]) == 1
+    assert capsys.readouterr().err == "error: zeta_star requires s >= 1\n"
 
 
 def test_zetastar_series_past_j_1023(capsys):

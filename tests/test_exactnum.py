@@ -89,6 +89,12 @@ def test_falling_factorial_direct():
                 for i in range(j):
                     expected *= n - i
                 assert falling_factorial(n, j) == expected
+    # a negative argument raises, as in math.perm, even where j = 0
+    for args in [(-1, 0), (-2, 1), (3, -1)]:
+        with pytest.raises(ValueError):
+            falling_factorial(*args)
+    with pytest.raises(ValueError):
+        factorial(-1)
 
 
 def test_root_of_unity_values():

@@ -108,6 +108,9 @@ def test_negative_index_is_rejected():
     # each returned 0 for a negative index
     with pytest.raises(ValueError, match="n >= 0"):
         harmonic_powers_of_n(-1, 2)
+    # a falling factorial needs n >= 0, so (-2)^2 has no such sum
+    with pytest.raises(ValueError, match="non-negative"):
+        npow_forward(-2, 2)
     for function, args in [(exp_harmonic_inv, (2, -2)), (exp_harmonic_conv, (2, -1)),
                            (s2star_from_hnum_int, (2, -1, 1)), (s2star_from_hnum_int, (2, -1, 2))]:
         with pytest.raises(ValueError, match="j >= 0"):

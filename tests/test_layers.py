@@ -6,6 +6,7 @@ import ast
 import importlib
 import inspect
 import json
+import math
 import os
 import pathlib
 import re
@@ -83,6 +84,11 @@ def test_one_scaled_row_kernel():
     for e in range(6):
         assert special._DOUBLE_ROWS[e]._below is coeffs._NUMERATORS[e]
         assert special._CLASSIC_ROWS[e]._below is coeffs._NUMERATORS[e]
+    # the row format and both double-row families live in coeffs; special
+    # imports the two families and reads no integer table of its own
+    assert not re.search(r"_LCM|_NUMERATORS|SequenceTable|\._values", special_source)
+    assert _defining_modules("double_rows") == ["coeffs"]
+    assert special._DOUBLE_ROWS is coeffs._DOUBLE_ROWS and special._CLASSIC_ROWS is coeffs._CLASSIC_ROWS
     # every c*-weighted series reads one all-n row sum; series keeps no
     # diagonal builders of its own
     assert _defining_modules("binomial_row_sums") == ["harmonic"]
@@ -135,6 +141,13 @@ def test_no_second_copies():
         tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
         assert not any(isinstance(node, (ast.For, ast.While)) for node in ast.walk(tree)), function
     assert not hasattr(TruncSeries, "log_one_minus_z")
+    # one table of closed forms, one way to build a reduced Fraction, the
+    # math module's factorials, and one dispatcher of the zeta* methods
+    from zetaseries import cli, coeffs, exactnum
+    assert not hasattr(coeffs, "_HARMONIC_DENOM") and not hasattr(coeffs, "_harmonic_bracket")
+    assert not hasattr(exactnum, "_FROM_COPRIME_INTS")
+    assert exactnum.factorial is math.factorial and exactnum.falling_factorial is math.perm
+    assert not any(isinstance(node, ast.If) for node in ast.walk(ast.parse(inspect.getsource(cli.cmd_zetastar))))
 
 
 AUDIT_NAMES = {"run_suite", "suite_names", "suite_passes", "emit_report"}

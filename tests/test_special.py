@@ -270,6 +270,12 @@ def test_zeta_star_harmonic_polynomial_form():
         assert zeta_star_harmonic_form(s, 120) == pytest.approx(
             zeta_star(s, method="closed"), abs=1e-8
         )
+        # zeta_star dispatches all four methods, bit for bit
+        assert zeta_star(s, 120, "harmonic").hex() == zeta_star_harmonic_form(s, 120).hex()
+    for s in (3, 4, 5):
+        assert zeta_star(s, 120, "euler").hex() == zeta_star_euler_form(s, 120).hex()
+    with pytest.raises(ValueError, match="method must be"):
+        zeta_star(2, 120, "nope")
 
 
 def test_zeta_star_forms_beyond_double_exponent_range():
