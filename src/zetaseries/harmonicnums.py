@@ -2,21 +2,24 @@
 
 Pure power sums, the exact ones as prefix sums in one growable table per
 order r; the identities built on them live in :mod:`zetaseries.harmonic`.
+For r >= 1 the table's iterator carries H_m^{(r)} as a numerator and a
+denominator in lowest terms and adds 1/m^r by one divmod of the
+denominator by m^r: when m^r divides it, as it almost always does, the
+numerator grows by the quotient and only a gcd against m^r reduces;
+otherwise the step is Knuth's addition with two gcds of small ints.
+Each value is built by setting the two Fraction slots, as
+``exactnum._reduced`` does.  r <= 0 is the literal integer power sum.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count
+from math import gcd
 
 from .exactnum import SequenceTable
 
 __all__ = ["harmonic", "harmonic_real", "harmonic_t"]
-
-
-def _inv_power(m: int, r: int) -> Fraction:
-    """m^{-r} as an exact rational, for any integer r."""
-    return Fraction(1, m**r) if r >= 0 else Fraction(m**-r)
 
 
 _HARMONIC = {}  # order r -> table of H_n^{(r)}
@@ -35,11 +38,39 @@ def harmonic(n: int, r: int = 1) -> Fraction:
 
 
 def _prefix_sums(h: list, r: int):
+    """H_m^{(r)} for m = len(h), len(h) + 1, ..., resumed from h[-1].
+
+    For r >= 1, with num/den = H_{m-1}^{(r)} in lowest terms and
+    q, rem = divmod(den, m^r) (Knuth, TAOCP 4.5.1): a prime common to the
+    new numerator and denominator divides gcd(den, m^r).  If rem == 0 the
+    sum is (num + q)/den, and a prime p with v_p(den) > v_p(m^r) divides
+    q but not num, so gcd(num + q, m^r) is the whole common part.  Else
+    g = gcd(m^r, rem), the sum is (num*(m^r/g) + den/g)/(den/g * m^r),
+    and its common part is gcd(new num, g)."""
     total = h[-1] if h else Fraction(0)
-    for m in count(len(h)):
-        if m:
-            total += _inv_power(m, r)
+    if not h:
         yield total
+    if r <= 0:
+        for m in count(max(len(h), 1)):
+            total += m**-r
+            yield total
+    num, den = total.numerator, total.denominator
+    for m in count(max(len(h), 1)):
+        power = m**r
+        q, rem = divmod(den, power)
+        if rem:
+            g = gcd(power, rem)
+            q = den // g
+            num, den = num * (power // g) + q, q * power
+        else:
+            num += q
+            g = power
+        g = gcd(num % g, g)
+        if g > 1:
+            num, den = num // g, den // g
+        value = object.__new__(Fraction)  # set the two slots Fraction() sets
+        value._numerator, value._denominator = num, den
+        yield value
 
 
 def harmonic_real(n: int, rho: float) -> float:
@@ -57,7 +88,8 @@ def harmonic_t(n: int, r: int, t) -> Fraction:
     if n < 0:
         raise ValueError("harmonic_t requires n >= 0")
     t = Fraction(t)
-    total = Fraction(0)
+    total, weight = Fraction(0), Fraction(1)
     for m in range(1, n + 1):
-        total += t**m * _inv_power(m, r)
+        weight *= t  # t^m, carried
+        total += weight / m**r if r >= 0 else weight * m**-r
     return total

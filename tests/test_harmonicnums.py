@@ -1,12 +1,15 @@
 """Exact harmonic numbers against direct summation."""
 
 from fractions import Fraction
+from itertools import islice
+from math import gcd
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from zetaseries.harmonicnums import harmonic, harmonic_real, harmonic_t
+from zetaseries.exactnum import SequenceTable
+from zetaseries.harmonicnums import _prefix_sums, harmonic, harmonic_real, harmonic_t
 
 
 def test_harmonic_direct_positive_orders():
@@ -21,6 +24,56 @@ def test_harmonic_nonpositive_orders_are_power_sums():
         for r in (0, -1, -2, -3):
             direct = sum(Fraction(m ** (-r)) for m in range(1, n + 1))
             assert harmonic(n, r) == direct
+
+
+def _fraction_loop(n: int, r: int) -> list:
+    """H_0^{(r)}, ..., H_n^{(r)} by plain Fraction additions."""
+    total, sums = Fraction(0), [Fraction(0)]
+    for m in range(1, n + 1):
+        total += Fraction(m) ** -r
+        sums.append(total)
+    return sums
+
+
+@pytest.mark.parametrize("r", range(-3, 9))
+def test_harmonic_is_the_canonical_fraction(r):
+    # the integer kernel builds each value by its slots: it must be the very
+    # Fraction a plain loop builds, in lowest terms, hashing the same
+    for n, direct in enumerate(_fraction_loop(600, r)):
+        value = harmonic(n, r)
+        assert type(value) is Fraction
+        assert (value.numerator, value.denominator) == (direct.numerator, direct.denominator)
+        assert value.denominator > 0 and gcd(value.numerator, value.denominator) == 1
+        assert hash(value) == hash(Fraction(value.numerator, value.denominator)) == hash(direct)
+
+
+def test_prefix_sum_reductions_on_both_branches():
+    # 6 divides the denominator of H_5 = 137/60: (137 + 10)/60 reduces by 3,
+    # so the denominator is 20, not lcm(1..6) = 60
+    assert (harmonic(6, 1).numerator, harmonic(6, 1).denominator) == (49, 20)
+    assert (harmonic(6, 3).numerator, harmonic(6, 3).denominator) == (28567, 24000)
+    # 4 does not divide the denominator of H_3 = 11/6: (11*2 + 3)/12, nothing to reduce
+    assert (harmonic(4, 1).numerator, harmonic(4, 1).denominator) == (25, 12)
+    # no harmonic sum up to n = 600 reduces on that branch, so resume from
+    # 1/2 at m = 6: 6 does not divide 2, and (1*3 + 1)/6 reduces by 2
+    step = next(_prefix_sums([Fraction(0)] * 5 + [Fraction(1, 2)], 1))
+    assert type(step) is Fraction and (step.numerator, step.denominator) == (2, 3)
+
+
+@pytest.mark.parametrize("r", (-2, 1, 2, 5))
+def test_prefix_sums_resume_bit_identically(r):
+    # a table whose iterator was dropped after a failed pull restarts it on
+    # the values built so far; every restart continues the same sums
+    full = _fraction_loop(1600, r)
+    for cut in (1, 2, 7, 60, 997, 1500):
+        resumed = list(islice(_prefix_sums(full[:cut], r), 1601 - cut))
+        assert [(v.numerator, v.denominator) for v in resumed] == [
+            (v.numerator, v.denominator) for v in full[cut:]
+        ]
+    # a cold jump to n = 1500 and an ascending read build the same table
+    jump, ascending = (SequenceTable(lambda h: _prefix_sums(h, r)) for _ in range(2))
+    assert jump[1500] == full[1500]
+    assert [ascending[n] for n in range(1601)] == list(jump.cells(0, 1601)) == full
 
 
 def test_harmonic_frozen_values():
@@ -55,6 +108,19 @@ def test_harmonic_t_direct():
             for t in (Fraction(1, 3), Fraction(-2), Fraction(1)):
                 direct = sum(t**m / Fraction(m**r) for m in range(1, n + 1))
                 assert harmonic_t(n, r, t) == direct
+
+
+@pytest.mark.parametrize("t", (Fraction(-1, 2), Fraction(3, 7), 2))
+def test_harmonic_t_matches_a_plain_loop(t):
+    # harmonic_t carries the running power t^m; a plain loop raises t each term
+    for r in range(-2, 5):
+        total = Fraction(0)
+        for n in range(0, 41):
+            if n:
+                total += Fraction(t) ** n / Fraction(n) ** r
+            value = harmonic_t(n, r, t)
+            assert type(value) is Fraction
+            assert (value.numerator, value.denominator) == (total.numerator, total.denominator)
 
 
 def test_harmonic_t_weight_one_reduces_to_harmonic():
