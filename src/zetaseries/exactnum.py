@@ -5,8 +5,9 @@ All exact computation in this package is carried out over
 (positive denominator, gcd-reduced).  Fraction arithmetic reduces by a
 full gcd after each operation; ``_reduced`` builds one canonical value
 from an integer quotient whose denominator's primes all divide a known
-radical, such as lcm(1..j), reduces against that radical only, and sets
-the two slots of a new Fraction on every Python.  ``factorial`` and
+radical, such as lcm(1..j), and reduces against that radical only;
+``_coprime`` builds every such lowest-terms value, on every Python, by
+setting the two slots of a new Fraction.  ``factorial`` and
 ``falling_factorial`` are ``math.factorial`` and ``math.perm``; every
 integer/complex primitive raises ValueError outside its domain.
 ``_linear_combination`` sums integer multiples of rationals over one
@@ -100,7 +101,13 @@ def _reduced(numerator: int, denominator: int, radical: int) -> Fraction:
     while common > 1:
         numerator, denominator = numerator // common, denominator // common
         common = math.gcd(numerator % common, denominator % common, common)
-    value = object.__new__(Fraction)  # set the two slots Fraction() sets
+    return _coprime(numerator, denominator)
+
+
+def _coprime(numerator: int, denominator: int) -> Fraction:
+    """numerator / denominator for coprime ints and denominator > 0,
+    built by setting the two slots Fraction() sets, without its gcd."""
+    value = object.__new__(Fraction)
     value._numerator, value._denominator = numerator, denominator
     return value
 

@@ -4,11 +4,9 @@ Pure power sums, the exact ones as prefix sums in one growable table per
 order r; the identities built on them live in :mod:`zetaseries.harmonic`.
 For r >= 1 the table's iterator carries H_m^{(r)} as a numerator and a
 denominator in lowest terms and adds 1/m^r by one divmod of the
-denominator by m^r: when m^r divides it, as it almost always does, the
-numerator grows by the quotient and only a gcd against m^r reduces;
-otherwise the step is Knuth's addition with two gcds of small ints.
-Each value is built by setting the two Fraction slots, as
-``exactnum._reduced`` does.  r <= 0 is the literal integer power sum.
+denominator by m^r, reducing by gcds against m^r only; each value is
+built by ``exactnum._coprime``, without Fraction()'s gcd.  r <= 0 is the
+literal integer power sum.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ from fractions import Fraction
 from itertools import count
 from math import gcd
 
-from .exactnum import SequenceTable
+from .exactnum import SequenceTable, _coprime
 
 __all__ = ["harmonic", "harmonic_real", "harmonic_t"]
 
@@ -68,9 +66,7 @@ def _prefix_sums(h: list, r: int):
         g = gcd(num % g, g)
         if g > 1:
             num, den = num // g, den // g
-        value = object.__new__(Fraction)  # set the two slots Fraction() sets
-        value._numerator, value._denominator = num, den
-        yield value
+        yield _coprime(num, den)
 
 
 def harmonic_real(n: int, rho: float) -> float:

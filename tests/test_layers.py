@@ -146,6 +146,10 @@ def test_no_second_copies():
     from zetaseries import cli, coeffs, exactnum
     assert not hasattr(coeffs, "_HARMONIC_DENOM") and not hasattr(coeffs, "_harmonic_bracket")
     assert not hasattr(exactnum, "_FROM_COPRIME_INTS")
+    slot_writers = [path.stem for path in PACKAGE.glob("*.py") if "._numerator" in path.read_text(encoding="utf-8")]
+    assert slot_writers == ["exactnum"]
+    from zetaseries import harmonicnums
+    assert not hasattr(harmonicnums, "_inv_power")
     assert exactnum.factorial is math.factorial and exactnum.falling_factorial is math.perm
     assert not any(isinstance(node, ast.If) for node in ast.walk(ast.parse(inspect.getsource(cli.cmd_zetastar))))
 
