@@ -92,15 +92,17 @@ def _reduced(numerator: int, denominator: int, radical: int) -> Fraction:
     gcd(gcd(numerator, radical), denominator), taken in two steps: c =
     gcd(numerator mod radical, radical), then gcd(denominator mod c, c),
     so the long denominator is reduced modulo c, usually a few digits,
-    not modulo radical.  Each round divides that common part out and looks for what
-    is left of it, and the result is built without the full gcd of the
-    two long integers that Fraction() would take.  A zero numerator
-    shares every prime of the denominator, so 0/d comes out as 0/1."""
+    not modulo radical.  Each round divides that common part out and looks
+    for what is left of it the same way, numerator first: the
+    denominator is read only when c = gcd(numerator mod c, c) is still
+    above 1, so a round that ends the reduction reads one long integer,
+    not two.  The result is built without the full gcd of the two long
+    integers that Fraction() would take.  A zero numerator shares every
+    prime of the denominator, so 0/d comes out as 0/1."""
     common = math.gcd(numerator % radical, radical)
-    common = math.gcd(denominator % common, common)
-    while common > 1:
+    while common > 1 and (common := math.gcd(denominator % common, common)) > 1:
         numerator, denominator = numerator // common, denominator // common
-        common = math.gcd(numerator % common, denominator % common, common)
+        common = math.gcd(numerator % common, common)
     return _coprime(numerator, denominator)
 
 

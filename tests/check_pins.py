@@ -9,7 +9,9 @@ verification suite and the hash of every pinned CLI document, and checks
 ``exactnum._reduced`` against ``Fraction()`` on edge cases and on the
 c*(k, j) cells k = 2..14, j <= 600 of ``s2star_rec``, read once with j
 ascending and once descending, because the recurrence derives a row's
-denominators one way in order and another out of it.
+denominators one way in order and another out of it.  It checks every
+H_n^(r), r = -3..8, n <= 2000, of ``harmonicnums.harmonic`` against a
+plain Fraction loop, since its kernel builds each value by its slots.
 It prints each mismatch and exits 1 on any.
 """
 
@@ -31,6 +33,7 @@ from zetaseries import audit  # noqa: E402
 from zetaseries.cli import main  # noqa: E402
 from zetaseries.coeffs import _scaled_numerators, s2star_rec  # noqa: E402
 from zetaseries.exactnum import _reduced, factorial  # noqa: E402
+from zetaseries.harmonicnums import harmonic  # noqa: E402
 
 PINS = json.loads((TESTS / "pins.json").read_text())
 
@@ -109,6 +112,24 @@ def rec_mismatches(kmax: int = 14, jmax: int = 600, orders=(sorted, reversed)):
                     yield f"s2star_rec({k}, {j}) read by {order.__name__} differs from Fraction()"
 
 
+def harmonic_loop(n: int, r: int) -> list:
+    """H_0^(r), ..., H_n^(r) by plain Fraction additions."""
+    total, sums = Fraction(0), [Fraction(0)]
+    for m in range(1, n + 1):
+        total += Fraction(m) ** -r
+        sums.append(total)
+    return sums
+
+
+def harmonic_mismatches(orders=range(-3, 9), nmax: int = 2000):
+    """harmonic(n, r) against the plain loop: type, terms and hash."""
+    for r in orders:
+        for n, want in enumerate(harmonic_loop(nmax, r)):
+            got = harmonic(n, r)
+            if not (type(got) is Fraction and terms(got) == terms(want) and hash(got) == hash(want)):
+                yield f"harmonic({n}, {r}) differs from a Fraction loop"
+
+
 def main_check() -> int:
     mismatches = [
         *(line for suite in audit.suite_names() for line in report_mismatches(suite)),
@@ -116,12 +137,13 @@ def main_check() -> int:
           for format in digests for line in document_mismatches(command, format)),
         *reduced_mismatches(),
         *rec_mismatches(),
+        *harmonic_mismatches(),
     ]
     for line in mismatches:
         print(line)
     pinned = 3 * len(PINS["report_sha256"]) + sum(map(len, PINS["document_sha256"].values()))
     version = ".".join(map(str, sys.version_info[:3]))
-    print(f"Python {version}: {pinned} pins and _reduced checked, {len(mismatches)} mismatches")
+    print(f"Python {version}: {pinned} pins, _reduced and the harmonic sums checked, {len(mismatches)} mismatches")
     return 1 if mismatches else 0
 
 

@@ -47,6 +47,23 @@ def test_summary_counts_the_pairs_the_change_won_in_either_direction():
         assert bench_pairs.summarize(ties, [{"name": "x", "better": better}])["x"]["change_better_pairs"] == 0
 
 
+def test_summary_signs_the_median_gap_by_direction_and_compares_it_with_the_parent_iqr():
+    pairs = synthetic_pairs(PARENT, CHANGE)
+    lower = bench_pairs.summarize(pairs, [{"name": "x", "better": "lower"}])["x"]
+    higher = bench_pairs.summarize(pairs, [{"name": "x", "better": "higher"}])["x"]
+    # medians 3.0 and 2.5: the change is better by 0.5 where lower is better,
+    # worse by 0.5 where higher is; neither gap is above the parent's IQR 3.0
+    assert (lower["median_gap"], lower["gap_over_parent_iqr"]) == (0.5, False)
+    assert (higher["median_gap"], higher["gap_over_parent_iqr"]) == (-0.5, False)
+    # a gap equal to the IQR is not above it; one past it is
+    at = bench_pairs.summarize(synthetic_pairs(PARENT, [-1.0, -0.5, 0.0, 0.5, 1.0]), [{"name": "x", "better": "lower"}])
+    assert (at["x"]["median_gap"], at["x"]["parent_iqr"], at["x"]["gap_over_parent_iqr"]) == (3.0, 3.0, False)
+    past = bench_pairs.summarize(synthetic_pairs(PARENT, [-1.0, -0.5, -0.5, 0.5, 1.0]), [{"name": "x", "better": "lower"}])
+    assert (past["x"]["median_gap"], past["x"]["gap_over_parent_iqr"]) == (3.5, True)
+    up = bench_pairs.summarize(synthetic_pairs(PARENT, [7.0, 7.5, 8.0, 8.5, 9.0]), [{"name": "x", "better": "higher"}])
+    assert (up["x"]["median_gap"], up["x"]["gap_over_parent_iqr"]) == (5.0, True)
+
+
 def test_summary_reads_each_metric_by_name():
     pairs = [{"first": "parent", "parent": {"a": 1.0, "b": 9.0}, "change": {"a": 2.0, "b": 8.0}},
              {"first": "change", "parent": {"a": 1.0, "b": 9.0}, "change": {"a": 2.0, "b": 8.0}}]

@@ -129,6 +129,24 @@ def test_reduced_matches_fraction(quotient):
     assert list(check_pins.reduced_mismatches([quotient])) == []
 
 
+@st.composite
+def _deep_quotients(draw):
+    """(numerator, denominator, lcm(1..b)) as the c* cells have them: the
+    radical divides the denominator, and powers of 2 and 3 up to 2^60 and
+    3^40 in both terms take the reduction through several rounds."""
+    b = draw(st.integers(2, 41))
+    top = {2: 60, 3: 40}
+    powers = lambda: math.prod(p ** draw(st.integers(0, top.get(p, 12))) for p in _PRIMES if p <= b)
+    radical = math.lcm(*range(1, b + 1))
+    numerator = draw(st.integers(-10**40, 10**40)) * powers()
+    return numerator, radical * powers(), radical
+
+
+@given(_deep_quotients())
+def test_reduced_matches_fraction_over_several_rounds(quotient):
+    assert list(check_pins.reduced_mismatches([quotient])) == []
+
+
 def test_reduced_edge_cases_match_fraction():
     # a zero numerator, negative numerators, denominator 1 and radical 1
     assert list(check_pins.reduced_mismatches(check_pins.EDGE_CASES)) == []

@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import islice
 from math import gcd
 
+import check_pins
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -26,13 +27,7 @@ def test_harmonic_nonpositive_orders_are_power_sums():
             assert harmonic(n, r) == direct
 
 
-def _fraction_loop(n: int, r: int) -> list:
-    """H_0^{(r)}, ..., H_n^{(r)} by plain Fraction additions."""
-    total, sums = Fraction(0), [Fraction(0)]
-    for m in range(1, n + 1):
-        total += Fraction(m) ** -r
-        sums.append(total)
-    return sums
+_fraction_loop = check_pins.harmonic_loop  # H_0^{(r)}, ..., H_n^{(r)} by plain Fraction additions
 
 
 @pytest.mark.parametrize("r", range(-3, 9))
@@ -45,6 +40,30 @@ def test_harmonic_is_the_canonical_fraction(r):
         assert (value.numerator, value.denominator) == (direct.numerator, direct.denominator)
         assert value.denominator > 0 and gcd(value.numerator, value.denominator) == 1
         assert hash(value) == hash(Fraction(value.numerator, value.denominator)) == hash(direct)
+
+
+@pytest.mark.parametrize("r", (3, 4, 5))
+def test_harmonic_is_the_canonical_fraction_past_one_digit_powers(r):
+    # m^r outgrows one 30-bit digit past m = 1023, 181 and 63: the m^r gcd
+    # is then a long division, taken only when the gcd by m is above 1
+    assert list(check_pins.harmonic_mismatches([r], 2000)) == []
+
+
+@pytest.mark.parametrize("r, m, by_m, by_power", [(2, 21, 7, 49), (3, 42, 7, 49)])
+def test_prefix_sum_reduces_by_the_power_where_m_alone_falls_short(r, m, by_m, by_power):
+    # m^r divides the denominator of H_{m-1}^{(r)}, and the new numerator
+    # shares 7 with m but 49 with m^r: the fallback gcd by m^r is the one
+    # that brings the sum to lowest terms
+    loop = _fraction_loop(m, r)
+    before = loop[m - 1]
+    q, rem = divmod(before.denominator, m**r)
+    assert rem == 0
+    assert (gcd(before.numerator + q, m), gcd(before.numerator + q, m**r)) == (by_m, by_power)
+    step = next(_prefix_sums(loop[:m], r))
+    for value in (step, harmonic(m, r)):
+        assert type(value) is Fraction
+        assert (value.numerator, value.denominator) == (loop[m].numerator, loop[m].denominator)
+    assert loop[m].denominator == before.denominator // by_power
 
 
 def test_prefix_sum_reductions_on_both_branches():

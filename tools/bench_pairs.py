@@ -16,8 +16,10 @@ checks a claim on inputs not used while the change was written.  Each
 run's end-to-end metrics and operation counts come from the final JSON
 line of ``bench/run.py``, its rounds from the summary line on stderr.
 FILE gets every pair, and per metric each side's median and quartiles, the
-parent's interquartile range and the number of pairs the change won; the
-metrics and their direction are read from BENCHMARK.json.  Each
+parent's interquartile range, the number of pairs the change won, the
+signed gap between the medians (positive when the change reads better) and
+whether that gap is above the parent's interquartile range; the metrics
+and their direction are read from BENCHMARK.json.  Each
 workload's summary also gets each side's total failed and attempted
 operations and whether the change failed a larger share of its own.
 Needs only the standard library, git and no network.
@@ -74,14 +76,19 @@ def summarize(pairs: list, metrics: list) -> dict:
         name, lower = metric["name"], metric["better"] == "lower"
         values = {side: [pair[side][name] for pair in pairs] for side in SIDES}
         quartiles = {side: statistics.quantiles(values[side], n=4) for side in SIDES}
+        medians = {side: statistics.median(values[side]) for side in SIDES}
+        gap = medians["parent"] - medians["change"] if lower else medians["change"] - medians["parent"]
+        iqr = quartiles["parent"][2] - quartiles["parent"][0]
         out[name] = {
-            "parent_median": statistics.median(values["parent"]),
-            "change_median": statistics.median(values["change"]),
+            "parent_median": medians["parent"],
+            "change_median": medians["change"],
             "parent_quartiles": quartiles["parent"],
             "change_quartiles": quartiles["change"],
-            "parent_iqr": quartiles["parent"][2] - quartiles["parent"][0],
+            "parent_iqr": iqr,
             "change_better_pairs": sum((c < p) if lower else (c > p)
                                        for p, c in zip(values["parent"], values["change"])),
+            "median_gap": gap,
+            "gap_over_parent_iqr": gap > iqr,
             "pairs": len(pairs),
         }
     return out
@@ -119,7 +126,9 @@ def main(argv=None) -> int:
         "description": "End-to-end metrics of bench/run.py, parent commit against this change, runs alternating "
                        "which side goes first, written by tools/bench_pairs.py. Quartiles by "
                        "statistics.quantiles(n=4); change_better_pairs counts pairs where the change reads better; "
-                       "summary.operations totals each side's failed and attempted operations.",
+                       "median_gap is the parent's median minus the change's, negated where higher is better, "
+                       "so positive means the change reads better; gap_over_parent_iqr is whether median_gap "
+                       "exceeds parent_iqr; summary.operations totals each side's failed and attempted operations.",
         "command": f"PYTHONDONTWRITEBYTECODE=1 python3 bench/run.py --workload W --seed {args.seed} --trace 0",
         "host": f"{os.cpu_count()} CPUs, {platform.system()}, Python {platform.python_version()}",
         **{side: {"commit": git("rev-parse", f"{rev}^{{commit}}"), "src_tree": git("rev-parse", f"{rev}:src")}
