@@ -4,8 +4,8 @@ Pure power sums, the exact ones as prefix sums in one growable table per
 order r; the identities built on them live in :mod:`zetaseries.harmonic`.
 For r >= 1 the table's iterator carries H_m^{(r)} as a numerator and a
 denominator in lowest terms and adds 1/m^r by one divmod of the
-denominator by m^r, reducing by gcds against m^r only, and when m^r
-divides the denominator against m first; each value is built by
+denominator by m^r, reducing by gcds against m^r only, taken against m
+first when m^r divides the denominator; each value is built by
 ``exactnum._coprime``, without Fraction()'s gcd.  r <= 0 is the literal
 integer power sum.
 """
@@ -46,8 +46,8 @@ def _prefix_sums(h: list, r: int):
     q but not num, so gcd(num + q, m^r) is the whole common part.  Every
     prime of it divides m, so the one-digit gcd(num + q, m) is taken
     first, and the one against m^r, a long division once m^r outgrows a
-    digit, only when that is above 1 (41 to 55 of the 2000 steps of each
-    order r = 1..8).  Else g = gcd(m^r, rem), the sum is
+    digit, only when that is above 1 (41 to 55 of the first 2000 steps of
+    each order r = 1..8).  Else g = gcd(m^r, rem), the sum is
     (num*(m^r/g) + den/g)/(den/g * m^r), and its common part is
     gcd(new num, g)."""
     total = h[-1] if h else Fraction(0)

@@ -48,20 +48,18 @@ def test_summary_counts_the_pairs_the_change_won_in_either_direction():
 
 
 def test_summary_signs_the_median_gap_by_direction_and_compares_it_with_the_parent_iqr():
-    pairs = synthetic_pairs(PARENT, CHANGE)
-    lower = bench_pairs.summarize(pairs, [{"name": "x", "better": "lower"}])["x"]
-    higher = bench_pairs.summarize(pairs, [{"name": "x", "better": "higher"}])["x"]
+    def gap(change, better):
+        x = bench_pairs.summarize(synthetic_pairs(PARENT, change), [{"name": "x", "better": better}])["x"]
+        return x["median_gap"], x["gap_over_parent_iqr"]
+
     # medians 3.0 and 2.5: the change is better by 0.5 where lower is better,
     # worse by 0.5 where higher is; neither gap is above the parent's IQR 3.0
-    assert (lower["median_gap"], lower["gap_over_parent_iqr"]) == (0.5, False)
-    assert (higher["median_gap"], higher["gap_over_parent_iqr"]) == (-0.5, False)
+    assert gap(CHANGE, "lower") == (0.5, False)
+    assert gap(CHANGE, "higher") == (-0.5, False)
     # a gap equal to the IQR is not above it; one past it is
-    at = bench_pairs.summarize(synthetic_pairs(PARENT, [-1.0, -0.5, 0.0, 0.5, 1.0]), [{"name": "x", "better": "lower"}])
-    assert (at["x"]["median_gap"], at["x"]["parent_iqr"], at["x"]["gap_over_parent_iqr"]) == (3.0, 3.0, False)
-    past = bench_pairs.summarize(synthetic_pairs(PARENT, [-1.0, -0.5, -0.5, 0.5, 1.0]), [{"name": "x", "better": "lower"}])
-    assert (past["x"]["median_gap"], past["x"]["gap_over_parent_iqr"]) == (3.5, True)
-    up = bench_pairs.summarize(synthetic_pairs(PARENT, [7.0, 7.5, 8.0, 8.5, 9.0]), [{"name": "x", "better": "higher"}])
-    assert (up["x"]["median_gap"], up["x"]["gap_over_parent_iqr"]) == (5.0, True)
+    assert gap([-1.0, -0.5, 0.0, 0.5, 1.0], "lower") == (3.0, False)
+    assert gap([-1.0, -0.5, -0.5, 0.5, 1.0], "lower") == (3.5, True)
+    assert gap([7.0, 7.5, 8.0, 8.5, 9.0], "higher") == (5.0, True)
 
 
 def test_summary_reads_each_metric_by_name():

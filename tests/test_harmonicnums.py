@@ -27,14 +27,11 @@ def test_harmonic_nonpositive_orders_are_power_sums():
             assert harmonic(n, r) == direct
 
 
-_fraction_loop = check_pins.harmonic_loop  # H_0^{(r)}, ..., H_n^{(r)} by plain Fraction additions
-
-
 @pytest.mark.parametrize("r", range(-3, 9))
 def test_harmonic_is_the_canonical_fraction(r):
     # the integer kernel builds each value by its slots: it must be the very
     # Fraction a plain loop builds, in lowest terms, hashing the same
-    for n, direct in enumerate(_fraction_loop(600, r)):
+    for n, direct in enumerate(check_pins.harmonic_loop(600, r)):
         value = harmonic(n, r)
         assert type(value) is Fraction
         assert (value.numerator, value.denominator) == (direct.numerator, direct.denominator)
@@ -54,7 +51,7 @@ def test_prefix_sum_reduces_by_the_power_where_m_alone_falls_short(r, m, by_m, b
     # m^r divides the denominator of H_{m-1}^{(r)}, and the new numerator
     # shares 7 with m but 49 with m^r: the fallback gcd by m^r is the one
     # that brings the sum to lowest terms
-    loop = _fraction_loop(m, r)
+    loop = check_pins.harmonic_loop(m, r)
     before = loop[m - 1]
     q, rem = divmod(before.denominator, m**r)
     assert rem == 0
@@ -83,7 +80,7 @@ def test_prefix_sum_reductions_on_both_branches():
 def test_prefix_sums_resume_bit_identically(r):
     # a table whose iterator was dropped after a failed pull restarts it on
     # the values built so far; every restart continues the same sums
-    full = _fraction_loop(1600, r)
+    full = check_pins.harmonic_loop(1600, r)
     for cut in (1, 2, 7, 60, 997, 1500):
         resumed = list(islice(_prefix_sums(full[:cut], r), 1601 - cut))
         assert [(v.numerator, v.denominator) for v in resumed] == [
