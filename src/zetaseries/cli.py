@@ -121,9 +121,9 @@ def cmd_series(args) -> str:
     r = parse_rational(args.r) if args.r is not None else None
     result = series.intro_example(args.example, args.k, args.u, t=t, r=r, a=args.a, b=args.b)
     if args.example == "g":
-        cells = [(_decimal_str(result.coeff(n).real)) for n in range(result.order + 1)]
+        cells = [_decimal_str(c.real) for c in result]
     else:
-        cells = [_exact_str(result.coeff(n), args.format) for n in range(result.order + 1)]
+        cells = [_exact_str(c, args.format) for c in result.coeffs]
     if args.format == "json":
         return json.dumps(cells, separators=(",", ":")) + "\n"
     if args.format in ("csv", "markdown"):

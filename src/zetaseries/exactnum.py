@@ -10,8 +10,10 @@ radical, such as lcm(1..j), and reduces against that radical only;
 setting the two slots of a new Fraction.  ``factorial`` and
 ``falling_factorial`` are ``math.factorial`` and ``math.perm``; every
 integer/complex primitive raises ValueError outside its domain.
-``_linear_combination`` sums integer multiples of rationals over one
-common denominator; ``_binomial_sums`` is the one Pascal-rule kernel of
+``_over_common`` writes rationals as integer numerators over the lcm of
+their denominators, the rule of ``_linear_combination`` (integer
+multiples of rationals), ``TruncSeries.__mul__`` and the Lerch-style rows
+of :mod:`special`; ``_binomial_sums`` is the one Pascal-rule kernel of
 every binomial transform; :class:`SequenceTable` is the one memo the
 package keeps for a sequence: its values come from one resumable
 iterator, so a recurrence keeps its running state in locals and is never
@@ -65,14 +67,20 @@ factorial = math.factorial  # n!; ValueError for n < 0
 falling_factorial = math.perm  # n!/(n-j)! = n (n-1) ... (n-j+1); zero when j > n, ValueError for n < 0 or j < 0
 
 
+def _over_common(values) -> tuple[list, int]:
+    """Rationals q_i (ints or Fractions) as integer numerators over the lcm
+    of their denominators: ([q_i * common, ...], common)."""
+    values = list(values)
+    common = math.lcm(*(q.denominator for q in values))
+    return [q.numerator * (common // q.denominator) for q in values], common
+
+
 def _linear_combination(weights, values, over: int = 1) -> Fraction:
     """sum_i w_i q_i / over for integer weights w_i and rationals q_i,
     summed as integers over the lcm of the denominators of the q_i: one
     Fraction is built, where a Fraction loop reduces a gcd per term."""
-    values = list(values)
-    common = math.lcm(*(q.denominator for q in values))
-    total = sum(w * q.numerator * (common // q.denominator) for w, q in zip(weights, values))
-    return Fraction(total, common * over)
+    numerators, common = _over_common(values)
+    return Fraction(sum(w * x for w, x in zip(weights, numerators)), common * over)
 
 
 def _binomial_sums(values) -> list:

@@ -108,6 +108,11 @@ def s2star_from_hnum_int(k: int, j: int, variant: int) -> Fraction:
     return _linear_combination(weights, values, factorial(j))
 
 
+def _real_weight(i: int, j: int, r: float) -> float:
+    """1/(i+1)^r - 1/(i+2)^r + (j+1)/(i+2)^{r+1} (real order r, in doubles)."""
+    return (i + 1) ** -r - (i + 2) ** -r + (j + 1) * (i + 2) ** -(r + 1)
+
+
 def s2star_from_hnum_real(k: int, j: int, r: float, variant: int) -> float:
     """Real-order harmonic sums for c*(k+2, j), in double precision.
 
@@ -123,10 +128,7 @@ def s2star_from_hnum_real(k: int, j: int, r: float, variant: int) -> float:
         sign = (-1) ** (j - 1 - i)
         h = harmonic_real(i + 1, k - r)
         prefactor = sign * h / (math.factorial(j - 1 - i) * math.factorial(i + 1))
-        if variant == 1:
-            weight = (i + 1) ** -r + (j - 1 - i) * (i + 2) ** -(r + 1)
-        else:
-            weight = (i + 1) ** -r - (i + 2) ** -r + (j + 1) * (i + 2) ** -(r + 1)
+        weight = (i + 1) ** -r + (j - 1 - i) * (i + 2) ** -(r + 1) if variant == 1 else _real_weight(i, j, r)
         total += prefactor * weight
     return total
 
@@ -197,16 +199,8 @@ def harmonic_rec_corollary(n: int, k: int, which: int, r: float = 0.0):
         total = float(harmonic(n - 1, k))
         for j in range(1, n + 1):
             for i in range(j):
-                weight = (
-                    (i + 1) ** -r - (i + 2) ** -r + (j + 1) * (i + 2) ** -(r + 1)
-                )
-                total += (
-                    binomial(n, j)
-                    * binomial(j, i + 1)
-                    * (-1) ** (j - 1 - i)
-                    * harmonic_real(i + 1, k - r)
-                    * weight
-                )
+                sign = (-1) ** (j - 1 - i)
+                total += binomial(n, j) * binomial(j, i + 1) * sign * harmonic_real(i + 1, k - r) * _real_weight(i, j, r)
         return total
     raise ValueError("which must be 1, 2, or 3")
 

@@ -1,18 +1,23 @@
 """Dense truncated formal power series.
 
-``TruncSeries`` is a dense series with a fixed truncation order; the
-coefficient type is duck-typed (Fraction for exact work, complex for
-root-of-unity constructions).  Binary operations truncate to the smaller
-operand order, so every retained coefficient is exact in rational mode.
-It sits below the coefficient table (:mod:`coeffs`), which builds on it.
+``TruncSeries`` is a dense series with a fixed truncation order over
+exact rationals: every coefficient is an int or a Fraction, and any other
+type raises TypeError.  Binary operations truncate to the smaller operand
+order, so every retained coefficient is exact; a product is an integer
+convolution of the two operands, each over its own least common
+denominator (``exactnum._over_common``), and builds one Fraction per
+coefficient.  The root-of-unity constructions (multisection, introduction
+example g) live in :mod:`series`, on plain tuples.  It sits below the
+coefficient table (:mod:`coeffs`), which builds on it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
-from .exactnum import _binomial_sums, factorial
+from .exactnum import _binomial_sums, _over_common, factorial
 
 __all__ = ["TruncSeries"]
 
@@ -28,18 +33,19 @@ class TruncSeries:
             if len(coeffs) > order + 1:
                 coeffs = coeffs[: order + 1]
             else:
-                coeffs += [_zero_like(coeffs)] * (order + 1 - len(coeffs))
+                coeffs += [Fraction(0)] * (order + 1 - len(coeffs))
         if not coeffs:
             raise ValueError("series needs at least the constant coefficient")
+        if not all(isinstance(c, (int, Fraction)) for c in coeffs):
+            raise TypeError("series coefficients must be int or Fraction")
         self.coeffs = tuple(coeffs)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def geometric(cls, t, order: int) -> "TruncSeries":
-        """1/(1 - t z) truncated."""
-        t = t if isinstance(t, (complex, float)) else Fraction(t)
-        return cls([t**0] * (order + 1)).scale_arg(t)
+        """1/(1 - t z) truncated, for a rational t."""
+        return cls([Fraction(1)] * (order + 1)).scale_arg(t)
 
     @classmethod
     def exp_z(cls, order: int) -> "TruncSeries":
@@ -57,7 +63,7 @@ class TruncSeries:
         return len(self.coeffs) - 1
 
     def coeff(self, n: int):
-        return self.coeffs[n] if 0 <= n <= self.order else _zero_like(self.coeffs)
+        return self.coeffs[n] if 0 <= n <= self.order else Fraction(0)
 
     def __eq__(self, other):
         if not isinstance(other, TruncSeries):
@@ -96,29 +102,23 @@ class TruncSeries:
         if not isinstance(other, TruncSeries):
             return self.scale(other)
         order = min(self.order, other.order)
-        out = [_zero_like(self.coeffs)] * (order + 1)
-        for i, a in enumerate(self.coeffs[: order + 1]):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs[: order - i + 1]):
-                if b == 0:
-                    continue
-                out[i + j] += a * b
-        return TruncSeries(out)
+        a, p = _over_common(self.coeffs[: order + 1])
+        b, q = _over_common(other.coeffs[: order + 1])
+        return TruncSeries([Fraction(sum(map(mul, a[: n + 1], b[n::-1])), p * q) for n in range(order + 1)])
 
     __rmul__ = __mul__
 
     def derivative(self) -> "TruncSeries":
         """Formal d/dz; the result order drops by one."""
         if self.order == 0:
-            return TruncSeries([_zero_like(self.coeffs)])
+            return TruncSeries([Fraction(0)])
         return TruncSeries([n * c for n, c in enumerate(self.coeffs)][1:])
 
     def antiderivative(self) -> "TruncSeries":
         """Formal integral with zero constant term; order grows by one."""
-        out = [_zero_like(self.coeffs)]
+        out = [Fraction(0)]
         for n, c in enumerate(self.coeffs):
-            out.append(c / (n + 1))
+            out.append(Fraction(c, n + 1))
         return TruncSeries(out)
 
     def inverse(self) -> "TruncSeries":
@@ -126,11 +126,11 @@ class TruncSeries:
         c0 = self.coeffs[0]
         if c0 == 0:
             raise ZeroDivisionError("series has no reciprocal: zero constant term")
-        # the inner sum stops at the last nonzero coefficient, as in __mul__
+        # the inner sum stops at the last nonzero coefficient
         degree = max(i for i, c in enumerate(self.coeffs) if c != 0)
-        inv = [1 / c0]
+        inv = [Fraction(1) / c0]
         for n in range(1, self.order + 1):
-            acc = _zero_like(self.coeffs)
+            acc = Fraction(0)
             for i in range(1, min(n, degree) + 1):
                 acc += self.coeffs[i] * inv[n - i]
             inv.append(-acc / c0)
@@ -140,9 +140,9 @@ class TruncSeries:
         """exp of a series with zero constant term (rational closure)."""
         if self.coeffs[0] != 0:
             raise ValueError("series exp requires a zero constant term")
-        out = [self.coeffs[0] ** 0]  # one of the coefficient type
+        out = [Fraction(1)]
         for n in range(1, self.order + 1):
-            acc = _zero_like(self.coeffs)
+            acc = Fraction(0)
             for k in range(1, n + 1):
                 acc += k * self.coeffs[k] * out[n - k]
             out.append(acc / n)
@@ -162,14 +162,8 @@ class TruncSeries:
 
     def scale_arg(self, c) -> "TruncSeries":
         """f(c z): multiply coefficient n by c^n."""
-        out, p = [], c**0
+        out, p = [], Fraction(1)
         for coeff in self.coeffs:
             out.append(coeff * p)
             p = p * c
         return TruncSeries(out)
-
-
-def _zero_like(coeffs) -> object:
-    for c in coeffs:
-        return 0 * c
-    return Fraction(0)

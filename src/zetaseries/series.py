@@ -1,7 +1,9 @@
 """The transform constructions on truncated power series.
 
 ``TruncSeries`` lives in :mod:`powerseries`, below the coefficient
-table, and is re-exported here.
+table, and is re-exported here.  It is exact-only (int and Fraction
+coefficients); the two double-precision constructions, ``multisection``
+and ``intro_example("g", ...)``, return tuples of complex numbers.
 
 The transforms sum_j w_j z^j G^{(j)}(z) act coefficientwise, since
 [z^n] z^j G^{(j)}(z) = n!/(n-j)! g_n: coefficient n is
@@ -62,7 +64,7 @@ def transform_zeta(G: TruncSeries, k: int) -> TruncSeries:
     if k < 0:
         raise ValueError("transform_zeta requires k >= 0")
     row = _binomial_row_sums(k + 2, G.order, 0)
-    return TruncSeries([0 * G.coeffs[0]] + [row[n] * G.coeffs[n] for n in range(1, G.order + 1)])
+    return TruncSeries([Fraction(0)] + [row[n] * G.coeffs[n] for n in range(1, G.order + 1)])
 
 
 def intro_example(example_id: str, k: int, u: int, *, t=None, r=None, a=None, b=None):
@@ -72,7 +74,8 @@ def intro_example(example_id: str, k: int, u: int, *, t=None, r=None, a=None, b=
     doubles).
 
     Returns the truncated z-series whose coefficients match the direct
-    left-hand sums.
+    left-hand sums: a TruncSeries for a-f, a tuple of complex numbers
+    (coefficients 0..u) for g.
     """
     if u < 1:
         raise ValueError("truncation order u must be >= 1")
@@ -98,7 +101,7 @@ def intro_example(example_id: str, k: int, u: int, *, t=None, r=None, a=None, b=
     return TruncSeries(coeffs)
 
 
-def _intro_example_progression(s: int, u: int, a: int, b: int) -> TruncSeries:
+def _intro_example_progression(s: int, u: int, a: int, b: int) -> tuple:
     """Example (g): arithmetic-progression weights 1/(an+b)^s.
 
     Works in y = z^{1/a}; for each residue-selector m the [w^U] slice of
@@ -117,24 +120,25 @@ def _intro_example_progression(s: int, u: int, a: int, b: int) -> TruncSeries:
         for n in range(bigu + 1):
             y_acc[n] += selector * power * float(inner[n])
             power *= omega_m
-    out = [y_acc[a * n + b] for n in range(u + 1)]
-    return TruncSeries(out)
+    return tuple(y_acc[a * n + b] for n in range(u + 1))
 
 
-def multisection(F: TruncSeries, a: int, b: int) -> TruncSeries:
+def multisection(F: TruncSeries, a: int, b: int) -> tuple:
     """Root-of-unity multisection keeping coefficients with n = b (mod a):
 
-    sum_{m<a} (omega_a^{-mb}/a) F(omega_a^m z), as a complex series.
+    sum_{m<a} (omega_a^{-mb}/a) F(omega_a^m z), as a tuple of complex
+    numbers, coefficients 0..F.order.
     """
     if a < 2 or not 0 <= b < a:
         raise ValueError("multisection requires a >= 2 and 0 <= b < a")
-    Fc = TruncSeries([complex(c) for c in F.coeffs])
-    total = TruncSeries([0j] * (F.order + 1))
+    total = [0j] * (F.order + 1)
     for m in range(a):
-        total = total + Fc.scale_arg(root_of_unity(a, m)).scale(
-            root_of_unity(a, -m * b) / a
-        )
-    return total
+        omega, selector = root_of_unity(a, m), root_of_unity(a, -m * b) / a
+        power = 1 + 0j
+        for n, c in enumerate(F.coeffs):
+            total[n] = total[n] + selector * (complex(c) * power)
+            power = power * omega
+    return tuple(total)
 
 
 def stirling1_egf_check(k: int, order: int) -> tuple[TruncSeries, TruncSeries]:

@@ -44,7 +44,7 @@ from functools import cache
 from typing import NamedTuple
 
 from .coeffs import _CLASSIC_ROWS, _DOUBLE_ROWS, _harmonic_form
-from .exactnum import _binomial_sums, factorial
+from .exactnum import _binomial_sums, _over_common, factorial
 from .harmonicnums import harmonic, harmonic_real
 from .reports import IdentityReport, compare
 
@@ -178,10 +178,8 @@ def _phi_inner_table(s: int, alpha: Fraction, beta: Fraction, K: int):
 
 @cache
 def _phi_general_table(s: int, alpha: Fraction, beta: Fraction, K: int) -> tuple:
-    terms = [(alpha * (m + 1) + beta) ** -s for m in range(K + 1)]
-    common = math.lcm(*(t.denominator for t in terms))
-    signed = [(-1) ** (m + 1) * t.numerator * (common // t.denominator) for m, t in enumerate(terms)]
-    return tuple(x / common for x in _binomial_sums(signed))
+    numerators, common = _over_common((alpha * (m + 1) + beta) ** -s for m in range(K + 1))
+    return tuple(x / common for x in _binomial_sums([(-1) ** (m + 1) * x for m, x in enumerate(numerators)]))
 
 
 def hurwitz_phi(z: float, s: int, alpha, beta, K: int) -> EvalResult:

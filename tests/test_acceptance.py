@@ -154,7 +154,7 @@ def test_criterion_05_transform_and_examples(announce):
             for s in (1, 2):
                 result = intro_example("g", s, 12, a=a, b=b)
                 for n in range(1, 13):
-                    assert abs(result.coeff(n) - 1.0 / (a * n + b) ** s) < 1e-10
+                    assert abs(result[n] - 1.0 / (a * n + b) ** s) < 1e-10
 
 
 def test_criterion_06_harmonic_propositions(announce):

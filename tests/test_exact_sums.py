@@ -167,6 +167,13 @@ def test_grids_reach_the_edges():
     assert any(spec.n == 0 for (spec,) in CASES["m_alt"][2])
 
 
+def test_over_common_writes_rationals_over_the_lcm():
+    from zetaseries.exactnum import _over_common
+    assert _over_common([]) == ([], 1)
+    assert _over_common([Fraction(1, 6), 3, Fraction(-5, 4), 0]) == ([2, 36, -15, 0], 12)
+    assert _over_common(iter([Fraction(2, 3)])) == ([2], 3)
+
+
 def test_linear_combination_sums_over_one_denominator():
     assert _linear_combination([], []) == 0
     assert _linear_combination([3, -2], [Fraction(1, 6), Fraction(5, 4)]) == Fraction(-2)

@@ -130,6 +130,24 @@ def test_one_pascal_rule_kernel():
         assert "_binomial_sums" in ast.unparse(tree), function
 
 
+def test_one_common_denominator_rule():
+    # rationals as integer numerators over the lcm of their denominators:
+    # written once, in exactnum, and called by each exact sum and product
+    from zetaseries import exactnum, special
+    from zetaseries.powerseries import TruncSeries
+    assert _defining_modules("over_common") == ["exactnum"]
+    assert [path.stem for path in PACKAGE.glob("*.py") if ".denominator for" in path.read_text(encoding="utf-8")] == ["exactnum"]
+    for function in (exactnum._linear_combination, special._phi_general_table.__wrapped__, TruncSeries.__mul__):
+        assert "_over_common(" in inspect.getsource(function), function
+    # the series class is exact-only: no branch or idiom for another type
+    source = (PACKAGE / "powerseries.py").read_text(encoding="utf-8")
+    assert not re.search(r"\bcomplex\b|\bfloat\b|\*\*\s*0\b", source)
+    assert not any("_zero_like" in path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py"))
+    # one copy of the real-order weight of the harmonic sums
+    harmonic_source = (PACKAGE / "harmonic.py").read_text(encoding="utf-8")
+    assert harmonic_source.count("(j + 1) * (i + 2) ** -(r + 1)") == 1
+
+
 def test_no_second_copies():
     # each of these calls the kernel that already computes its concept:
     # bernoulli_poly, harmonic_real, scale_arg, __add__ and the first-

@@ -102,7 +102,7 @@ def test_binomial_transform_is_compose_with_minus_z_over_one_minus_z(f):
     assert f.binomial_transform() == compose(f, inner)
 
 
-@pytest.mark.parametrize("t", [Fraction(-1, 3), 0.5])
+@pytest.mark.parametrize("t", [Fraction(-1, 3)])
 def test_geometric_is_repeated_products(t):
     powers = [t**0]
     while len(powers) < 9:
@@ -110,14 +110,41 @@ def test_geometric_is_repeated_products(t):
     assert TruncSeries.geometric(t, 8).coeffs == tuple(powers)
 
 
-def test_sub_is_elementwise_difference_with_signed_zeros():
-    a = [0.0, -0.0, 1.5, -0.0, 0.0, -2.25]
-    b = [-0.0, -0.0, 0.0, 0.0, 2.0]
-    complex_a = [complex(x, y) for x, y in zip(a, b)] + [complex(-0.0, 1)]
-    complex_b = [complex(y, -x) for x, y in zip(a, b)]
-    for x, y in ((a, b), (complex_a, complex_b)):
-        difference = (TruncSeries(x) - TruncSeries(y)).coeffs
-        assert [repr(c) for c in difference] == [repr(p - q) for p, q in zip(x, y)]
+def test_non_rational_coefficients_raise_type_error():
+    with pytest.raises(TypeError):
+        TruncSeries([Fraction(1), 0.5])
+    with pytest.raises(TypeError):
+        TruncSeries([1, 2j])
+    with pytest.raises(TypeError):
+        TruncSeries.geometric(0.5, 8)
+
+
+def fraction_product(f, g):
+    """The Fraction double loop that ``TruncSeries.__mul__`` was before
+    its integer kernel: the oracle of that kernel."""
+    order = min(f.order, g.order)
+    out = [Fraction(0)] * (order + 1)
+    for i, a in enumerate(f.coeffs[: order + 1]):
+        if a == 0:
+            continue
+        for j, b in enumerate(g.coeffs[: order - i + 1]):
+            if b == 0:
+                continue
+            out[i + j] += a * b
+    return out
+
+
+mixed_series = st.lists(st.one_of(st.integers(-5, 5), small_fracs), min_size=1, max_size=9).map(TruncSeries)
+
+
+@given(mixed_series, mixed_series)
+@example(TruncSeries([0]), TruncSeries([Fraction(1, 2), 3, 0]))
+@example(TruncSeries([Fraction(-2, 3)]), TruncSeries([Fraction(3, 4)]))
+@example(TruncSeries([2, 0, 0, Fraction(1, 6)]), TruncSeries([Fraction(5, 4), 0, Fraction(-7, 10), 1, 9]))
+def test_integer_kernel_matches_the_fraction_loop(f, g):
+    got, want = (f * g).coeffs, fraction_product(f, g)
+    assert all(type(c) is Fraction for c in got)
+    assert [(c.numerator, c.denominator) for c in got] == [(c.numerator, c.denominator) for c in want]
 
 
 def test_series_reexports_the_powerseries_class():
@@ -199,9 +226,9 @@ def test_intro_example_g_progression():
     for a, b, s in ((2, 0, 1), (2, 1, 2), (3, 1, 1), (4, 3, 2)):
         result = intro_example("g", s, 10, a=a, b=b)
         want0 = 1.0 / b**s if b > 0 else 0.0
-        assert abs(result.coeff(0) - want0) < 1e-10
+        assert abs(result[0] - want0) < 1e-10
         for n in range(1, 11):
-            assert abs(result.coeff(n) - 1.0 / (a * n + b) ** s) < 1e-10
+            assert abs(result[n] - 1.0 / (a * n + b) ** s) < 1e-10
 
 
 def test_intro_example_rejects_bad_input():
@@ -263,14 +290,14 @@ def test_multisection_extracts_residue_class(a, data):
     picked = multisection(F, a, b)
     for n in range(20):
         want = float(F.coeff(n)) if n % a == b else 0.0
-        assert abs(picked.coeff(n) - want) < 1e-10
+        assert abs(picked[n] - want) < 1e-10
 
 
 def test_multisection_partition_of_unity():
     F = TruncSeries([Fraction(1, n + 1) for n in range(16)])
-    total = multisection(F, 3, 0) + multisection(F, 3, 1) + multisection(F, 3, 2)
+    total = [x + y + z for x, y, z in zip(multisection(F, 3, 0), multisection(F, 3, 1), multisection(F, 3, 2))]
     for n in range(16):
-        assert abs(total.coeff(n) - float(F.coeff(n))) < 1e-12
+        assert abs(total[n] - float(F.coeff(n))) < 1e-12
 
 
 # --- classical series identities -----------------------------------------
