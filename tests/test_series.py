@@ -119,6 +119,14 @@ def test_non_rational_coefficients_raise_type_error():
         TruncSeries.geometric(0.5, 8)
 
 
+def test_int_coefficients_stay_exact():
+    f = TruncSeries([2, 1, 0])
+    assert f.inverse().coeffs == (Fraction(1, 2), Fraction(-1, 4), Fraction(1, 8))
+    assert TruncSeries([1, 3]).antiderivative().coeffs == (0, 1, Fraction(3, 2))
+    for result in (f.inverse(), TruncSeries([1, 3]).antiderivative(), TruncSeries([0, 1, 0]).exp(), f * f):
+        assert all(type(c) is Fraction for c in result.coeffs), result
+
+
 def fraction_product(f, g):
     """The Fraction double loop that ``TruncSeries.__mul__`` was before
     its integer kernel: the oracle of that kernel."""
