@@ -102,12 +102,26 @@ def test_binomial_transform_is_compose_with_minus_z_over_one_minus_z(f):
     assert f.binomial_transform() == compose(f, inner)
 
 
-@pytest.mark.parametrize("t", [Fraction(-1, 3)])
+@pytest.mark.parametrize("t", [Fraction(-1, 3), pytest.param(Fraction(1, 2), id="0.5")])
 def test_geometric_is_repeated_products(t):
     powers = [t**0]
     while len(powers) < 9:
         powers.append(powers[-1] * t)
     assert TruncSeries.geometric(t, 8).coeffs == tuple(powers)
+
+
+def test_sub_is_elementwise_difference_with_signed_zeros():
+    a = [0, -0, Fraction(3, 2), -Fraction(0), Fraction(0), Fraction(-9, 4)]
+    b = [-Fraction(0), -0, 0, Fraction(0), 2]
+    int_a = [0, -0, 3, 0, -5, 1]
+    int_b = [-0, 0, -0, 4, 0]
+    for x, y in ((a, b), (int_a, int_b)):
+        difference = (TruncSeries(x) - TruncSeries(y)).coeffs
+        assert [repr(c) for c in difference] == [repr(p - q) for p, q in zip(x, y)]
+    # a float zero carries a sign that an exact series cannot hold
+    for zeros in ([0.0, -0.0], [complex(-0.0, 0.0)]):
+        with pytest.raises(TypeError):
+            TruncSeries(zeros)
 
 
 def test_non_rational_coefficients_raise_type_error():
