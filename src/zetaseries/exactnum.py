@@ -6,16 +6,18 @@ All exact computation in this package is carried out over
 full gcd after each operation; ``_reduced`` builds one canonical value
 from an integer quotient whose denominator's primes all divide a known
 radical, such as lcm(1..j), and reduces against that radical only;
-``_coprime`` builds every such lowest-terms value, on every Python, by
-setting the two slots of a new Fraction.  ``factorial`` and
+``_coprime`` builds every such lowest-terms value by setting the two
+slots of a new Fraction, and is Fraction itself on an interpreter where
+that does not give Fraction(-3, 4) at import.  ``factorial`` and
 ``falling_factorial`` are ``math.factorial`` and ``math.perm``; every
 integer/complex primitive raises ValueError outside its domain.
 ``_over_common`` writes rationals as integer numerators over the lcm of
 their denominators, the rule of ``_linear_combination`` (integer
-multiples of rationals), ``TruncSeries.__mul__`` and the Lerch-style rows
-of :mod:`special`; ``_binomial_sums`` is the one Pascal-rule kernel of
-every binomial transform; :class:`SequenceTable` is the one memo the
-package keeps for a sequence: its values come from one resumable
+multiples of rationals), ``TruncSeries.__mul__`` and the s <= 0
+Lerch-style rows of :mod:`special`; ``_binomial_sums`` is the one
+Pascal-rule kernel of every exact binomial transform;
+:class:`SequenceTable` is the one memo the package keeps for a
+sequence: its values come from one resumable
 iterator, so a recurrence keeps its running state in locals and is never
 re-derived from the list per entry; a table of a two-index family reads
 the table below it in place, at its own index, and a miss builds a run of
@@ -114,12 +116,28 @@ def _reduced(numerator: int, denominator: int, radical: int) -> Fraction:
     return _coprime(numerator, denominator)
 
 
-def _coprime(numerator: int, denominator: int) -> Fraction:
+def _by_slots(numerator: int, denominator: int) -> Fraction:
     """numerator / denominator for coprime ints and denominator > 0,
     built by setting the two slots Fraction() sets, without its gcd."""
     value = object.__new__(Fraction)
     value._numerator, value._denominator = numerator, denominator
     return value
+
+
+def _checked(build):
+    """build if build(-3, 4) is Fraction(-3, 4) in terms, hash and str, else
+    Fraction, which is correct on any layout of its slots but slower."""
+    want = Fraction(-3, 4)
+    try:
+        got = build(-3, 4)
+        if (got.numerator, got.denominator, hash(got), str(got)) == (-3, 4, hash(want), str(want)):
+            return build
+    except (AttributeError, TypeError):  # a Fraction whose slots are gone or renamed
+        pass
+    return Fraction
+
+
+_coprime = _checked(_by_slots)  # the one builder of lowest-terms values, checked once at import
 
 
 def root_of_unity(a: int, m: int) -> complex:

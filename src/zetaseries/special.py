@@ -16,8 +16,9 @@ sum_j a_j (-z/(1-z))^j over a row of doubles a_j read in place from
 factors are powers of two.  The classical series and the modified
 Hurwitz zeta read their inner table through one entry,
 ``_phi_inner_table``: for alpha = 1, beta = 0 and s >= 1 it reads
-``_CLASSIC_ROWS``; any other row is ``exactnum._binomial_sums`` of exact
-signed terms.
+``_CLASSIC_ROWS``; any other row with s >= 1 comes from the
+harmonic-polynomial recurrence of ``_lerch_cells``, and one with s <= 0
+from ``exactnum._binomial_sums`` of its first 1 - s exact signed terms.
 ``li_direct_sum`` keeps its own loop: its power / n^s rounds otherwise.
 
 Four displayed forms evaluated here required sign/term repairs that are
@@ -146,13 +147,12 @@ def _binomial_series(coefficients, J: int, z, method: str, prefactor=1.0) -> Eva
         raise ValueError("the binomial series diverges for |z/(1-z)| >= 1")
     total = 0.0 * w
     power = 1.0 + 0.0 * w
-    last = 0.0
+    term = 0.0
     for value in coefficients:
         power *= w
         term = value * power * prefactor
         total += term
-        last = abs(term)
-    return EvalResult(total, J, last, method)
+    return EvalResult(total, J, abs(term), method)
 
 
 def li_classic_series(s: int, z: float, K: int) -> EvalResult:
@@ -165,9 +165,9 @@ def _phi_inner_table(s: int, alpha: Fraction, beta: Fraction, K: int):
     """sum_{m=0}^{k} C(k, m) (-1)^{m+1} / (alpha (m+1) + beta)^s for
     k = 0..K as doubles: for alpha = 1, beta = 0 and s >= 1 cells 1..K+1
     of the classical row for s, read in place from a row built once and
-    only extended; otherwise a tuple summed exactly by the Pascal-rule
-    kernel over an integer common denominator (the alternating binomial
-    sums cancel far below double precision termwise).
+    only extended; otherwise a tuple of exact values, each rounded once
+    (the alternating binomial sums cancel far below double precision
+    termwise).
     """
     if K < 0:
         raise ValueError("the binomial series requires K >= 0")
@@ -178,8 +178,48 @@ def _phi_inner_table(s: int, alpha: Fraction, beta: Fraction, K: int):
 
 @cache
 def _phi_general_table(s: int, alpha: Fraction, beta: Fraction, K: int) -> tuple:
-    numerators, common = _over_common((alpha * (m + 1) + beta) ** -s for m in range(K + 1))
-    return tuple(x / common for x in _binomial_sums([(-1) ** (m + 1) * x for m, x in enumerate(numerators)]))
+    if s >= 1:
+        return tuple(_lerch_cells(s, alpha, beta, K))
+    # the terms are a polynomial of degree -s in m, so every cell past k = -s is exactly 0, written +0.0
+    numerators, common = _over_common((alpha * (m + 1) + beta) ** -s for m in range(min(K, -s) + 1))
+    head = [x / common for x in _binomial_sums([(-1) ** (m + 1) * x for m, x in enumerate(numerators)])]
+    return tuple(head + [0.0] * (K + s))
+
+
+def _lerch_cells(s: int, alpha: Fraction, beta: Fraction, K: int):
+    """The cells k = 0..K of ``_phi_general_table`` for s >= 1, each the
+    correctly rounded double of its exact value.
+
+    With F_m = a(m+1) + b, a = alpha.num * beta.den, b = beta.num * alpha.den
+    and q = alpha.den * beta.den, differencing 1/(m + c) gives
+    k!/(c)_{k+1}, and so the cell is
+    -q^s k! a^k h_{s-1}(1/F_0, ..., 1/F_k) / prod_{i<=k} F_i, h_t the
+    complete homogeneous polynomial.  It carries L_k = lcm(|F_0..F_k|)
+    and the integers H_t = h_t(1/F_0, ..., 1/F_k) L_k^t, t < s, by
+    H_t(k) = H_t(k-1) (L_k / L_{k-1})^t + H_{t-1}(k) L_k / F_k, the update
+    that builds the c* numerator rows of :mod:`coeffs` with F_j = j, so a
+    row costs O(K s) integer steps, not a Pascal sum of O(K^2).  Each cell
+    is one int/int true division over a positive denominator, so an exact
+    0 is +0.0."""
+    a, b = alpha.numerator * beta.denominator, beta.numerator * alpha.denominator
+    scale = -((alpha.denominator * beta.denominator) ** s)  # -q^s k! a^k
+    h = [1] + [0] * (s - 1)
+    lcm = power = product = 1  # L_k, L_k^(s-1), prod F_i
+    for k in range(K + 1):
+        f = a * (k + 1) + b
+        if (step := math.lcm(lcm, f) // lcm) != 1:
+            for t in range(1, s):
+                h[t] *= step**t
+            power *= step ** (s - 1)
+            lcm *= step
+        weight = lcm // f  # ZeroDivisionError at F_k = 0
+        for t in range(1, s):
+            h[t] += h[t - 1] * weight
+        if k:
+            scale *= k * a
+        product *= f
+        numerator, denominator = scale * h[-1], power * product
+        yield numerator / denominator if denominator > 0 else -numerator / -denominator
 
 
 def hurwitz_phi(z: float, s: int, alpha, beta, K: int) -> EvalResult:

@@ -12,6 +12,9 @@ ascending and once descending, because the recurrence derives a row's
 denominators one way in order and another out of it.  It checks every
 H_n^(r), r = -3..8, n <= 2000, of ``harmonicnums.harmonic`` against a
 plain Fraction loop, since its kernel builds each value by its slots.
+It checks the Lerch-style inner rows of ``special._phi_inner_table``
+(``LERCH_ROWS``) bit for bit against the double nearest each exact
+binomial sum, since their recurrence rounds one exact quotient per cell.
 It prints each mismatch and exits 1 on any.
 """
 
@@ -34,6 +37,7 @@ from zetaseries.cli import main  # noqa: E402
 from zetaseries.coeffs import _scaled_numerators, s2star_rec  # noqa: E402
 from zetaseries.exactnum import _reduced, factorial  # noqa: E402
 from zetaseries.harmonicnums import harmonic  # noqa: E402
+from zetaseries.special import _phi_inner_table  # noqa: E402
 
 PINS = json.loads((TESTS / "pins.json").read_text())
 
@@ -47,6 +51,19 @@ EDGE_CASES = [
     (-(2**70) * 3**5, 2**64 * 3**9, 6),  # more than one round per prime
     (30, 4, 30),  # the numerator holds radical primes 3 and 5 that the denominator lacks
     (2**5 * 3 * 7, 2**3 * 5, 210),  # 3 and 7 in the numerator only, next to the shared 2
+]
+
+
+# (s, alpha, beta, K) of _phi_inner_table: the rows of the numeric
+# benchmark's hurwitz_phi points at K = 150 and of the audit's
+# special.hurwitz_direct points at K = 200 (the first there is the
+# classical row), then s = -2..8 with fractional and negative alpha and
+# beta, where alpha (m+1) + beta is negative for some m or for all
+LERCH_ROWS = [
+    *((s, Fraction(alpha), Fraction(beta), 150) for s, alpha, beta in ((2, 2, 1), (3, 3, 2), (1, 2, 1))),
+    *((s, Fraction(alpha), Fraction(beta), 200) for s, alpha, beta in ((2, 1, 0), (1, 2, 1), (3, 3, 2))),
+    *((s, alpha, beta, 40) for s in range(-2, 9) for alpha, beta in (
+        (Fraction(1, 2), Fraction(-1, 3)), (Fraction(-3, 2), Fraction(5, 7)), (Fraction(3, 4), Fraction(-7, 2)))),
 ]
 
 
@@ -130,6 +147,26 @@ def harmonic_mismatches(orders=range(-3, 9), nmax: int = 2000):
                 yield f"harmonic({n}, {r}) differs from a Fraction loop"
 
 
+def lerch_reference(s: int, alpha: Fraction, beta: Fraction, K: int) -> list:
+    """sum_{m<=k} C(k, m) (-1)^(m+1) / (alpha (m+1) + beta)^s, k = 0..K,
+    summed termwise as Fractions."""
+    terms = [(alpha * (m + 1) + beta) ** -s for m in range(K + 1)]
+    return [sum((math.comb(k, m) * (-1) ** (m + 1) * terms[m] for m in range(k + 1)), Fraction(0))
+            for k in range(K + 1)]
+
+
+def lerch_mismatches(rows=LERCH_ROWS):
+    """_phi_inner_table against float() of the exact reference, by
+    float.hex, so a -0.0 for +0.0 is a mismatch too."""
+    for s, alpha, beta, K in rows:
+        got = [x.hex() for x in _phi_inner_table(s, alpha, beta, K)]
+        want = [float(x).hex() for x in lerch_reference(s, alpha, beta, K)]
+        for k in range(max(len(got), len(want))):
+            if got[k:k + 1] != want[k:k + 1]:
+                yield f"_phi_inner_table({s}, {alpha}, {beta}, {K}) cell {k} differs from the exact sum"
+                break
+
+
 def main_check() -> int:
     mismatches = [
         *(line for suite in audit.suite_names() for line in report_mismatches(suite)),
@@ -138,12 +175,14 @@ def main_check() -> int:
         *reduced_mismatches(),
         *rec_mismatches(),
         *harmonic_mismatches(),
+        *lerch_mismatches(),
     ]
     for line in mismatches:
         print(line)
     pinned = 3 * len(PINS["report_sha256"]) + sum(map(len, PINS["document_sha256"].values()))
     version = ".".join(map(str, sys.version_info[:3]))
-    print(f"Python {version}: {pinned} pins, _reduced and the harmonic sums checked, {len(mismatches)} mismatches")
+    print(f"Python {version}: {pinned} pins, _reduced, the harmonic sums and {len(LERCH_ROWS)} Lerch rows checked, "
+          f"{len(mismatches)} mismatches")
     return 1 if mismatches else 0
 
 

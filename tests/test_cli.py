@@ -5,6 +5,7 @@ import io
 import json
 import math
 import pathlib
+import shlex
 import subprocess
 import sys
 from decimal import Decimal
@@ -355,3 +356,34 @@ def test_console_script_installed():
     )
     assert result.returncode == 0
     assert result.stdout.strip() == "85/216"
+
+
+README = pathlib.Path(__file__).parent.parent / "README.md"
+README_VALUES = {"-pi^2/12": -math.pi**2 / 12, "ln 2": math.log(2)}  # read within 1e-12
+
+
+def _readme_commands():
+    """(argv, expected) for each line of the sh block under "Command line":
+    expected is the text after "# ->", or None."""
+    section = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        name, *argv = shlex.split(command)
+        assert name == "zetaseries", line
+        comment = comment.strip()
+        commands.append((argv, comment[2:].strip() if comment.startswith("->") else None))
+    return commands
+
+
+@pytest.mark.parametrize("argv, expected", [pytest.param(*command, id=" ".join(command[0])) for command in _readme_commands()])
+def test_readme_command_prints_what_it_says(capsys, argv, expected):
+    # every command the README shows runs and exits 0 (verify: its suite
+    # passes); each "# -> value" is the printed value, exact values as text
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    if expected in README_VALUES:
+        assert abs(float(out) - README_VALUES[expected]) <= 1e-12
+    elif expected is not None:
+        assert out.strip() == expected

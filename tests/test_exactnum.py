@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from zetaseries import exactnum, harmonicnums
 from zetaseries.exactnum import (
     _RUN,
     SequenceTable,
@@ -150,6 +151,40 @@ def test_reduced_matches_fraction_over_several_rounds(quotient):
 def test_reduced_edge_cases_match_fraction():
     # a zero numerator, negative numerators, denominator 1 and radical 1
     assert list(check_pins.reduced_mismatches(check_pins.EDGE_CASES)) == []
+
+
+def _renamed_slots(numerator, denominator):
+    value = object.__new__(Fraction)
+    value._num, value._den = numerator, denominator  # Fraction has __slots__: AttributeError
+    return value
+
+
+def _swapped_slots(numerator, denominator):
+    value = object.__new__(Fraction)
+    value._numerator, value._denominator = denominator, numerator
+    return value
+
+
+def test_coprime_is_checked_once_and_falls_back_to_fraction(monkeypatch):
+    # the slot writer is kept where it builds Fraction(-3, 4) exactly, and a
+    # layout it does not fit selects Fraction() itself, through which every
+    # _reduced value and every harmonic prefix sum is still canonical
+    assert exactnum._coprime is exactnum._by_slots
+    assert exactnum._checked(exactnum._by_slots) is exactnum._by_slots
+    assert exactnum._checked(_renamed_slots) is Fraction and exactnum._checked(_swapped_slots) is Fraction
+    built = []
+
+    def fallback(numerator, denominator):
+        built.append(denominator)
+        return exactnum._checked(_renamed_slots)(numerator, denominator)
+
+    monkeypatch.setattr(exactnum, "_coprime", fallback)
+    monkeypatch.setattr(harmonicnums, "_coprime", fallback)
+    monkeypatch.setattr(harmonicnums, "_HARMONIC", {})  # fresh tables, built through the fallback
+    assert list(check_pins.reduced_mismatches()) == []
+    assert len(built) == len(check_pins.EDGE_CASES)
+    assert list(check_pins.harmonic_mismatches(range(1, 5), 300)) == []
+    assert len(built) >= len(check_pins.EDGE_CASES) + 4 * 300  # a miss also builds a short run past n
 
 
 def test_sequence_table_extends_the_tables_below_first():

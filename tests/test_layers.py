@@ -13,11 +13,13 @@ import re
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 
 import pytest
 
 import zetaseries
 from zetaseries.audit import IdentitySpec
+from zetaseries.exactnum import _binomial_sums
 from zetaseries.msums import MSumSpec
 from zetaseries.reports import IdentityReport
 from zetaseries.special import EvalResult
@@ -112,8 +114,10 @@ def test_one_kernel_per_exact_sum():
         assert "Fraction(0)\n" not in (PACKAGE / f"{module}.py").read_text(encoding="utf-8"), module
 
 
-def test_one_pascal_rule_kernel():
-    # every binomial transform is the kernel of exactnum over one row
+def test_one_pascal_rule_kernel(monkeypatch):
+    # every exact binomial transform is the kernel of exactnum over one row;
+    # the s >= 1 Lerch-style rows of special are the harmonic-polynomial
+    # recurrence instead, and the s <= 0 rows the kernel over 1 - s terms.
     # zetaseries.harmonic is the function harmonicnums.harmonic, so the
     # identities module is reached through importlib
     harmonic, powerseries, special = (importlib.import_module(f"zetaseries.{name}")
@@ -123,11 +127,23 @@ def test_one_pascal_rule_kernel():
     imported = {alias.name for node in ast.walk(ast.parse((PACKAGE / "powerseries.py").read_text(encoding="utf-8")))
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert "binomial" not in imported and "_binomial_sums" in imported
-    for function in (harmonic._binomial_row_sums, special._phi_general_table.__wrapped__,
-                     powerseries.TruncSeries.binomial_transform):
+    for function in (harmonic._binomial_row_sums, powerseries.TruncSeries.binomial_transform):
         tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
         assert not any(isinstance(node, (ast.For, ast.While)) for node in ast.walk(tree)), function
         assert "_binomial_sums" in ast.unparse(tree), function
+    # the Lerch-style rows: no binomial coefficient and no Pascal sum for s >= 1
+    recurrence = ast.unparse(ast.parse(textwrap.dedent(inspect.getsource(special._lerch_cells))))
+    assert not re.search(r"_binomial_sums|comb|binomial", recurrence)
+    lengths = []
+
+    def counted(values):
+        lengths.append(len(values))
+        return _binomial_sums(values)
+
+    monkeypatch.setattr(special, "_binomial_sums", counted)
+    for s in (1, 3, 8, 0, -2):
+        special._phi_general_table.__wrapped__(s, Fraction(3, 4), Fraction(-7, 2), 30)
+    assert lengths == [1, 3]
 
 
 def test_one_common_denominator_rule():

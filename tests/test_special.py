@@ -4,6 +4,7 @@ import math
 import time
 from fractions import Fraction
 
+import check_pins
 import pytest
 
 from zetaseries import special
@@ -154,15 +155,17 @@ def test_double_rows_match_one_power_per_cell():
 )
 def test_phi_inner_table_matches_fraction_reference(s, alpha, beta):
     # (3, 1, -5/2) has negative alpha (m+1) + beta at m = 0, 1 with odd s
-    alpha, beta = Fraction(alpha), Fraction(beta)
-    K = 40
-    table = list(_phi_inner_table(s, alpha, beta, K))
-    for k in range(K + 1):
-        exact = sum(
-            binomial(k, m) * Fraction((-1) ** (m + 1)) / (alpha * (m + 1) + beta) ** s
-            for m in range(k + 1)
-        )
-        assert table[k] == float(exact)
+    assert list(check_pins.lerch_mismatches([(s, Fraction(alpha), Fraction(beta), 40)])) == []
+
+
+@pytest.mark.parametrize("s, alpha, beta, K", check_pins.LERCH_ROWS, ids=[f"{s}_{a}_{b}_{K}" for s, a, b, K in check_pins.LERCH_ROWS])
+def test_lerch_rows_are_the_nearest_doubles(s, alpha, beta, K):
+    # each cell of the recurrence (s >= 1) or of the short Pascal sum and its
+    # +0.0 tail (s <= 0) has the bits of float() of the exact binomial sum
+    assert list(check_pins.lerch_mismatches([(s, alpha, beta, K)])) == []
+    if s <= 0:
+        tail = list(_phi_inner_table(s, alpha, beta, K))[1 - s:]
+        assert len(tail) == K + s and {x.hex() for x in tail} == {"0x0.0p+0"}
 
 
 def test_li_classic_series_order_zero():
