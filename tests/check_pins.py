@@ -27,6 +27,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from itertools import zip_longest
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
@@ -161,9 +162,9 @@ def lerch_mismatches(rows=LERCH_ROWS):
     for s, alpha, beta, K in rows:
         got = [x.hex() for x in _phi_inner_table(s, alpha, beta, K)]
         want = [float(x).hex() for x in lerch_reference(s, alpha, beta, K)]
-        for k in range(max(len(got), len(want))):
-            if got[k:k + 1] != want[k:k + 1]:
-                yield f"_phi_inner_table({s}, {alpha}, {beta}, {K}) cell {k} differs from the exact sum"
+        for k, (x, y) in enumerate(zip_longest(got, want)):
+            if x != y:
+                yield f"_phi_inner_table({s}, {alpha}, {beta}, {K}) cell {k}: {x} != {y}"
                 break
 
 
