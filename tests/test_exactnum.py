@@ -171,12 +171,13 @@ def test_coprime_is_checked_once_and_falls_back_to_fraction(monkeypatch):
     # _reduced value and every harmonic prefix sum is still canonical
     assert exactnum._coprime is exactnum._by_slots
     assert exactnum._checked(exactnum._by_slots) is exactnum._by_slots
-    assert exactnum._checked(_renamed_slots) is Fraction and exactnum._checked(_swapped_slots) is Fraction
+    forced = exactnum._checked(_renamed_slots)
+    assert forced is Fraction and exactnum._checked(_swapped_slots) is Fraction
     built = []
 
     def fallback(numerator, denominator):
         built.append(denominator)
-        return exactnum._checked(_renamed_slots)(numerator, denominator)
+        return forced(numerator, denominator)
 
     monkeypatch.setattr(exactnum, "_coprime", fallback)
     monkeypatch.setattr(harmonicnums, "_coprime", fallback)
