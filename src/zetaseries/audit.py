@@ -5,11 +5,11 @@ Every identity the library claims is registered here as an
 special, msums, fourier): an id, a grid of points, a ``sides`` function
 giving the identity's two sides at a point, and a tolerance (``None``
 compares exactly, coefficientwise for truncated series).  Each suite's
-grids are fixed.  ``run_suite`` sweeps them — optionally across threads —
-and returns a deterministic, sorted list of :class:`IdentityReport`
-records, each built by ``reports.compare`` under its spec's id;
-``emit_report`` serializes them byte-stably as JSON, or through
-``reports.render`` as CSV or markdown.
+grids are fixed.  ``run_suite`` sweeps them in one pass and returns a
+deterministic, sorted list of :class:`IdentityReport` records, each
+built by ``reports.compare`` under its spec's id; ``emit_report``
+serializes them byte-stably as JSON, or through ``reports.render`` as
+CSV or markdown.
 
 Specs carry an ``assert_pass`` flag: suites that document known-broken
 printed forms (all of msums, plus the *_printed variants elsewhere) are
@@ -608,25 +608,11 @@ def assert_ids(name: str) -> frozenset:
     return frozenset(spec.id for spec in _build(name) if spec.assert_pass)
 
 
-def run_suite(name: str, threads: int = 1) -> list:
-    """Evaluate every grid point of every identity in the suite.
-
-    The report list is sorted by (id, params) and is identical across
-    runs and thread counts.
-    """
-    if threads < 1:
-        raise ValueError("run_suite requires threads >= 1")
-    specs = _build(name)
-    tasks = [(spec, point) for spec in specs for point in spec.points]
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor  # on first use: it loads logging
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(lambda t: t[0].evaluate(t[1]), tasks))
-    else:
-        reports = [spec.evaluate(point) for spec, point in tasks]
-    reports.sort(key=lambda r: r.sort_key())
-    return reports
+def run_suite(name: str) -> list:
+    """Evaluate every grid point of every identity in the suite, in one
+    sequential sweep; the report list is sorted by (id, params)."""
+    reports = (spec.evaluate(point) for spec in _build(name) for point in spec.points)
+    return sorted(reports, key=IdentityReport.sort_key)
 
 
 def suite_passes(name: str, reports: Sequence[IdentityReport]) -> bool:

@@ -8,12 +8,13 @@ identity verification suites (``verify``).
 
 ``--help`` and ``verify --help`` end by naming the verification suites.
 
-Exit codes: 0 success, 1 domain error in the requested evaluation,
-2 unknown verification suite or a malformed command line (such as
-``verify --threads 0``).  A polylog point evaluated by a fallback
-method prints a ``warning:`` line naming it on stderr, in every format.
-Negative fractions may follow their flag directly (``--z -1/2``).  Exact
-values print as fractions, in full at any number of digits, unless
+Exit codes: 0 success, 1 domain error in the requested evaluation or an
+``--output`` path that cannot be opened, 2 unknown verification suite or
+a malformed command line (such as ``coeff --k x``).  A polylog point
+evaluated by a fallback method prints a ``warning:`` line naming it on
+stderr, in every format.  Negative numbers may follow their flag
+directly (``--z -1/2``, ``--z -1e-3``).  Exact values print as
+fractions, in full at any number of digits, unless
 ``--format decimal`` is given: 15 significant digits, rounded from the
 exact value beyond a double's range.  A command printing one value
 (``coeff``, ``harmonic``, ``msum``, ``zetastar``, ``fourier``, and
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -174,22 +174,12 @@ def cmd_verify(args) -> tuple:
     from . import audit
 
     format = args.format if args.format in ("json", "csv", "markdown") else "json"
-    reports = audit.run_suite(args.suite, threads=args.threads)
+    reports = audit.run_suite(args.suite)
     document = audit.emit_report(reports, format)
     if not document.endswith("\n"):
         document += "\n"
     code = 0 if audit.suite_passes(args.suite, reports) else 1
     return document, code
-
-
-def _thread_count(text: str) -> int:
-    try:
-        count = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"thread count must be >= 1, got {count}")
-    return count
 
 
 class _Parser(argparse.ArgumentParser):
@@ -283,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run an identity verification suite", list_suites=True)
     p.add_argument("--suite", required=True)
-    p.add_argument("--threads", type=_thread_count, default=1)
     add_common(p)
     p.set_defaults(func=cmd_verify, format="json")
     return parser
@@ -297,12 +286,21 @@ def _emit(document: str, output: Optional[str]) -> None:
         sys.stdout.write(document)
 
 
+def _is_number(token: str) -> bool:
+    try:
+        Fraction(token)
+    except ValueError:
+        return False
+    return True
+
+
 def _bind_negative_fractions(argv: Sequence[str]) -> list:
-    """argparse reads a token like ``-1/2`` as an option, so bind each one
-    to the flag before it (``--z -1/2`` becomes ``--z=-1/2``)."""
+    """argparse reads a token like ``-1/2`` or ``-1e-3`` as an option, so
+    bind each negative number ``Fraction`` parses to the flag before it
+    (``--z -1/2`` becomes ``--z=-1/2``)."""
     bound = []
     for token in argv:
-        if bound and bound[-1].startswith("--") and re.fullmatch(r"-\d+/\d+", token):
+        if bound and bound[-1].startswith("--") and token.startswith("-") and _is_number(token):
             bound[-1] += "=" + token
         else:
             bound.append(token)
@@ -324,7 +322,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, ArithmeticError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
-    _emit(document, args.output)
+    try:
+        _emit(document, args.output)
+    except OSError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
     return code
 
 

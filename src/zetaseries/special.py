@@ -224,13 +224,15 @@ def _lerch_cells(s: int, alpha: Fraction, beta: Fraction, K: int):
 
 def hurwitz_phi(z: float, s: int, alpha, beta, K: int) -> EvalResult:
     """Phi(z, s, alpha, beta) = sum_{n>=1} z^n / (alpha n + beta)^s via
-    the binomial series analogous to li_classic_series."""
+    the binomial series analogous to li_classic_series.  For s >= 1 an
+    alpha n + beta = 0 with 1 <= n <= K + 1 raises ZeroDivisionError; for
+    s <= 0 the terms are polynomials in n, so there is no pole (0^0 = 1)."""
     alpha = Fraction(alpha)
     beta = Fraction(beta)
     if alpha <= 0:
         raise ValueError("hurwitz_phi requires alpha > 0")
     m = -beta / alpha
-    if m.denominator == 1 and 1 <= m <= K + 1:
+    if s >= 1 and m.denominator == 1 and 1 <= m <= K + 1:
         raise ZeroDivisionError(f"denominator alpha*{m} + beta = 0")
     return _binomial_series(_phi_inner_table(s, alpha, beta, K), K + 1, z, "phi_series")
 

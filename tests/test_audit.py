@@ -128,9 +128,9 @@ def test_csv_and_markdown_report_bytes_pinned(suite):
     assert list(check_pins.report_mismatches(suite, ["csv", "markdown"])) == []
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_disagreeing_sides_fail_under_spec_id(monkeypatch, threads):
-    point = ({"n": 1},)
+@pytest.mark.parametrize("n", [1, 2])
+def test_disagreeing_sides_fail_under_spec_id(monkeypatch, n):
+    point = ({"n": n},)
     specs = [
         audit.IdentitySpec("fake.exact", point, lambda p: (Fraction(1, 3), Fraction(1, 2))),
         audit.IdentitySpec("fake.numeric", point, lambda p: (1.0, 1.5), tolerance=0.1),
@@ -141,12 +141,12 @@ def test_disagreeing_sides_fail_under_spec_id(monkeypatch, threads):
         audit.IdentitySpec("fake.zero_tolerance", point, lambda p: (1.0, 1.0 + 2**-52), tolerance=0.0),
     ]
     monkeypatch.setitem(audit._SUITES, "fake", lambda: specs)
-    reports = audit.run_suite("fake", threads=threads)
+    reports = audit.run_suite("fake")
     assert [(r.id, r.params, r.status, r.residual) for r in reports] == [
-        ("fake.exact", (("n", 1),), "fail", "-1/6"),
-        ("fake.numeric", (("n", 1),), "fail", 0.5),
-        ("fake.series", (("n", 1),), "fail", "-1"),
-        ("fake.zero_tolerance", (("n", 1),), "fail", 2**-52),
+        ("fake.exact", (("n", n),), "fail", "-1/6"),
+        ("fake.numeric", (("n", n),), "fail", 0.5),
+        ("fake.series", (("n", n),), "fail", "-1"),
+        ("fake.zero_tolerance", (("n", n),), "fail", 2**-52),
     ]
     assert reports[2].witness == ("[z^1] 2", "[z^1] 3")
     assert not audit.suite_passes("fake", reports)
@@ -177,12 +177,6 @@ def test_trilog_tolerance_is_stated_once(monkeypatch):
 def test_unknown_suite_raises():
     with pytest.raises(KeyError):
         audit.run_suite("nope")
-
-
-@pytest.mark.parametrize("threads", [0, -1])
-def test_thread_count_below_one_raises(threads):
-    with pytest.raises(ValueError, match="threads >= 1"):
-        audit.run_suite("core", threads=threads)
 
 
 def test_reports_are_sorted_and_typed():

@@ -221,7 +221,7 @@ def test_cold_cli_loads_audit_only_for_verify():
     assert result.returncode == 0, result.stderr
     loaded = json.loads(result.stdout)
     assert loaded["coeff"] == loaded["polylog"] == loaded["table"] == loaded["coeff_help"] == []
-    assert "zetaseries.audit" in loaded["verify"]
+    assert loaded["verify"] == ["zetaseries.audit"]  # no thread pool, so no concurrent.futures or logging
 
 
 def test_every_public_name_resolves_to_its_home_object():

@@ -225,6 +225,15 @@ def test_hurwitz_phi_pole_check_edges():
         assert math.isfinite(hurwitz_phi(0.3, 2, alpha, beta, 10).value)
 
 
+@pytest.mark.parametrize("s, alpha, beta", [(-1, 1, -1), (0, 1, -1), (-2, 2, -4), (-1, "1/2", -2)])
+def test_hurwitz_phi_has_no_pole_for_s_at_most_zero(s, alpha, beta):
+    # alpha n + beta = 0 at some n <= K + 1, but (alpha n + beta)^(-s) is a polynomial in n there
+    got = hurwitz_phi(0.3, s, alpha, beta, 40).value
+    alpha, beta = Fraction(alpha), Fraction(beta)
+    direct = sum(0.3**n * float((alpha * n + beta) ** -s) for n in range(1, 200))
+    assert got == pytest.approx(direct, rel=1e-12)
+
+
 @pytest.mark.parametrize("evaluate, args", [
     (li_classic_series, (2, 0.9, 400)),
     (li_classic_series, (2, 0.5, 400)),
