@@ -20,7 +20,9 @@ exact value beyond a double's range.  A command printing one value
 (``coeff``, ``harmonic``, ``msum``, ``zetastar``, ``fourier``, and
 ``polylog`` but for its json) prints it bare in ``frac`` and
 ``decimal``, as a JSON string in ``json``, and as a one-column table
-headed ``value`` in ``csv`` and ``markdown``.
+headed ``value`` in ``csv`` and ``markdown``.  ``verify`` writes its
+report as JSON, CSV or markdown; ``--format frac`` and ``decimal`` give
+the JSON report.
 """
 
 from __future__ import annotations
@@ -289,6 +291,8 @@ def _emit(document: str, output: Optional[str]) -> None:
 def _is_number(token: str) -> bool:
     try:
         Fraction(token)
+    except ZeroDivisionError:  # a number over zero: it binds, and its command refuses it
+        pass
     except ValueError:
         return False
     return True

@@ -15,20 +15,12 @@ exactly on their common domain:
 * a reverse binomial transform of truncated polylog series
   (``s2star_reverse_binomial``, by ``TruncSeries.binomial_transform``).
 
-The row format.  The recurrence runs once, into one growable integer
-table: row k holds M_k(j) = |c*(k, j)| j! L_j^(k-2), L_j = lcm(1..j),
-which no longer row changes.  Each row's producer carries M_k(j-1) and
-L_{j-1} and raises (L_j / L_{j-1})^(k-2) = p^(k-2) only at the prime
-powers j = p^a.  ``s2star_rec`` reduces one cell
-(-1)^(j-1) M_k(j) / (L_j^(k-2) j!) to a Fraction by gcds against L_j
-alone (``exactnum._reduced``), keeping per row k the (j, L_j^(k-2) j!)
-of the last cell it reduced, so a row read in order takes each
-denominator from the one before by j (L_j / L_{j-1})^(k-2);
-``_scaled_numerators(k, J)`` rescales a row to lcm(1..J)^(k-2) for the
-exact sums of :mod:`harmonic`.  Two row families of doubles, summed by
-:mod:`special`, round M_k(j) / L_j^(k-2) once per cell, each row on the
-integer row it rounds: ``_DOUBLE_ROWS`` holds -|c*(k, j)| j! in row
-k - 2, ``_CLASSIC_ROWS`` -|c*(s+1, j)| (j-1)! in row s - 1.
+This module owns the format of the c* rows.  The recurrence runs once,
+into the integer rows of ``_numerator_row``; every other reader takes its
+cells from them: ``s2star_rec`` one exact cell, ``_scaled_numerators`` a
+whole row for the exact sums of :mod:`harmonic`, and the row families of
+``_double_rows`` (``_DOUBLE_ROWS``, ``_CLASSIC_ROWS``) the doubles that
+:mod:`special` sums.
 
 Derived quantities: the scaled table, the t0/t1 remainder functions
 against unsigned Stirling-1 numbers, and the alpha*n+beta generalization.
@@ -66,12 +58,14 @@ def _lcms(values):
 
 
 def _numerator_row(e: int, rows: list) -> SequenceTable:
-    """M_k(j) for k = e + 2: M_2(j) = [j >= 1] and
+    """Row k = e + 2 of the c* table over the integers:
+    M_k(j) = |c*(k, j)| j! L_j^(k-2), L_j = lcm(1..j), which no longer row
+    changes.  M_2(j) = [j >= 1] and
     M_k(j) = M_k(j-1) (L_j / L_{j-1})^(k-2) + M_{k-1}(j) L_j / j, where
     L_j / L_{j-1} is the prime p at a power of p and 1 elsewhere, so the
-    producer raises p^(k-2) only at the prime powers.  Row 0 sits on the
-    L table, so every row's chain extends L first, and the producer reads
-    M_{k-1}(j) and L_j in place."""
+    producer, which carries M_k(j-1) and L_{j-1}, raises p^(k-2) only at
+    the prime powers.  Row 0 sits on the L table, so every row's chain
+    extends L first, and the producer reads M_{k-1}(j) and L_j in place."""
     if e == 0:
         return SequenceTable(lambda row: (int(j > 0) for j in count(len(row))), _LCM)
     below = rows[e - 1]
@@ -94,11 +88,13 @@ def _numerator_row(e: int, rows: list) -> SequenceTable:
 
 def _double_rows(cell) -> SequenceTable:
     """Rows e = 0, 1, ... of doubles, cell j of row e being
-    cell(M_k(j), L_j^(k-2), j) for k = e + 2, each row on the integer row
-    of the c* table it rounds.  The producer carries P = L_j^(k-2) and
-    multiplies it by (L_j / L_{j-1})^(k-2) only where L changes, at the
-    prime powers j, so no cell raises a power.  It reads M_k(j) and L_j in
-    place, at the row's own index j."""
+    cell(M_k(j), L_j^(k-2), j) for k = e + 2.  Each row sits on the
+    integer row of the c* table it rounds and is only extended; ``cell``
+    divides integers, so each double is rounded once, from its exact
+    value.  The producer carries P = L_j^(k-2) and multiplies it by
+    (L_j / L_{j-1})^(k-2) only where L changes, at the prime powers j, so
+    no cell raises a power.  It reads M_k(j) and L_j in place, at the
+    row's own index j."""
 
     def row(e: int) -> SequenceTable:
         numerators = _NUMERATORS[e]
@@ -139,7 +135,8 @@ def s2star_rec(k: int, j: int) -> Fraction:
     table as (-1)^(j-1) M_k(j) / (L_j^(k-2) j!).  Right after cell
     (k, j - 1) that denominator is the row's last one times
     j (L_j / L_{j-1})^(k-2), one small multiply; any other read raises
-    L_j^(k-2) j! afresh.  Either way the row then keeps (j, denominator).
+    L_j^(k-2) j! afresh.  Either way the row then keeps (j, denominator),
+    and the cell is reduced against L_j by ``exactnum._reduced``.
     """
     if k < 0 or j < 0:
         return Fraction(0)

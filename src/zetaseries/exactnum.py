@@ -2,27 +2,16 @@
 
 All exact computation in this package is carried out over
 :class:`fractions.Fraction`, and every value is in canonical form
-(positive denominator, gcd-reduced).  Fraction arithmetic reduces by a
-full gcd after each operation; ``_reduced`` builds one canonical value
-from an integer quotient whose denominator's primes all divide a known
-radical, such as lcm(1..j), and reduces against that radical only;
-``_coprime`` builds every such lowest-terms value by setting the two
-slots of a new Fraction, and is Fraction itself on an interpreter where
-that does not give Fraction(-3, 4) at import.  ``factorial`` and
-``falling_factorial`` are ``math.factorial`` and ``math.perm``; every
-integer/complex primitive raises ValueError outside its domain.
-``_over_common`` writes rationals as integer numerators over the lcm of
-their denominators, the rule of ``_linear_combination`` (integer
-multiples of rationals), ``TruncSeries.__mul__`` and the s <= 0
-Lerch-style rows of :mod:`special`; ``_binomial_sums`` is the one
-Pascal-rule kernel of every exact binomial transform;
-:class:`SequenceTable` is the one memo the package keeps for a
-sequence: its values come from one resumable
-iterator, so a recurrence keeps its running state in locals and is never
-re-derived from the list per entry; a table of a two-index family reads
-the table below it in place, at its own index, and a miss builds a run of
-``_RUN`` = 8 cells past the one asked for; ``cells(start, stop)`` is the
-one reader of a range of it, in place.
+(positive denominator, gcd-reduced).  This module owns how an exact value
+is built and how rationals are summed; each kernel is described beside
+its code: ``_reduced`` and ``_coprime`` build canonical values,
+``_over_common`` and ``_linear_combination`` put rationals over one
+denominator, ``_binomial_sums`` is the kernel of every exact binomial
+transform, and :class:`SequenceTable` holds each tabulated sequence
+(Stirling, Bernoulli and harmonic numbers, the c* rows).
+``factorial`` and ``falling_factorial`` are ``math.factorial`` and
+``math.perm``; every integer/complex primitive raises ValueError outside
+its domain.
 """
 
 from __future__ import annotations
@@ -79,8 +68,8 @@ def _over_common(values) -> tuple[list, int]:
 
 def _linear_combination(weights, values, over: int = 1) -> Fraction:
     """sum_i w_i q_i / over for integer weights w_i and rationals q_i,
-    summed as integers over the lcm of the denominators of the q_i: one
-    Fraction is built, where a Fraction loop reduces a gcd per term."""
+    summed as integers over ``_over_common`` of the q_i: one Fraction is
+    built, where a Fraction loop reduces a gcd per term."""
     numerators, common = _over_common(values)
     return Fraction(sum(w * x for w, x in zip(weights, numerators)), common * over)
 

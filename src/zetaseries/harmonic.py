@@ -5,12 +5,12 @@ side (direct summation, the exact coefficient table) lives with the
 caller or the audit registry.  Exact paths return Fractions; real-order
 paths return doubles.
 
-Each exact sum is taken over plain integers and builds one Fraction.
-Sums weighted by c*(k, j) read one integer row of :mod:`coeffs`: one n by
-``_weighted_row_sum``, every n <= N by ``_binomial_row_sums`` through the
-Pascal-rule kernel ``exactnum._binomial_sums``.  Sums of harmonic numbers
-against integer weights go through ``exactnum._linear_combination``.  All
-regroup the displayed sum without applying an identity.
+Each exact side is regrouped from its display, without applying an
+identity, into one integer sum that builds one Fraction: sums weighted by
+c*(k, j) read the integer rows of :mod:`coeffs` through
+``_weighted_row_sum`` (one n) and ``_binomial_row_sums`` (every n up to
+N), and sums of harmonic numbers against integer weights go through
+``exactnum._linear_combination``.
 """
 
 from __future__ import annotations

@@ -1,13 +1,9 @@
 """Basic k-order harmonic number primitives.
 
-Pure power sums, the exact ones as prefix sums in one growable table per
-order r; the identities built on them live in :mod:`zetaseries.harmonic`.
-For r >= 1 the table's iterator carries H_m^{(r)} as a numerator and a
-denominator in lowest terms and adds 1/m^r by one divmod of the
-denominator by m^r, reducing by gcds against m^r only, taken against m
-first when m^r divides the denominator; each value is built by
-``exactnum._coprime``, without Fraction()'s gcd.  r <= 0 is the literal
-integer power sum.
+Pure power sums: exact H_n^{(r)} for every integer order r, one table per
+order grown by ``_prefix_sums``, doubles for real orders, and the
+t-weighted sums.  The identities built on them live in
+:mod:`zetaseries.harmonic`.
 """
 
 from __future__ import annotations
@@ -46,10 +42,11 @@ def _prefix_sums(h: list, r: int):
     q but not num, so gcd(num + q, m^r) is the whole common part.  Every
     prime of it divides m, so the one-digit gcd(num + q, m) is taken
     first, and the one against m^r, a long division once m^r outgrows a
-    digit, only when that is above 1 (41 to 55 of the first 2000 steps of
-    each order r = 1..8).  Else g = gcd(m^r, rem), the sum is
-    (num*(m^r/g) + den/g)/(den/g * m^r), and its common part is
-    gcd(new num, g)."""
+    digit, only when that is above 1, which it rarely is.  Else
+    g = gcd(m^r, rem), the sum is (num*(m^r/g) + den/g)/(den/g * m^r), and
+    its common part is gcd(new num, g).  Each value is built by
+    ``exactnum._coprime``, without Fraction()'s gcd; r <= 0 is the literal
+    integer power sum."""
     total = h[-1] if h else Fraction(0)
     if not h:
         yield total

@@ -7,10 +7,9 @@ binomial sum (``m_alt``) disagree as written (e.g. m_def(3,1,1) = 1
 while m_alt(3,1,1) = -1), and the displayed homogeneous recurrence
 fails for both.  The functions compute each side verbatim under a
 selectable Stirling-1 sign reading so the discrepancies themselves are
-reproducible artifacts.  Both are summed as integers over one common
-denominator: ``m_def`` by ``exactnum._linear_combination`` over its
-harmonic numbers of mixed orders, ``m_alt`` over the c* row kernel by
-``harmonic._weighted_row_sum``.
+reproducible artifacts.  ``m_def`` sums its harmonic numbers of mixed
+orders through ``exactnum._linear_combination``, and ``m_alt`` the c*
+row through ``harmonic._weighted_row_sum``.
 """
 
 from __future__ import annotations

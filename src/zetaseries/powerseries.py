@@ -3,12 +3,10 @@
 ``TruncSeries`` is a dense series with a fixed truncation order over
 exact rationals: every coefficient is an int or a Fraction, and any other
 type raises TypeError.  Binary operations truncate to the smaller operand
-order, so every retained coefficient is exact; a product is an integer
-convolution of the two operands, each over its own least common
-denominator (``exactnum._over_common``), and builds one Fraction per
-coefficient.  The root-of-unity constructions (multisection, introduction
-example g) live in :mod:`series`, on plain tuples.  It sits below the
-coefficient table (:mod:`coeffs`), which builds on it.
+order, so every retained coefficient is exact.  The root-of-unity
+constructions (multisection, introduction example g) live in
+:mod:`series`, on plain tuples.  It sits below the coefficient table
+(:mod:`coeffs`), which builds on it.
 """
 
 from __future__ import annotations
@@ -99,6 +97,10 @@ class TruncSeries:
         return TruncSeries([factor * c for c in self.coeffs])
 
     def __mul__(self, other):
+        """Product with a series, truncated to the smaller order: an integer
+        convolution of the numerators ``exactnum._over_common`` gives each
+        operand, building one Fraction per coefficient.  Any other factor
+        scales."""
         if not isinstance(other, TruncSeries):
             return self.scale(other)
         order = min(self.order, other.order)
@@ -152,7 +154,9 @@ class TruncSeries:
         """log of a unit series (constant term 1)."""
         if self.coeffs[0] != 1:
             raise ValueError("series log requires constant term 1")
-        return (self.derivative() * self.inverse().truncate(self.order - 1)).antiderivative()
+        if self.order == 0:
+            return TruncSeries([Fraction(0)])
+        return (self.derivative() * self.inverse()).antiderivative()
 
     def binomial_transform(self) -> "TruncSeries":
         """self(-z/(1-z)): [z^n] = f_0 [n = 0] + sum_{m=1}^{n} (-1)^m C(n-1, m-1) f_m, entry

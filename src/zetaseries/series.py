@@ -8,19 +8,9 @@ and ``intro_example("g", ...)``, return tuples of complex numbers.
 The transforms sum_j w_j z^j G^{(j)}(z) act coefficientwise, since
 [z^n] z^j G^{(j)}(z) = n!/(n-j)! g_n: coefficient n is
 (sum_j w_j n!/(n-j)!) g_n.  For w_j = c*(k+2, j) that inner sum is
-1/n^k, and one call of ``harmonic._binomial_row_sums`` gives it for
-every n from one integer kernel row; w_j = S2(m, j) gives n^m
-(``harmonic.npow_forward``).
-
-The introduction examples a-f extract [w^u] from bracketed sums
-sum_j c*(k+2, j) D_j(wz) / (1 - w), where D_j is a series in wz alone
-(times 1/(1 - wz) for examples c, d and e).  That extraction collapses to
-the diagonal: [w^u] D(wz) / (1 - w) = sum_{n<=u} d_n z^n, and the extra
-1/(1 - wz) turns d_n into its partial sums.  Summed over j against
-c*(k+2, j), every diagonal is a multiple of the same row sum: d_n =
-j! C(n, j) c^n (examples a, c, d) gives c^n/n^k, d_n = c^n/(n-j)!
-(b, e) gives c^n/(n^k n!), and example f's j! C(n+1, j+1)/n! is the row
-at shift 1, H_n^{(k)}/n!.
+1/n^k (``harmonic._binomial_row_sums``); w_j = S2(m, j) gives n^m
+(``harmonic.npow_forward``).  The introduction examples collapse to the
+same row sums (``intro_example``), so no bivariate series is built.
 """
 
 from __future__ import annotations
@@ -72,6 +62,16 @@ def intro_example(example_id: str, k: int, u: int, *, t=None, r=None, a=None, b=
     by [w^u] extraction to one row sum (examples a-f, exact) or by
     root-of-unity multisection in fractional powers (example g, complex
     doubles).
+
+    Examples a-f extract [w^u] from bracketed sums
+    sum_j c*(k+2, j) D_j(wz) / (1 - w), where D_j is a series in wz alone
+    (times 1/(1 - wz) for examples c, d and e).  That extraction collapses
+    to the diagonal: [w^u] D(wz) / (1 - w) = sum_{n<=u} d_n z^n, and the
+    extra 1/(1 - wz) turns d_n into its partial sums.  Summed over j
+    against c*(k+2, j), every diagonal is a multiple of the same row sum:
+    d_n = j! C(n, j) c^n (examples a, c, d) gives c^n/n^k,
+    d_n = c^n/(n-j)! (b, e) gives c^n/(n^k n!), and example f's
+    j! C(n+1, j+1)/n! is the row at shift 1, H_n^{(k)}/n!.
 
     Returns the truncated z-series whose coefficients match the direct
     left-hand sums: a TruncSeries for a-f, a tuple of complex numbers

@@ -8,18 +8,13 @@ function, Euler-sum forms of its values, a trilogarithm functional
 equation check, and Fourier-type series for the periodic Bernoulli
 polynomials.
 
-Every coefficient series is summed by ``_binomial_series``: prefactor *
-sum_j a_j (-z/(1-z))^j over a row of doubles a_j read in place from
-:mod:`coeffs`, cells 1..J, with the sign its series sums.
-``li_new_series`` reads ``_DOUBLE_ROWS`` with prefactor 1/(1-z), and
-``zeta_star`` is -Li_s(-1) on it, bit for bit the direct sum, since its
-factors are powers of two.  The classical series and the modified
-Hurwitz zeta read their inner table through one entry,
-``_phi_inner_table``: for alpha = 1, beta = 0 and s >= 1 it reads
-``_CLASSIC_ROWS``; any other row with s >= 1 comes from the
-harmonic-polynomial recurrence of ``_lerch_cells``, and one with s <= 0
-from ``exactnum._binomial_sums`` of its first 1 - s exact signed terms.
-``li_direct_sum`` keeps its own loop: its power / n^s rounds otherwise.
+Every coefficient series is summed by the one loop ``_binomial_series``
+over a row of doubles.  ``li_new_series``, and through it
+``zeta_star``, reads the rows ``coeffs._DOUBLE_ROWS``.  The classical
+series and the modified Hurwitz zeta read their inner rows through
+``_phi_inner_table``, which owns the choice of row: the classical rows
+of :mod:`coeffs`, or ``_phi_general_table``.  ``li_direct_sum`` keeps its
+own loop: its power / n^s rounds otherwise.
 
 Four displayed forms evaluated here required sign/term repairs that are
 validated against independent oracles in the test suite:
@@ -164,10 +159,8 @@ def li_classic_series(s: int, z: float, K: int) -> EvalResult:
 def _phi_inner_table(s: int, alpha: Fraction, beta: Fraction, K: int):
     """sum_{m=0}^{k} C(k, m) (-1)^{m+1} / (alpha (m+1) + beta)^s for
     k = 0..K as doubles: for alpha = 1, beta = 0 and s >= 1 cells 1..K+1
-    of the classical row for s, read in place from a row built once and
-    only extended; otherwise a tuple of exact values, each rounded once
-    (the alternating binomial sums cancel far below double precision
-    termwise).
+    of the classical row for s (``coeffs._CLASSIC_ROWS``), read in place;
+    otherwise the row of ``_phi_general_table``.
     """
     if K < 0:
         raise ValueError("the binomial series requires K >= 0")
@@ -178,6 +171,11 @@ def _phi_inner_table(s: int, alpha: Fraction, beta: Fraction, K: int):
 
 @cache
 def _phi_general_table(s: int, alpha: Fraction, beta: Fraction, K: int) -> tuple:
+    """The cells k = 0..K of ``_phi_inner_table``, kept per
+    (s, alpha, beta, K), each the double nearest its exact value, since the
+    alternating binomial sums cancel far below double precision termwise:
+    by ``_lerch_cells`` for s >= 1, and for s <= 0 by
+    ``exactnum._binomial_sums`` over the exact signed terms."""
     if s >= 1:
         return tuple(_lerch_cells(s, alpha, beta, K))
     # the terms are a polynomial of degree -s in m, so every cell past k = -s is exactly 0, written +0.0
@@ -242,7 +240,9 @@ def zeta_star(s: int, J: int = 120, method: str = "series") -> float:
     methods:
 
     series:   -Li_s(-1) by li_new_series, that is
-              sum_j c*(s+2, j) (-1)^{j-1} j!/2^{j+1}, at J terms;
+              sum_j c*(s+2, j) (-1)^{j-1} j!/2^{j+1}, at J terms, bit for
+              bit the direct sum of that row, since its factors are
+              powers of two;
     closed:   (1 - 2^{1-s}) zeta(s) for s > 1, log 2 for s = 1;
     harmonic: ``zeta_star_harmonic_form(s, J)``, s = 1..4;
     euler:    ``zeta_star_euler_form(s, J)``, s = 3..5.

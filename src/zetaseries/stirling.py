@@ -1,12 +1,10 @@
 """Classical combinatorial number tables.
 
 Stirling numbers of both kinds, Bernoulli numbers and polynomials,
-Faulhaber power sums, and the Stirling-2 weighted power sum.  Each
-Stirling column k is one growable table that starts at its first
-nonzero cell S(k, k) and is grown in n, so S(n, k) costs its
-(k+1) x (n-k+9) strip, a miss building a run of eight cells past n
-(``exactnum.SequenceTable``); the Bernoulli numbers are one more.  The two power
-sums reuse ``bernoulli_poly`` and ``exactnum.falling_factorial``."""
+Faulhaber power sums, and the Stirling-2 weighted power sum.  Each kind
+of Stirling number is one family of column tables (``_columns``), and the
+Bernoulli numbers are one more table; the two power sums reuse
+``bernoulli_poly`` and ``exactnum.falling_factorial``."""
 
 from __future__ import annotations
 

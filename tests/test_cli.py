@@ -5,6 +5,7 @@ import io
 import json
 import math
 import pathlib
+import re
 import shlex
 import subprocess
 import sys
@@ -114,10 +115,17 @@ def test_unicode_minus_parses(capsys):
     (("fourier", "--order", "2", "--x", "-7e-1"), 0, "-0.0216666666665802\n"),
     # parsed, then refused by the evaluator: {x} = 0.9 is outside its domain
     (("fourier", "--order", "2", "--x", "-1e-1"), 1, ""),
-], ids=["polylog", "harmonic", "polylog_exponent", "fourier_exponent", "fourier_exponent_outside"])
+    # a zero denominator binds to its flag and is refused like --z 1/0
+    (("polylog", "--s", "2", "--z", "-1/0"), 1, ""),
+    (("harmonic", "--n", "4", "--t", "-1/0"), 1, ""),
+], ids=["polylog", "harmonic", "polylog_exponent", "fourier_exponent", "fourier_exponent_outside",
+        "polylog_zero_denominator", "harmonic_zero_denominator"])
 def test_negative_fraction_after_its_flag(capsys, argv, code, printed):
     # argparse alone reads -1/2 or -1e-3 as an unknown option and exits 2
-    assert run_cli(capsys, *argv) == (code, printed)
+    assert main(list(argv)) == code
+    captured = capsys.readouterr()
+    assert captured.out == printed
+    assert captured.err.startswith("error:") == (code == 1)
 
 
 def test_table_golden_byte_identical(capsys):
@@ -393,3 +401,44 @@ def test_readme_command_prints_what_it_says(capsys, argv, expected):
         assert abs(float(out) - README_VALUES[expected]) <= 1e-12
     elif expected is not None:
         assert out.strip() == expected
+
+
+# what a stdout cell of the README's exit-code table promises, by its first words
+README_STDOUT = {
+    "nothing": lambda out: out == "",
+    "the fraction, in full": lambda out: re.fullmatch(r"-?[0-9]+/[0-9]+\n", out) is not None,
+    "the value": lambda out: math.isfinite(float(out)),
+    "the JSON report": lambda out: isinstance(json.loads(out), list),
+}
+
+
+def _readme_exit_codes():
+    """(argv, code, stdout cell, stderr cell) for each row of the table
+    under "### Exit codes"."""
+    section = README.read_text(encoding="utf-8").split("\n### Exit codes\n", 1)[1]
+    rows = [line.strip("|").split(" | ") for line in section.splitlines() if line.startswith("| `")]
+    return [(shlex.split(command.strip("` ")), int(code), out.strip(), err.strip()) for command, code, out, err in rows]
+
+
+@pytest.mark.parametrize("argv, code, out, err", [pytest.param(*row, id=" ".join(row[0])) for row in _readme_exit_codes()])
+def test_readme_exit_code_row(capsys, monkeypatch, tmp_path, argv, code, out, err):
+    # each row runs as shown, --output paths relative to an empty directory
+    monkeypatch.chdir(tmp_path)
+    try:
+        got = main(argv)
+    except SystemExit as stop:  # argparse refuses a malformed command line
+        got = stop.code
+    captured = capsys.readouterr()
+    assert got == code
+    [check] = [check for words, check in README_STDOUT.items() if out.startswith(words)]
+    assert check(captured.out)
+    if err == "nothing":
+        assert captured.err == ""
+    else:
+        assert captured.err.startswith(err.split("`")[1])
+
+
+def test_readme_names_no_private_identifier():
+    # the README states what users may rely on; private names belong to docstrings
+    spans = re.findall(r"`([^`\n]+)`", README.read_text(encoding="utf-8"))
+    assert [span for span in spans if re.search(r"(?<![\w-])_[A-Za-z]", span)] == []
