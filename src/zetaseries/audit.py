@@ -2,14 +2,16 @@
 
 Every identity the library claims is registered here as an
 :class:`IdentitySpec` inside one of six suites (core, harmonic, series,
-special, msums, fourier): an id, a grid of points, a ``sides`` function
-giving the identity's two sides at a point, and a tolerance (``None``
-compares exactly, coefficientwise for truncated series).  Each suite's
-grids are fixed.  ``run_suite`` sweeps them in one pass and returns a
-deterministic, sorted list of :class:`IdentityReport` records, each
-built by ``reports.compare`` under its spec's id; ``emit_report``
-serializes them byte-stably as JSON, or through ``reports.render`` as
-CSV or markdown.
+special, msums, fourier): an id, its points, a ``sides`` function
+called with a point's parameters by name, ``sides(**point)``, that
+returns the identity's two sides, and a tolerance (``None`` compares
+exactly, coefficientwise for truncated series).  Each suite's points
+are fixed, and every product of parameter ranges is built by ``_grid``.
+``run_suite`` sweeps them in one pass and returns a deterministic,
+sorted list of :class:`IdentityReport` records, each built by
+``reports.compare`` under its spec's id; ``emit_report`` serializes
+them byte-stably as JSON, or through ``reports.render`` as CSV or
+markdown.
 
 Specs carry an ``assert_pass`` flag: suites that document known-broken
 printed forms (all of msums, plus the *_printed variants elsewhere) are
@@ -19,6 +21,7 @@ report-only and never fail the verification exit code.
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -79,13 +82,13 @@ __all__ = [
 
 class IdentitySpec(NamedTuple):
     id: str
-    points: Tuple[dict, ...]
-    sides: Callable[[dict], tuple]  # point -> (lhs, rhs)
+    points: Tuple[dict, ...]  # parameter name -> value; products of ranges come from _grid
+    sides: Callable[..., tuple]  # sides(**point) -> (lhs, rhs): the point's parameters by name
     tolerance: Optional[float] = None  # None: exact
     assert_pass: bool = True
 
     def evaluate(self, point: dict) -> IdentityReport:
-        return compare(self.id, point, *self.sides(point), self.tolerance)
+        return compare(self.id, point, *self.sides(**point), self.tolerance)
 
 
 # ---------------------------------------------------------------------
@@ -146,118 +149,104 @@ def table3_expression(variant: str, k: int, j: int) -> Fraction:
 # ---------------------------------------------------------------------
 
 
+def _grid(**axes) -> tuple:
+    """Every combination of the axes' values as a point, last axis fastest."""
+    return tuple(dict(zip(axes, values)) for values in itertools.product(*axes.values()))
+
+
 def _suite_core() -> list:
     j_grid = range(1, 26)
 
-    def grid(ks, js):
-        return tuple({"k": k, "j": j} for k in ks for j in js)
-
-    def sign(p):
-        value = s2star_rec(p["k"], p["j"])
-        return (value > 0) - (value < 0), (-1) ** (p["j"] - 1)
+    def sign(k, j):
+        value = s2star_rec(k, j)
+        return (value > 0) - (value < 0), (-1) ** (j - 1)
 
     return [
         IdentitySpec(
-            "core.rec_vs_sum", grid(range(2, 11), j_grid),
-            lambda p: (s2star_rec(p["k"], p["j"]), s2star_sum(p["k"], p["j"])),
+            "core.rec_vs_sum", _grid(k=range(2, 11), j=j_grid), lambda k, j: (s2star_rec(k, j), s2star_sum(k, j))
         ),
         IdentitySpec(
-            "core.rec_vs_harmonic", grid(range(2, 7), j_grid),
-            lambda p: (s2star_rec(p["k"], p["j"]), s2star_harmonic(p["k"], p["j"])),
+            "core.rec_vs_harmonic", _grid(k=range(2, 7), j=j_grid),
+            lambda k, j: (s2star_rec(k, j), s2star_harmonic(k, j)),
         ),
         IdentitySpec(
-            "core.rec_vs_ogf", grid(range(0, 9), range(1, 9)),
-            lambda p: (s2star_rec(p["k"], p["j"]), s2star_ogf_coeff(p["k"], p["j"])),
+            "core.rec_vs_ogf", _grid(k=range(0, 9), j=range(1, 9)),
+            lambda k, j: (s2star_rec(k, j), s2star_ogf_coeff(k, j)),
         ),
         IdentitySpec(
-            "core.rec_vs_heuristic", grid(range(0, 9), j_grid),
-            lambda p: (s2star_rec(p["k"] + 2, p["j"]), s2star_heuristic(p["k"], p["j"])),
+            "core.rec_vs_heuristic", _grid(k=range(0, 9), j=j_grid),
+            lambda k, j: (s2star_rec(k + 2, j), s2star_heuristic(k, j)),
         ),
         IdentitySpec(
-            "core.rec_vs_reverse_binomial", grid(range(0, 7), range(1, 13)),
-            lambda p: (s2star_rec(p["k"] + 2, p["j"]), s2star_reverse_binomial(p["k"], p["j"])),
+            "core.rec_vs_reverse_binomial", _grid(k=range(0, 7), j=range(1, 13)),
+            lambda k, j: (s2star_rec(k + 2, j), s2star_reverse_binomial(k, j)),
         ),
         IdentitySpec(
-            "core.table1", grid(range(0, 7), range(0, 9)),
-            lambda p: (s2star_rec(p["k"], p["j"]), TABLE1[p["k"]][p["j"]]),
+            "core.table1", _grid(k=range(0, 7), j=range(0, 9)), lambda k, j: (s2star_rec(k, j), TABLE1[k][j])
         ),
         IdentitySpec(
-            "core.table2", grid(range(0, 7), range(1, 9)),
-            lambda p: (s2star_scaled(p["k"], p["j"]), TABLE2[p["k"]][p["j"]]),
+            "core.table2", _grid(k=range(0, 7), j=range(1, 9)), lambda k, j: (s2star_scaled(k, j), TABLE2[k][j])
         ),
         IdentitySpec(
-            "core.table3_remainder",
-            tuple({"variant": v, "k": k, "j": j} for v in ("t0", "t1") for k in range(2, 8)
-                  for j in range(1, 21)),
-            lambda p: (remainder_t(p["variant"], p["k"], p["j"]), table3_expression(p["variant"], p["k"], p["j"])),
+            "core.table3_remainder", _grid(variant=("t0", "t1"), k=range(2, 8), j=range(1, 21)),
+            lambda variant, k, j: (remainder_t(variant, k, j), table3_expression(variant, k, j)),
         ),
-        IdentitySpec("core.sign_pattern", grid(range(2, 9), j_grid), sign),
+        IdentitySpec("core.sign_pattern", _grid(k=range(2, 9), j=j_grid), sign),
     ]
 
 
 def _suite_harmonic() -> list:
     j_grid = range(1, 21)
 
-    def hnum_real(p):
-        k, j, r = p["k"], p["j"], p["r"]
+    def hnum_real(k, j, r, variant):
         if r == 0.0:
-            return s2star_from_hnum_real(k, j, 0.0, p["variant"]), float(s2star_rec(k + 2, j))
+            return s2star_from_hnum_real(k, j, 0.0, variant), float(s2star_rec(k + 2, j))
         return s2star_from_hnum_real(k, j, r, 1), s2star_from_hnum_real(k, j, r, 2)
 
-    exp_points = tuple({"k": k, "j": j} for k in range(0, 6) for j in j_grid)
-    form_points = tuple({"n": n, "k": k} for n in range(0, 21) for k in range(1, 6))
+    exp_points = _grid(k=range(0, 6), j=j_grid)
+    form_points = _grid(n=range(0, 21), k=range(1, 6))
     return [
         IdentitySpec(
-            "harmonic.npow_inverse",
-            tuple({"n": n, "k": k} for n in range(1, 26) for k in range(1, 9)),
-            lambda p: (npow_inverse(p["n"], p["k"]), Fraction(1, p["n"] ** p["k"])),
+            "harmonic.npow_inverse", _grid(n=range(1, 26), k=range(1, 9)),
+            lambda n, k: (npow_inverse(n, k), Fraction(1, n**k)),
         ),
         IdentitySpec(
-            "harmonic.npow_forward", tuple({"n": n, "k": k} for n in range(1, 21) for k in range(0, 9)),
-            lambda p: (npow_forward(p["n"], p["k"]), Fraction(p["n"] ** p["k"])),
+            "harmonic.npow_forward", _grid(n=range(1, 21), k=range(0, 9)),
+            lambda n, k: (npow_forward(n, k), Fraction(n**k)),
         ),
         IdentitySpec(
-            "harmonic.via_rec", tuple({"n": n, "k": k} for n in range(0, 16) for k in range(1, 6)),
-            lambda p: (harmonic_via_rec(p["n"], p["k"]), harmonic(p["n"], p["k"])),
+            "harmonic.via_rec", _grid(n=range(0, 16), k=range(1, 6)),
+            lambda n, k: (harmonic_via_rec(n, k), harmonic(n, k)),
         ),
         IdentitySpec(
-            "harmonic.hnum_int",
-            tuple({"k": k, "j": j, "variant": v} for k in range(1, 7) for j in j_grid for v in (1, 2)),
-            lambda p: (s2star_from_hnum_int(p["k"], p["j"], p["variant"]), s2star_rec(p["k"] + 2, p["j"])),
+            "harmonic.hnum_int", _grid(k=range(1, 7), j=j_grid, variant=(1, 2)),
+            lambda k, j, variant: (s2star_from_hnum_int(k, j, variant), s2star_rec(k + 2, j)),
         ),
         IdentitySpec(
-            "harmonic.hnum_real",
-            tuple({"k": k, "j": j, "r": r, "variant": 1}
-                  for k in (2, 3) for j in range(1, 13) for r in (0.0, 0.25, 0.5)),
+            "harmonic.hnum_real", _grid(k=(2, 3), j=range(1, 13), r=(0.0, 0.25, 0.5), variant=(1,)),
             hnum_real, tolerance=1e-12,
         ),
         IdentitySpec(
-            "harmonic.exp_conv", exp_points,
-            lambda p: (exp_harmonic_conv(p["k"], p["j"]) * p["j"], s2star_rec(p["k"] + 2, p["j"])),
+            "harmonic.exp_conv", exp_points, lambda k, j: (exp_harmonic_conv(k, j) * j, s2star_rec(k + 2, j))
         ),
         IdentitySpec(
             "harmonic.exp_inv", exp_points,
-            lambda p: (exp_harmonic_inv(p["k"], p["j"]), harmonic(p["j"], p["k"] + 1) / factorial(p["j"])),
+            lambda k, j: (exp_harmonic_inv(k, j), harmonic(j, k + 1) / factorial(j)),
         ),
         IdentitySpec(
-            "harmonic.rec_corollary_exact",
-            tuple({"n": n, "k": k, "which": w}
-                  for n in range(1, 13) for k in range(1, 6) for w in (1, 2)),
-            lambda p: (harmonic_rec_corollary(p["n"], p["k"], p["which"]), harmonic(p["n"], p["k"])),
+            "harmonic.rec_corollary_exact", _grid(n=range(1, 13), k=range(1, 6), which=(1, 2)),
+            lambda n, k, which: (harmonic_rec_corollary(n, k, which), harmonic(n, k)),
         ),
         IdentitySpec(
-            "harmonic.rec_corollary_real",
-            tuple({"n": n, "k": k, "r": r} for n in range(1, 13) for k in (2, 3) for r in (0.0, 0.25, 0.5)),
-            lambda p: (float(harmonic_rec_corollary(p["n"], p["k"], 3, r=p["r"])), float(harmonic(p["n"], p["k"]))),
+            "harmonic.rec_corollary_real", _grid(n=range(1, 13), k=(2, 3), r=(0.0, 0.25, 0.5)),
+            lambda n, k, r: (float(harmonic_rec_corollary(n, k, 3, r=r)), float(harmonic(n, k))),
             tolerance=1e-9,
         ),
         IdentitySpec(
-            "harmonic.binomial_form", form_points,
-            lambda p: (harmonic_binomial_form(p["n"], p["k"]), harmonic(p["n"], p["k"])),
+            "harmonic.binomial_form", form_points, lambda n, k: (harmonic_binomial_form(n, k), harmonic(n, k))
         ),
         IdentitySpec(
-            "harmonic.powers_of_n", form_points,
-            lambda p: (harmonic_powers_of_n(p["n"], p["k"]), harmonic(p["n"], p["k"])),
+            "harmonic.powers_of_n", form_points, lambda n, k: (harmonic_powers_of_n(n, k), harmonic(n, k))
         ),
     ]
 
@@ -267,9 +256,7 @@ _INTRO_DIRECT = {
     "b": lambda n, k, t, r: Fraction(1, n**k * factorial(n)),
     "c": lambda n, k, t, r: harmonic(n, k),
     "d": lambda n, k, t, r: harmonic_t(n, k, t),
-    "e": lambda n, k, t, r: sum(
-        (Fraction(r) ** m / (m**k * factorial(m)) for m in range(1, n + 1)), Fraction(0)
-    ),
+    "e": lambda n, k, t, r: sum((Fraction(r) ** m / (m**k * factorial(m)) for m in range(1, n + 1)), Fraction(0)),
     "f": lambda n, k, t, r: harmonic(n, k) / factorial(n),
 }
 
@@ -289,167 +276,141 @@ def _make_gf(name: str, order: int) -> Tuple[TruncSeries, Callable[[int], Fracti
 
 
 def _suite_series() -> list:
-    def transform(p):
-        order = p["order"]
-        G, g_of = _make_gf(p["gf"], order)
-        want = TruncSeries([Fraction(0)] + [g_of(n) / Fraction(n ** p["k"]) for n in range(1, order + 1)])
-        return transform_zeta(G, p["k"]), want
+    def transform(gf, k, order):
+        G, g_of = _make_gf(gf, order)
+        want = TruncSeries([Fraction(0)] + [g_of(n) / Fraction(n**k) for n in range(1, order + 1)])
+        return transform_zeta(G, k), want
 
-    def round_trip(p):
-        order = p["order"]
-        G, _ = _make_gf(p["gf"], order)
-        back = transform_forward(transform_zeta(G, p["k"]), p["k"])
+    def round_trip(gf, k, order):
+        G, _ = _make_gf(gf, order)
+        back = transform_forward(transform_zeta(G, k), k)
         return back, TruncSeries([Fraction(0)] + [G.coeff(n) for n in range(1, order + 1)])
 
-    def intro(p):
-        t = parse_rational(p["t"]) if "t" in p else None
-        r = parse_rational(p["r"]) if "r" in p else None
-        direct = _INTRO_DIRECT[p["id"]]
-        want = TruncSeries([Fraction(0)] + [direct(n, p["k"], t, r) for n in range(1, p["u"] + 1)])
-        return intro_example(p["id"], p["k"], p["u"], t=t, r=r), want
+    def intro(id, k, u, t=None, r=None):
+        t, r = (None if v is None else parse_rational(v) for v in (t, r))
+        direct = _INTRO_DIRECT[id]
+        want = TruncSeries([Fraction(0)] + [direct(n, k, t, r) for n in range(1, u + 1)])
+        return intro_example(id, k, u, t=t, r=r), want
 
-    def progression(p):
-        a, b, s, u = p["a"], p["b"], p["s"], p["u"]
+    def progression(a, b, s, u):
         got = intro_example("g", s, u, a=a, b=b)
         worst = abs(got[0] - ((1.0 / b**s) if b > 0 else 0.0))
         for n in range(1, u + 1):
             worst = max(worst, abs(got[n] - 1.0 / (a * n + b) ** s))
         return worst, 0.0
 
-    def multisection_error(p):
-        order = p["order"]
+    def multisection_error(a, b, order):
         F = TruncSeries([Fraction(n + 1) for n in range(order + 1)])
-        got = multisection(F, p["a"], p["b"])
-        worst = 0.0
-        for n in range(order + 1):
-            want = float(F.coeff(n)) if n % p["a"] == p["b"] else 0.0
-            worst = max(worst, abs(got[n] - want))
-        return worst, 0.0
+        got = multisection(F, a, b)
+        return max(abs(got[n] - (float(F.coeff(n)) if n % a == b else 0.0)) for n in range(order + 1)), 0.0
 
-    def exp_log(p):
-        S = TruncSeries([Fraction(1)] + [Fraction((-1) ** n * (n + 2), 2 * n + 1) for n in range(1, p["order"] + 1)])
+    def exp_log(order):
+        S = TruncSeries([Fraction(1)] + [Fraction((-1) ** n * (n + 2), 2 * n + 1) for n in range(1, order + 1)])
         return S.log().exp(), S
 
-    def egf_printed(p):
-        lhs, rhs = stirling1_egf_check(p["k"], p["order"])
-        return lhs, rhs.scale(Fraction((-1) ** p["k"]))
+    def egf_printed(k, order):
+        lhs, rhs = stirling1_egf_check(k, order)
+        return lhs, rhs.scale(Fraction((-1) ** k))
 
-    def h1_egf(p):
-        order = p["order"]
+    def h1_egf(order):
         h1 = TruncSeries([harmonic(n, 1) / factorial(n) for n in range(order + 1)])
         exp_neg = TruncSeries([Fraction(0)] + [Fraction(-1)] + [Fraction(0)] * (order - 1)).exp()
         rhs = TruncSeries([Fraction(0)] + [-Fraction((-1) ** n, factorial(n) * n) for n in range(1, order + 1)])
         return h1 * exp_neg, rhs
 
-    u = 12
-    intro_points = []
-    for k in (1, 2, 3):
-        intro_points += [{"id": e, "k": k, "u": u} for e in "abcf"]
-        intro_points += [{"id": "d", "k": k, "u": u, "t": "1/3"}, {"id": "d", "k": k, "u": u, "t": "-2"}]
-        intro_points += [{"id": "e", "k": k, "u": u, "r": "1/2"}, {"id": "e", "k": k, "u": u, "r": "3"}]
+    ks, u = (1, 2, 3), (12,)
+    intro_points = _grid(id="abcf", k=ks, u=u) + _grid(id="d", k=ks, u=u, t=("1/3", "-2"))
+    intro_points += _grid(id="e", k=ks, u=u, r=("1/2", "3"))
     return [
         IdentitySpec(
             "series.transform_zeta",
-            tuple({"gf": g, "k": k, "order": 30}
-                  for g in ("geometric", "geometric_sq", "exp", "li2_over_1mz") for k in (1, 2, 3)),
+            _grid(gf=("geometric", "geometric_sq", "exp", "li2_over_1mz"), k=ks, order=(30,)),
             transform,
         ),
-        IdentitySpec(
-            "series.round_trip", tuple({"gf": g, "k": k, "order": 20} for g in ("geometric", "exp") for k in (1, 2)),
-            round_trip,
-        ),
-        IdentitySpec("series.intro_exact", tuple(intro_points), intro),
+        IdentitySpec("series.round_trip", _grid(gf=("geometric", "exp"), k=(1, 2), order=(20,)), round_trip),
+        IdentitySpec("series.intro_exact", intro_points, intro),
         IdentitySpec(
             "series.intro_progression",
-            tuple({"a": a, "b": b, "s": s, "u": u} for a in (2, 3, 4) for b in range(a) for s in (1, 2)),
+            sum((_grid(a=(a,), b=range(a), s=(1, 2), u=u) for a in (2, 3, 4)), ()),
             progression, tolerance=1e-10,
         ),
         IdentitySpec(
-            "series.multisection", tuple({"a": a, "b": b, "order": 64} for a in range(2, 9) for b in (0, 1, a - 1)),
+            # b = 1 and b = a - 1 coincide at a = 2, so that point is checked twice
+            "series.multisection",
+            sum((_grid(a=(a,), b=(0, 1, a - 1), order=(64,)) for a in range(2, 9)), ()),
             multisection_error, tolerance=1e-10,
         ),
-        IdentitySpec("series.exp_log_roundtrip", ({"order": 15},), exp_log),
+        IdentitySpec("series.exp_log_roundtrip", _grid(order=(15,)), exp_log),
+        IdentitySpec("series.stirling1_egf", _grid(k=range(0, 5), order=(12,)), stirling1_egf_check),
+        IdentitySpec("series.stirling1_egf_printed_sign", _grid(k=ks, order=(8,)), egf_printed, assert_pass=False),
+        IdentitySpec("series.dilog_functional_eq", _grid(order=(10, 40)), dilog_functional_eq_sides),
         IdentitySpec(
-            "series.stirling1_egf", tuple({"k": k, "order": 12} for k in range(0, 5)),
-            lambda p: stirling1_egf_check(p["k"], p["order"]),
-        ),
-        IdentitySpec(
-            "series.stirling1_egf_printed_sign", tuple({"k": k, "order": 8} for k in (1, 2, 3)),
-            egf_printed, assert_pass=False,
-        ),
-        IdentitySpec(
-            "series.dilog_functional_eq", tuple({"order": o} for o in (10, 40)),
-            lambda p: dilog_functional_eq_sides(p["order"]),
-        ),
-        IdentitySpec(
-            "series.exp_harmonic", tuple({"k": k, "order": 20} for k in (1, 2, 3)),
-            lambda p: (
-                exp_harmonic_series(p["k"], p["order"]),
-                TruncSeries([harmonic(n, p["k"]) / factorial(n) for n in range(p["order"] + 1)]),
+            "series.exp_harmonic", _grid(k=ks, order=(20,)),
+            lambda k, order: (
+                exp_harmonic_series(k, order),
+                TruncSeries([harmonic(n, k) / factorial(n) for n in range(order + 1)]),
             ),
         ),
-        IdentitySpec("series.h1_egf", ({"order": 20},), h1_egf),
+        IdentitySpec("series.h1_egf", _grid(order=(20,)), h1_egf),
     ]
 
 
 def _suite_special() -> list:
     J = 400
 
-    def three_way(p):
-        v1 = special.li_new_series(p["s"], p["z"], J).value
-        v2 = special.li_classic_series(p["s"], p["z"], J).value
-        v3 = special.li_direct_sum(p["s"], p["z"], J).value
+    def three_way(s, z):
+        routes = (special.li_new_series, special.li_classic_series, special.li_direct_sum)
+        v1, v2, v3 = (route(s, z, J).value for route in routes)
         return max(abs(v1 - v2), abs(v1 - v3), abs(v2 - v3)), 0.0
 
-    def euler4_printed(p):
+    def closed(s):
+        return special.zeta_star(s, method="closed")
+
+    def euler4_printed(s):
         total = math.log(2) ** 4 / 24
         for j in range(1, 201):
             h1 = float(harmonic(j, 1))
             total += (h1**2 * float(harmonic(j, 2)) + h1 * float(harmonic(j, 3))) / 2.0 ** (j + 2)
-        return total, special.zeta_star(4, method="closed")
+        return total, closed(s)
 
-    def trilog_printed(p):
+    def trilog_printed(z):
         # the printed closing sign, -zeta(3) in place of +zeta(3)
-        lhs, rhs = special.trilog_functional_eq_sides(p["z"], 400)
+        lhs, rhs = special.trilog_functional_eq_sides(z, J)
         return lhs, rhs - 2 * special.zeta_ref(3)
 
-    def hurwitz(p):
-        got = special.hurwitz_phi(p["z"], p["s"], p["alpha"], p["beta"], 200).value
+    def hurwitz(z, s, alpha, beta):
+        got = special.hurwitz_phi(z, s, alpha, beta, 200).value
         direct = 0.0
         for n in range(1, 400):  # left to right: sum() compensates since Python 3.12
-            direct += p["z"] ** n / (p["alpha"] * n + p["beta"]) ** p["s"]
+            direct += z**n / (alpha * n + beta) ** s
         return got, direct
-
-    def closed(p):
-        return special.zeta_star(p["s"], method="closed")
 
     return [
         IdentitySpec(
-            "special.li_three_way",
-            tuple({"s": s, "z": z} for s in range(1, 6) for z in (-0.8, -0.5, -0.1, 0.2, 0.4)),
+            "special.li_three_way", _grid(s=range(1, 6), z=(-0.8, -0.5, -0.1, 0.2, 0.4)),
             three_way, tolerance=1e-10,
         ),
         IdentitySpec(
-            "special.zeta_star_series", tuple({"s": s} for s in range(1, 7)),
-            lambda p: (special.zeta_star(p["s"], 120, "series"), closed(p)), tolerance=1e-8,
+            "special.zeta_star_series", _grid(s=range(1, 7)),
+            lambda s: (special.zeta_star(s, 120, "series"), closed(s)), tolerance=1e-8,
         ),
         IdentitySpec(
-            "special.zeta_star_harmonic_form", tuple({"s": s} for s in range(1, 5)),
-            lambda p: (special.zeta_star_harmonic_form(p["s"], 120), closed(p)), tolerance=1e-8,
+            "special.zeta_star_harmonic_form", _grid(s=range(1, 5)),
+            lambda s: (special.zeta_star_harmonic_form(s, 120), closed(s)), tolerance=1e-8,
         ),
         IdentitySpec(
-            "special.zeta_star_euler_form", tuple({"s": s} for s in (3, 4, 5)),
-            lambda p: (special.zeta_star_euler_form(p["s"], 200), closed(p)), tolerance=5e-6,
+            "special.zeta_star_euler_form", _grid(s=(3, 4, 5)),
+            lambda s: (special.zeta_star_euler_form(s, 200), closed(s)), tolerance=5e-6,
         ),
         IdentitySpec(
-            "special.euler_form_s4_printed", ({"s": 4},), euler4_printed, tolerance=5e-6, assert_pass=False,
+            "special.euler_form_s4_printed", _grid(s=(4,)), euler4_printed, tolerance=5e-6, assert_pass=False
         ),
         IdentitySpec(
-            "special.trilog_functional_eq", tuple({"z": z, "J": 400} for z in (-0.5, -0.1, -0.9)),
-            lambda p: special.trilog_functional_eq_sides(p["z"], p["J"]), tolerance=special._TRILOG_TOLERANCE,
+            "special.trilog_functional_eq", _grid(z=(-0.5, -0.1, -0.9), J=(J,)),
+            special.trilog_functional_eq_sides, tolerance=special._TRILOG_TOLERANCE,
         ),
         IdentitySpec(
-            "special.trilog_printed_sign", ({"z": -0.5},), trilog_printed,
+            "special.trilog_printed_sign", _grid(z=(-0.5,)), trilog_printed,
             tolerance=special._TRILOG_TOLERANCE, assert_pass=False,
         ),
         IdentitySpec(
@@ -470,97 +431,86 @@ def _bernoulli_oracle(order: int, x: float) -> float:
 
 
 def _suite_fourier() -> list:
-    def convergence(p):
-        oracle = _bernoulli_oracle(p["order"], p["x"])
-        devs = [abs(special.bernoulli_fourier(p["order"], p["x"], J) - oracle) for J in (20, 40, 80)]
+    def convergence(order, x):
+        oracle = _bernoulli_oracle(order, x)
+        devs = [abs(special.bernoulli_fourier(order, x, J) - oracle) for J in (20, 40, 80)]
         return max(0.0, devs[1] - 1.1 * devs[0]) + max(0.0, devs[2] - 1.1 * devs[1]), 0.0
 
-    def closed_logforms(p):
-        value = special.bernoulli_closed_logforms(p["order"], p["x"])
+    def closed_logforms(order, x):
+        value = special.bernoulli_closed_logforms(order, x)
         # the closed forms are real: an imaginary part beyond rounding fails at any tolerance
         if abs(value.imag) > 1e-9:
             return value, math.inf
-        return value.real, _bernoulli_oracle(p["order"], p["x"])
+        return value.real, _bernoulli_oracle(order, x)
 
-    def printed(p):
+    def printed(order, x):
         # the displayed bracket series: coefficient series without the j!
         # factor, summed at E = e^{2 pi i (x-1/2)} and its conjugate
-        n, x = p["order"], p["x"]
         E = cmath.exp(2j * math.pi * (x - 0.5))
         total = 0j
         for j in range(1, 61):
             plus = E**j / (1 + E) ** (j + 1)
             minus = (1 / E) ** j / (1 + 1 / E) ** (j + 1)
-            total += complex(s2star_rec(n + 2, j)) * (plus + minus if n % 2 == 0 else plus - minus)
-        if n % 2 == 0:
-            value = ((-1) ** (n // 2) / (2 * math.pi) ** n) * total
+            total += complex(s2star_rec(order + 2, j)) * (plus + minus if order % 2 == 0 else plus - minus)
+        if order % 2 == 0:
+            value = ((-1) ** (order // 2) / (2 * math.pi) ** order) * total
         else:
-            value = ((-1) ** ((n - 1) // 2) / ((2 * math.pi) ** n * 1j)) * total
-        return value.real, _bernoulli_oracle(n, x)
+            value = ((-1) ** ((order - 1) // 2) / ((2 * math.pi) ** order * 1j)) * total
+        return value.real, _bernoulli_oracle(order, x)
 
     return [
         IdentitySpec(
-            "fourier.b1_value", ({"x": 1.25, "J": 60},),
-            lambda p: (special.bernoulli_fourier(1, p["x"], p["J"]), -0.25), tolerance=1e-6,
+            "fourier.b1_value", _grid(x=(1.25,), J=(60,)),
+            lambda x, J: (special.bernoulli_fourier(1, x, J), -0.25), tolerance=1e-6,
         ),
         IdentitySpec(
-            "fourier.series_vs_poly",
-            tuple({"order": n, "x": x, "J": 60} for n in (1, 2, 3) for x in (0.25, 1.25, 2.75)),
-            lambda p: (
-                special.bernoulli_fourier(p["order"], p["x"], p["J"]), _bernoulli_oracle(p["order"], p["x"])
-            ),
+            "fourier.series_vs_poly", _grid(order=(1, 2, 3), x=(0.25, 1.25, 2.75), J=(60,)),
+            lambda order, x, J: (special.bernoulli_fourier(order, x, J), _bernoulli_oracle(order, x)),
             tolerance=1e-5,
         ),
+        IdentitySpec("fourier.convergence", _grid(order=(1, 2, 3), x=(0.2, 1.25, 2.75)), convergence, tolerance=0.0),
         IdentitySpec(
-            "fourier.convergence", tuple({"order": n, "x": x} for n in (1, 2, 3) for x in (0.2, 1.25, 2.75)),
-            convergence, tolerance=0.0,
+            "fourier.closed_logforms", _grid(order=(1, 2), x=(0.25, 0.3, 0.75)), closed_logforms, tolerance=1e-8
         ),
         IdentitySpec(
-            "fourier.closed_logforms", tuple({"order": n, "x": x} for n in (1, 2) for x in (0.25, 0.3, 0.75)),
-            closed_logforms, tolerance=1e-8,
-        ),
-        IdentitySpec(
-            "fourier.printed_series_reading", tuple({"order": n, "x": 0.25} for n in (1, 2)),
+            "fourier.printed_series_reading", _grid(order=(1, 2), x=(0.25,)),
             printed, tolerance=1e-5, assert_pass=False,
         ),
     ]
 
 
 def _suite_msums() -> list:
-    def def_vs_alt(p):
-        spec = msums.MSumSpec(p["k"], p["d"], p["n"], p["reading"])
+    def def_vs_alt(k, d, n, reading):
+        spec = msums.MSumSpec(k, d, n, reading)
         return msums.m_def(spec), msums.m_alt(spec)
 
-    def discrepancy(p):
+    def discrepancy(k, d, n):
         # the three documented values at k = 3, d = 1, n = 1, compared as one vector
         got = [
-            msums.m_alt(msums.MSumSpec(3, 1, 1)),
-            msums.m_def(msums.MSumSpec(3, 1, 1, "unsigned")),
-            msums.m_recurrence_residual(3, 1, 1, "alt"),
+            msums.m_alt(msums.MSumSpec(k, d, n)),
+            msums.m_def(msums.MSumSpec(k, d, n, "unsigned")),
+            msums.m_recurrence_residual(k, d, n, "alt"),
         ]
         return TruncSeries(got), TruncSeries([Fraction(-1), Fraction(1), Fraction(-191, 32)])
 
+    almost_linear = dict(k=(5, 6, 7), n=(0, 1, 2, 3), source=("def_unsigned", "alt"))
     return [
         IdentitySpec(
             "msums.def_vs_alt",
-            tuple({"k": k, "d": d, "n": n, "reading": rd}
-                  for k in range(4, 9) for d in range(1, 5) for n in range(0, 13) for rd in ("unsigned", "signed")),
+            _grid(k=range(4, 9), d=range(1, 5), n=range(0, 13), reading=("unsigned", "signed")),
             def_vs_alt, assert_pass=False,
         ),
         IdentitySpec(
             "msums.recurrence",
-            tuple({"k": k, "d": d, "n": n, "source": s}
-                  for k in (3, 4, 5) for d in (1, 2, 3) for n in range(0, 7)
-                  for s in ("def_unsigned", "def_signed", "alt")),
-            lambda p: (msums.m_recurrence_residual(p["k"], p["d"], p["n"], p["source"]), 0),
+            _grid(k=(3, 4, 5), d=(1, 2, 3), n=range(0, 7), source=("def_unsigned", "def_signed", "alt")),
+            lambda k, d, n, source: (msums.m_recurrence_residual(k, d, n, source), 0),
             assert_pass=False,
         ),
         IdentitySpec(
+            # only the sixth display has the free constant m
             "msum_almost_linear",
-            tuple({"which": w, "k": k, "n": n, "source": s, **({"m": "0"} if w == 6 else {})}
-                  for w in range(1, 7) for k in (5, 6, 7) for n in (0, 1, 2, 3) for s in ("def_unsigned", "alt")),
-            lambda p: msums.almost_linear_sides(p["which"], p["k"], p["n"], Fraction(p.get("m", 0)), p["source"]),
-            assert_pass=False,
+            _grid(which=range(1, 6), **almost_linear) + _grid(which=(6,), **almost_linear, m=("0",)),
+            msums.almost_linear_sides, assert_pass=False,
         ),
         IdentitySpec(
             "msum_general_relation",
@@ -571,12 +521,10 @@ def _suite_msums() -> list:
                 {"family": 2, "coeffs": "1,-1", "d": "1", "k": 6, "n": 2, "source": "alt"},
                 {"family": 3, "coeffs": "1,-1,0", "d": "2", "k": 6, "n": 3, "source": "alt"},
             ),
-            lambda p: msums.general_relation_sides(
-                p["family"], p["coeffs"].split(","), p["d"], p["k"], p["n"], p["source"]
-            ),
+            lambda coeffs, **rest: msums.general_relation_sides(coeffs=coeffs.split(","), **rest),
             assert_pass=False,
         ),
-        IdentitySpec("msums.documented_discrepancy", ({"k": 3, "d": 1, "n": 1},), discrepancy),
+        IdentitySpec("msums.documented_discrepancy", _grid(k=(3,), d=(1,), n=(1,)), discrepancy),
     ]
 
 
@@ -622,10 +570,6 @@ def suite_passes(name: str, reports: Sequence[IdentityReport]) -> bool:
     return all(r.passed for r in reports if r.id in asserted)
 
 
-def _params_str(report: IdentityReport) -> str:
-    return ";".join(f"{k}={v}" for k, v in report.params)
-
-
 def emit_report(reports: Sequence[IdentityReport], format: str = "json") -> str:
     if format == "json":
         payload = [
@@ -640,6 +584,6 @@ def emit_report(reports: Sequence[IdentityReport], format: str = "json") -> str:
         ]
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
     if format in ("csv", "markdown"):
-        rows = ([r.id, _params_str(r), r.status, str(r.residual)] for r in reports)
+        rows = ([r.id, ";".join(f"{k}={v}" for k, v in r.params), r.status, str(r.residual)] for r in reports)
         return render(["id", "params", "status", "residual"], rows, format)
     raise ValueError("format must be json, csv, or markdown")

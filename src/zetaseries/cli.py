@@ -13,7 +13,8 @@ Exit codes: 0 success, 1 domain error in the requested evaluation or an
 a malformed command line (such as ``coeff --k x``).  A polylog point
 evaluated by a fallback method prints a ``warning:`` line naming it on
 stderr, in every format.  Negative numbers may follow their flag
-directly (``--z -1/2``, ``--z -1e-3``).  Exact values print as
+directly (``--z -1/2``, ``--z -1e-3``); a fraction flag with a zero
+denominator is a domain error naming the flag.  Exact values print as
 fractions, in full at any number of digits, unless
 ``--format decimal`` is given: 15 significant digits, rounded from the
 exact value beyond a double's range.  A command printing one value
@@ -110,17 +111,27 @@ def cmd_coeff(args) -> str:
     return _value_doc(_exact_str(value, args.format), args.format)
 
 
+def _fraction(args, flag: str) -> Optional[Fraction]:
+    """The value of a fraction flag (``--z``, ``--x``, ``--t``, ``--r``), or
+    None when it is not given; a zero denominator is a domain error that
+    names the flag."""
+    text = getattr(args, flag)
+    if text is None:
+        return None
+    try:
+        return parse_rational(text)
+    except ZeroDivisionError:
+        raise ValueError(f"--{flag} {text}: zero denominator") from None
+
+
 def cmd_harmonic(args) -> str:
-    if args.t is not None:
-        value = harmonic_t(args.n, args.k, parse_rational(args.t))
-    else:
-        value = harmonic(args.n, args.k)
+    t = _fraction(args, "t")
+    value = harmonic(args.n, args.k) if t is None else harmonic_t(args.n, args.k, t)
     return _value_doc(_exact_str(value, args.format), args.format)
 
 
 def cmd_series(args) -> str:
-    t = parse_rational(args.t) if args.t is not None else None
-    r = parse_rational(args.r) if args.r is not None else None
+    t, r = _fraction(args, "t"), _fraction(args, "r")
     result = series.intro_example(args.example, args.k, args.u, t=t, r=r, a=args.a, b=args.b)
     if args.example == "g":
         cells = [_decimal_str(c.real) for c in result]
@@ -148,7 +159,7 @@ def _eval_result_doc(result: special.EvalResult, format: str) -> str:
 
 
 def cmd_polylog(args) -> str:
-    z = float(parse_rational(args.z))
+    z = float(_fraction(args, "z"))
     result = special.li_new_series(args.s, z, args.terms)
     if result.domain_warning:
         print(f"warning: z = {args.z} is outside the coefficient series domain "
@@ -161,7 +172,7 @@ def cmd_zetastar(args) -> str:
 
 
 def cmd_fourier(args) -> str:
-    x = float(parse_rational(args.x))
+    x = float(_fraction(args, "x"))
     value = special.bernoulli_fourier(args.order, x, args.terms)
     return _value_doc(_decimal_str(value), args.format)
 

@@ -90,6 +90,8 @@ def bernoulli_number(n: int) -> Fraction:
 
 def bernoulli_poly(n: int, x: Fraction) -> Fraction:
     """B_n(x) = sum_k C(n,k) B_k x^{n-k}, exact."""
+    if n < 0:
+        raise ValueError("bernoulli_poly requires n >= 0")
     x = Fraction(x)
     return sum(
         (binomial(n, k) * bernoulli_number(k) * x ** (n - k) for k in range(n + 1)),

@@ -132,13 +132,13 @@ def test_csv_and_markdown_report_bytes_pinned(suite):
 def test_disagreeing_sides_fail_under_spec_id(monkeypatch, n):
     point = ({"n": n},)
     specs = [
-        audit.IdentitySpec("fake.exact", point, lambda p: (Fraction(1, 3), Fraction(1, 2))),
-        audit.IdentitySpec("fake.numeric", point, lambda p: (1.0, 1.5), tolerance=0.1),
+        audit.IdentitySpec("fake.exact", point, lambda n: (Fraction(1, 3), Fraction(1, 2))),
+        audit.IdentitySpec("fake.numeric", point, lambda n: (1.0, 1.5), tolerance=0.1),
         audit.IdentitySpec(
-            "fake.series", point, lambda p: (TruncSeries([Fraction(1), Fraction(2)]), TruncSeries([Fraction(1), Fraction(3)]))
+            "fake.series", point, lambda n: (TruncSeries([Fraction(1), Fraction(2)]), TruncSeries([Fraction(1), Fraction(3)]))
         ),
         # tolerance 0.0 is numeric, not exact: the residual stays a float
-        audit.IdentitySpec("fake.zero_tolerance", point, lambda p: (1.0, 1.0 + 2**-52), tolerance=0.0),
+        audit.IdentitySpec("fake.zero_tolerance", point, lambda n: (1.0, 1.0 + 2**-52), tolerance=0.0),
     ]
     monkeypatch.setitem(audit._SUITES, "fake", lambda: specs)
     reports = audit.run_suite("fake")

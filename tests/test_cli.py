@@ -108,24 +108,38 @@ def test_unicode_minus_parses(capsys):
     assert parse_rational(out.strip()) == direct
 
 
-@pytest.mark.parametrize("argv, code, printed", [
-    (("polylog", "--s", "2", "--z", "-1/2"), 0, "-0.448414206923646\n"),
-    (("harmonic", "--n", "4", "--t", "-1/2"), 0, "-77/192\n"),
-    (("polylog", "--s", "2", "--z", "-1e-3"), 0, "-0.000999750111048652\n"),
-    (("fourier", "--order", "2", "--x", "-7e-1"), 0, "-0.0216666666665802\n"),
+@pytest.mark.parametrize("argv, code, printed, error", [
+    (("polylog", "--s", "2", "--z", "-1/2"), 0, "-0.448414206923646\n", ""),
+    (("harmonic", "--n", "4", "--t", "-1/2"), 0, "-77/192\n", ""),
+    (("polylog", "--s", "2", "--z", "-1e-3"), 0, "-0.000999750111048652\n", ""),
+    (("fourier", "--order", "2", "--x", "-7e-1"), 0, "-0.0216666666665802\n", ""),
     # parsed, then refused by the evaluator: {x} = 0.9 is outside its domain
-    (("fourier", "--order", "2", "--x", "-1e-1"), 1, ""),
+    (("fourier", "--order", "2", "--x", "-1e-1"), 1, "", "error:"),
     # a zero denominator binds to its flag and is refused like --z 1/0
-    (("polylog", "--s", "2", "--z", "-1/0"), 1, ""),
-    (("harmonic", "--n", "4", "--t", "-1/0"), 1, ""),
+    (("polylog", "--s", "2", "--z", "-1/0"), 1, "", "error: --z -1/0: zero denominator\n"),
+    (("harmonic", "--n", "4", "--t", "-1/0"), 1, "", "error: --t -1/0: zero denominator\n"),
 ], ids=["polylog", "harmonic", "polylog_exponent", "fourier_exponent", "fourier_exponent_outside",
         "polylog_zero_denominator", "harmonic_zero_denominator"])
-def test_negative_fraction_after_its_flag(capsys, argv, code, printed):
+def test_negative_fraction_after_its_flag(capsys, argv, code, printed, error):
     # argparse alone reads -1/2 or -1e-3 as an unknown option and exits 2
     assert main(list(argv)) == code
     captured = capsys.readouterr()
     assert captured.out == printed
     assert captured.err.startswith("error:") == (code == 1)
+    assert captured.err.startswith(error)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("polylog", "--s", "2", "--z", "1/0"), "--z"),
+    (("fourier", "--order", "2", "--x", "1/0"), "--x"),
+    (("series", "--example", "d", "--k", "1", "--u", "3", "--t", "1/0"), "--t"),
+    (("series", "--example", "e", "--k", "1", "--u", "3", "--r", "1/0"), "--r"),
+])
+def test_zero_denominator_names_its_flag(capsys, argv, flag):
+    assert main(list(argv)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} {argv[-1]}: zero denominator\n"
 
 
 def test_table_golden_byte_identical(capsys):

@@ -43,7 +43,7 @@ def test_zeta_ref_sums_left_to_right(s):
 def test_hurwitz_direct_reference_sums_left_to_right():
     (spec,) = [spec for spec in audit._suite_special() if spec.id == "special.hurwitz_direct"]
     for p in spec.points:
-        direct = spec.sides(p)[1]
+        direct = spec.sides(**p)[1]
         want = left_to_right(p["z"] ** n / (p["alpha"] * n + p["beta"]) ** p["s"] for n in range(1, 400))
         assert direct.hex() == want.hex()
 

@@ -122,6 +122,17 @@ def test_bernoulli_poly_special_points():
     assert bernoulli_poly(2, Fraction(1, 2)) == Fraction(-1, 12)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: bernoulli_number(-1),
+    lambda: bernoulli_poly(-1, 0),
+    lambda: bernoulli_poly(-3, 5),
+    lambda: faulhaber_sum(-1, 3),
+])
+def test_negative_index_raises(call):
+    with pytest.raises(ValueError, match=r"n >= 0"):
+        call()
+
+
 def test_faulhaber_vs_direct_sum():
     for k in range(10):
         for n in range(0, 20):
