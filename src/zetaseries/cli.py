@@ -111,17 +111,21 @@ def cmd_coeff(args) -> str:
     return _value_doc(_exact_str(value, args.format), args.format)
 
 
-def _fraction(args, flag: str) -> Optional[Fraction]:
-    """The value of a fraction flag (``--z``, ``--x``, ``--t``, ``--r``), or
-    None when it is not given; a zero denominator is a domain error that
-    names the flag."""
+def _fraction(args, flag: str, double: bool = False) -> Optional[Fraction | float]:
+    """The value of a fraction flag (``--z``, ``--x``, ``--t``, ``--r``),
+    rounded to a float if ``double``, or None when it is not given; a zero
+    denominator, or a double out of range, is a domain error that names
+    the flag."""
     text = getattr(args, flag)
     if text is None:
         return None
     try:
-        return parse_rational(text)
+        value = parse_rational(text)
+        return float(value) if double else value
     except ZeroDivisionError:
         raise ValueError(f"--{flag} {text}: zero denominator") from None
+    except OverflowError:
+        raise ValueError(f"--{flag} {text}: too large for a double") from None
 
 
 def cmd_harmonic(args) -> str:
@@ -159,7 +163,7 @@ def _eval_result_doc(result: special.EvalResult, format: str) -> str:
 
 
 def cmd_polylog(args) -> str:
-    z = float(_fraction(args, "z"))
+    z = _fraction(args, "z", double=True)
     result = special.li_new_series(args.s, z, args.terms)
     if result.domain_warning:
         print(f"warning: z = {args.z} is outside the coefficient series domain "
@@ -172,7 +176,7 @@ def cmd_zetastar(args) -> str:
 
 
 def cmd_fourier(args) -> str:
-    x = float(_fraction(args, "x"))
+    x = _fraction(args, "x", double=True)
     value = special.bernoulli_fourier(args.order, x, args.terms)
     return _value_doc(_decimal_str(value), args.format)
 

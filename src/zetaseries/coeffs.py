@@ -224,8 +224,6 @@ def s2star_ogf_coeff(k: int, j: int) -> Fraction:
     """
     if j < 1:
         raise ValueError("column OGFs require j >= 1")
-    if k < 0:
-        return Fraction(0)
     if j == 1:
         return Fraction(1 if k >= 1 else 0)
     if k < 2:

@@ -178,14 +178,10 @@ def harmonic_rec_corollary(n: int, k: int, which: int, r: float = 0.0):
         lcm = _LCM[n]
         return harmonic(n - 1, k) + _weighted_row_sum(k + 1, n, lambda i: weights[i] * lcm // i, lcm)
     if which == 2:
-        # H_m^{(k)} weighs sum_{j>=m} (-1)^{j+m} C(n, j) sum_{m<=i<=j} C(i, m)
-        weights = [1]
-        for m in range(1, n + 1):
-            inner, weight = 0, 0
-            for j in range(m, n + 1):
-                inner += binomial(j, m)
-                weight += (-1) ** (j + m) * binomial(n, j) * inner
-            weights.append(weight)
+        # H_m^{(k)} weighs sum_{j>=m} (-1)^{j+m} C(n, j) sum_{m<=i<=j} C(i, m),
+        # and the inner sum is C(j+1, m+1) (the hockey-stick identity)
+        weights = [1] + [sum((-1) ** (j + m) * binomial(n, j) * binomial(j + 1, m + 1) for j in range(m, n + 1))
+                         for m in range(1, n + 1)]
         return _linear_combination(weights, [harmonic(n - 1, k), *(harmonic(m, k) for m in range(1, n + 1))])
     if which == 3:
         if not 0 <= r < k:

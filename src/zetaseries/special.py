@@ -26,7 +26,8 @@ validated against independent oracles in the test suite:
 * the order-2 closed log/dilog form carries prefactor -1/(8 pi^2);
 * the Fourier-type series is evaluated as
   -(2 pi i)^{-n} (Li_n(e^{2 pi i x}) + (-1)^n Li_n(e^{-2 pi i x}))
-  with each Li_n expanded by the coefficient series.
+  with Li_n(e^{2 pi i x}) expanded by the coefficient series and
+  Li_n(e^{-2 pi i x}) taken as its conjugate.
 
 The uncorrected variants are preserved as report-only audit targets.
 """
@@ -350,33 +351,18 @@ def bernoulli_fourier(order: int, x: float, J: int = 60) -> float:
 
     -(2 pi i)^{-n} (Li_n(e^{2 pi i x}) + (-1)^n Li_n(e^{-2 pi i x})).
 
-    The coefficient series needs |z/(1-z)| = 1/(2 |sin pi x|) < 1, that is
-    {x} in (1/6, 5/6), and J >= 1; elsewhere this raises ValueError.
+    Only the e^{2 pi i x} series is summed: the e^{-2 pi i x} one is its
+    complex conjugate, bit for bit.  The coefficient series needs
+    |z/(1-z)| = 1/(2 |sin pi x|) < 1, that is {x} in (1/6, 5/6), and
+    J >= 1; elsewhere this raises ValueError.
     """
     if order < 1:
         raise ValueError("bernoulli_fourier requires order >= 1")
     if not 1 / 6 < x % 1 < 5 / 6:
         raise ValueError("the coefficient series converges only for {x} in (1/6, 5/6)")
     plus = li_new_series(order, cmath.exp(2j * math.pi * x), J).value
-    minus = li_new_series(order, cmath.exp(-2j * math.pi * x), J).value
-    value = -(plus + (-1) ** order * minus) / (2j * math.pi) ** order
+    value = -(plus + (-1) ** order * plus.conjugate()) / (2j * math.pi) ** order
     return value.real
-
-
-_LI2_TERMS = 4000
-
-
-def _li2_complex(z: complex) -> complex:
-    """Dilogarithm at a complex point by direct summation for |z| <= 0.9,
-    and through the inversion formula Li_2(z) = -Li_2(1/z) - pi^2/6 -
-    Log(-z)^2/2 for |1/z| <= 0.9.  In the annulus between, neither route
-    is taken and this raises ValueError."""
-    if abs(z) <= 0.9:
-        return li_direct_sum(2, z, _LI2_TERMS).value
-    if abs(1 / z) > 0.9:
-        raise ValueError(f"Li_2 at |z| = {abs(z):.6g}: direct summation needs |z| <= 0.9 or |1/z| <= 0.9, "
-                         "and the annulus 0.9 < |z| < 1/0.9 lies between")
-    return -li_direct_sum(2, 1 / z, _LI2_TERMS).value - math.pi**2 / 6 - cmath.log(-z) ** 2 / 2
 
 
 def bernoulli_closed_logforms(order: int, x: float) -> complex:
@@ -386,10 +372,13 @@ def bernoulli_closed_logforms(order: int, x: float) -> complex:
     B_2({x})/2 = -(1/(8 pi^2)) sum_{b=+-1} (Log(1 - e^{2 pi i b x})^2
                   + 2 Li_2((1 + b i cot(pi x))/2)).
 
-    The imaginary part of the returned value vanishes to rounding.  Order
-    2 evaluates Li_2 at |(1 +- i cot(pi x))/2| = 1/(2|sin(pi x)|), which
-    _li2_complex cannot reach between 0.9 and 1/0.9: there, for x mod 1
-    in about (0.1486, 0.1875) or (0.8125, 0.8514), it raises ValueError.
+    The b = -1 terms are the conjugates of the b = +1 terms.  Li_2 at
+    z = (1 + i cot(pi x))/2, where |z| = 1/(2|sin(pi x)|), is summed
+    directly (4000 terms) for |z| <= 0.9; beyond, the pair is taken
+    together by Euler's reflection Li_2(z) + Li_2(1 - z) = pi^2/6 -
+    Log(z) Log(1 - z), since 1 - z is the conjugate of z.  The imaginary
+    part of the returned value vanishes to rounding, and only integer x
+    is refused.
     """
     if order not in (1, 2):
         raise ValueError("closed log forms exist for orders 1 and 2")
@@ -399,8 +388,11 @@ def bernoulli_closed_logforms(order: int, x: float) -> complex:
         e_plus = cmath.exp(2j * math.pi * x)
         return cmath.log((1 - e_plus) / (1 - 1 / e_plus)) / (2j * math.pi)
     cot = math.cos(math.pi * x) / math.sin(math.pi * x)
-    total = 0j
-    for b in (1, -1):
-        total += cmath.log(1 - cmath.exp(2j * math.pi * b * x)) ** 2
-        total += 2 * _li2_complex((1 + b * 1j * cot) / 2)
+    log = cmath.log(1 - cmath.exp(2j * math.pi * x))
+    z = (1 + 1j * cot) / 2
+    if abs(z) <= 0.9:
+        li = li_direct_sum(2, z, 4000).value
+        total = log**2 + 2 * li + log.conjugate() ** 2 + 2 * li.conjugate()
+    else:
+        total = log**2 + log.conjugate() ** 2 + 2 * (math.pi**2 / 6 - cmath.log(z) * cmath.log(1 - z))
     return -total / (8 * math.pi**2)

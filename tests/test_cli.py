@@ -142,6 +142,17 @@ def test_zero_denominator_names_its_flag(capsys, argv, flag):
     assert captured.err == f"error: {flag} {argv[-1]}: zero denominator\n"
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("polylog", "--s", "2", "--z", "-1e400"), "--z"),
+    (("fourier", "--order", "2", "--x", "1e400"), "--x"),
+])
+def test_fraction_too_large_for_a_double_names_its_flag(capsys, argv, flag):
+    assert main(list(argv)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} {argv[-1]}: too large for a double\n"
+
+
 def test_table_golden_byte_identical(capsys):
     _, out = run_cli(capsys, "table", "--kmax", "6", "--jmax", "8", "--format", "markdown")
     assert out.encode() == (GOLDEN / "table1.md").read_bytes()

@@ -241,6 +241,13 @@ def test_ogf_coeff_far_beyond_the_denominator_degree():
             assert s2star_ogf_coeff(k, j) == s2star_rec(k, j)
 
 
+def test_negative_k_is_zero_on_the_routes_without_a_k_bound():
+    # c*(k, j) = 0 for k < 0, as s2star_rec defines it; the README names the routes that raise instead
+    for k in range(-3, 0):
+        for j in range(1, 7):
+            assert s2star_ogf_coeff(k, j) == s2star_scaled(k, j) == s2star_rec(k, j) == 0
+
+
 def test_remainder_t_definitions():
     for k in range(2, 8):
         for j in range(1, 15):

@@ -103,11 +103,9 @@ ROWS = [
         ZeroDivisionError, "alpha*2 + beta = 0"),
     # zeta_star: s >= 1 [zetastar]
     row("special.zeta_star", special.zeta_star, (1,), (0,), ValueError, "s >= 1", ("zetastar", "--s", "0")),
-    # the order-2 closed log form: x mod 1 outside about (0.149, 0.187) and (0.813, 0.851)
-    row("special.bernoulli_closed_logforms.low", special.bernoulli_closed_logforms, (2, 0.148), (2, 0.15),
-        ValueError, "|z| <= 0.9"),
-    row("special.bernoulli_closed_logforms.high", special.bernoulli_closed_logforms, (2, 0.852), (2, 0.85),
-        ValueError, "|z| <= 0.9"),
+    # the closed log forms: x not an integer
+    row("special.bernoulli_closed_logforms", special.bernoulli_closed_logforms, (2, 0.17), (2, 1.0), ValueError,
+        "singular at integer x"),
     # msums: k > 2, d >= 1, n >= 0 [msum]
     row("msums.m_value.k", msums.m_value, (3, 1, 1, "alt"), (2, 1, 1, "alt"), ValueError, "k > 2",
         ("msum", "--k", "2", "--d", "1", "--n", "1")),

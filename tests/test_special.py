@@ -1,5 +1,6 @@
 """Numeric special functions against frozen high-precision constants."""
 
+import cmath
 import math
 import time
 from fractions import Fraction
@@ -342,16 +343,55 @@ def test_bernoulli_closed_logforms():
             assert value.real == pytest.approx(want, abs=1e-8)
 
 
-@pytest.mark.parametrize("call", [
-    lambda: bernoulli_closed_logforms(2, 0.17),
-    lambda: special._li2_complex(complex(-0.5, 0.9)),
-])
-def test_li2_complex_raises_inside_annulus(call):
-    # 0.9 < |z| < 1/0.9: neither the direct sum nor its inversion applies
-    with pytest.raises(ValueError, match="annulus"):
-        call()
+def two_series_fourier(order, x, J):
+    """The Fourier form summing Li_n at e^{2 pi i x} and at e^{-2 pi i x}."""
+    plus = li_new_series(order, cmath.exp(2j * math.pi * x), J).value
+    minus = li_new_series(order, cmath.exp(-2j * math.pi * x), J).value
+    return (-(plus + (-1) ** order * minus) / (2j * math.pi) ** order).real
 
 
-def test_li2_complex_inverts_outside_annulus():
-    # Li_2(-2) = -Li_2(-1/2) - pi^2/6 - log(2)^2/2
-    assert special._li2_complex(complex(-2, 0)) == pytest.approx(-1.4367463668836809, abs=1e-12)
+def direct_closed_logform_2(x):
+    """The order-2 closed form with both Li_2 values summed directly, b = +1 then b = -1."""
+    cot = math.cos(math.pi * x) / math.sin(math.pi * x)
+    total = 0j
+    for b in (1, -1):
+        total += cmath.log(1 - cmath.exp(2j * math.pi * b * x)) ** 2
+        total += 2 * li_direct_sum(2, (1 + b * 1j * cot) / 2, 4000).value
+    return -total / (8 * math.pi**2)
+
+
+def test_bernoulli_fourier_sums_one_series_and_keeps_the_two_series_bits(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return li_new_series(*args)
+
+    monkeypatch.setattr(special, "li_new_series", counting)
+    grid = [shift + 1 / 6 + i / 15 for shift in range(-2, 3) for i in range(1, 10)]
+    for order in range(1, 9):
+        for J in (20, 60, 120):
+            for x in grid:
+                calls.clear()
+                value = bernoulli_fourier(order, x, J)
+                assert len(calls) == 1
+                assert repr(value) == repr(two_series_fourier(order, x, J)), (order, x, J)
+
+
+CLOSED_FORM_XS = [1e-6, 0.01, 0.1486, 0.15, 0.16, 0.17, 0.1875, 0.5, 0.83, 0.85, 0.999999]
+
+
+def test_order_2_closed_form_is_real_and_exact_across_the_unit_interval():
+    # |z| > 0.9, x mod 1 outside [0.1875, 0.8125], takes the reflection Li_2(z) + Li_2(1 - z)
+    for x in [x + shift for x in CLOSED_FORM_XS for shift in (-1, 0, 1)]:
+        value = bernoulli_closed_logforms(2, x)
+        assert abs(value.imag) < 1e-12, x
+        assert abs(value.real - float(bernoulli_poly(2, Fraction(x) % 1)) / 2) < 1e-12, x
+
+
+def test_order_2_closed_form_keeps_the_direct_bits_where_z_is_small():
+    xs = [x + shift for x in CLOSED_FORM_XS + [0.25, 0.3, 0.75] for shift in (-1, 0, 1)]
+    direct = [x for x in xs if abs((1 + 1j * math.cos(math.pi * x) / math.sin(math.pi * x)) / 2) <= 0.9]
+    assert len(direct) == 15
+    for x in direct:
+        assert repr(bernoulli_closed_logforms(2, x)) == repr(direct_closed_logform_2(x)), x
