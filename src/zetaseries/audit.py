@@ -53,6 +53,7 @@ from .harmonic import (
     s2star_from_hnum_int,
     s2star_from_hnum_real,
 )
+from .harmonicnums import _double_cells, _doubles
 from .reports import IdentityReport, compare, render
 from .series import (
     TruncSeries,
@@ -239,7 +240,7 @@ def _suite_harmonic() -> list:
         ),
         IdentitySpec(
             "harmonic.rec_corollary_real", _grid(n=range(1, 13), k=(2, 3), r=(0.0, 0.25, 0.5)),
-            lambda n, k, r: (float(harmonic_rec_corollary(n, k, 3, r=r)), float(harmonic(n, k))),
+            lambda n, k, r: (float(harmonic_rec_corollary(n, k, 3, r=r)), _doubles(k)[n]),
             tolerance=1e-9,
         ),
         IdentitySpec(
@@ -368,9 +369,8 @@ def _suite_special() -> list:
 
     def euler4_printed(s):
         total = math.log(2) ** 4 / 24
-        for j in range(1, 201):
-            h1 = float(harmonic(j, 1))
-            total += (h1**2 * float(harmonic(j, 2)) + h1 * float(harmonic(j, 3))) / 2.0 ** (j + 2)
+        for j, (h1, h2, h3) in _double_cells((1, 2, 3), 200):
+            total += (h1**2 * h2 + h1 * h3) / 2.0 ** (j + 2)
         return total, closed(s)
 
     def trilog_printed(z):

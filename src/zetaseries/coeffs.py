@@ -8,8 +8,8 @@ exactly on their common domain:
 * the non-triangular recurrence (``s2star_rec``),
 * the closed binomial sum (``s2star_sum``, the alpha = 1, beta = 0 case
   of ``s2star_general_f``),
-* harmonic-number closed forms for k = 2..6 (``s2star_harmonic``, one
-  table of |c*(k, j)| j! in ``_harmonic_form``, exact or in doubles),
+* harmonic-number closed forms for k = 2..6 (``s2star_harmonic``, the
+  polynomials of |c*(k, j)| j! in ``_harmonic_form``, exact or in doubles),
 * a harmonic-number heuristic recurrence (``s2star_heuristic``),
 * coefficient extraction from the column OGFs in k (``s2star_ogf_coeff``),
 * a reverse binomial transform of truncated polylog series
@@ -170,21 +170,23 @@ def s2star_sum(k: int, j: int) -> Fraction:
     return s2star_general_f(k, j, 1, 0)
 
 
-def _harmonic_form(k: int, j: int, value=Fraction):
-    """|c*(k, j)| j! by the printed harmonic-number closed forms, k = 2..6,
-    with the harmonic numbers converted by ``value`` (exact by default)."""
-    h1 = value(harmonic(j, 1))
-    if k == 2:
-        return value(1)
+def _harmonic_form(k: int, h):
+    """|c*(k, j)| j! by the printed harmonic-number closed forms, k = 3..6,
+    from h = (H_j, H_j^(2), ..., H_j^(k-2)), which it does not convert:
+    the exact values of ``harmonicnums.harmonic`` give the exact form
+    (``s2star_harmonic``), and the correctly rounded doubles of
+    ``harmonicnums._doubles``, each rounded once, the double one
+    (``special.zeta_star_harmonic_form``)."""
+    h1 = h[0]
     if k == 3:
         return h1
-    h2 = value(harmonic(j, 2))
+    h2 = h[1]
     if k == 4:
         return (h1**2 + h2) / 2
-    h3 = value(harmonic(j, 3))
+    h3 = h[2]
     if k == 5:
         return (h1**3 + 3 * h1 * h2 + 2 * h3) / 6
-    h4 = value(harmonic(j, 4))
+    h4 = h[3]
     return (h1**4 + 6 * h1**2 * h2 + 3 * h2**2 + 8 * h1 * h3 + 6 * h4) / 24
 
 
@@ -194,7 +196,8 @@ def s2star_harmonic(k: int, j: int) -> Fraction:
         raise ValueError("harmonic closed forms exist for k in 2..6")
     if j < 1:
         raise ValueError("harmonic closed forms require j >= 1")
-    return (-1) ** (j - 1) * _harmonic_form(k, j) / factorial(j)
+    form = _harmonic_form(k, [harmonic(j, r) for r in range(1, k - 1)]) if k > 2 else Fraction(1)
+    return (-1) ** (j - 1) * form / factorial(j)
 
 
 def s2star_heuristic(k: int, j: int) -> Fraction:

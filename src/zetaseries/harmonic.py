@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .coeffs import _LCM, _scaled_numerators, s2star_rec
 from .exactnum import _binomial_sums, _linear_combination, binomial, factorial, falling_factorial
-from .harmonicnums import harmonic, harmonic_real, harmonic_t
+from .harmonicnums import _doubles, harmonic, harmonic_real, harmonic_t
 from .stirling import stirling1_unsigned, stirling2
 
 __all__ = [
@@ -192,7 +192,7 @@ def harmonic_rec_corollary(n: int, k: int, which: int, r: float = 0.0):
                                  for j in range(i + 1, n + 1)) for i in range(n)]
             values = [harmonic(n - 1, k), *(harmonic(i + 1, k) / (i + 2) for i in range(n))]
             return _linear_combination(weights, values)
-        total = float(harmonic(n - 1, k))
+        total = _doubles(k)[n - 1]
         for j in range(1, n + 1):
             for i in range(j):
                 sign = (-1) ** (j - 1 - i)

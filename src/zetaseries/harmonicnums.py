@@ -2,8 +2,12 @@
 
 Pure power sums: exact H_n^{(r)} for every integer order r, one table per
 order grown by ``_prefix_sums``, doubles for real orders, and the
-t-weighted sums.  The identities built on them live in
-:mod:`zetaseries.harmonic`.
+t-weighted sums.  Beside each exact table, ``_doubles`` keeps one table of
+doubles per order r, sitting on it and only extended: cell n is the
+correctly rounded double of H_n^{(r)}, numerator / denominator by int
+true division, the value float() gives, rounded once per process.  The
+numeric closed forms of :mod:`special` read their harmonic numbers there.
+The identities built on them live in :mod:`zetaseries.harmonic`.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import count
 from math import gcd
+from operator import index
 
 from .exactnum import SequenceTable, _coprime
 
@@ -18,18 +23,54 @@ __all__ = ["harmonic", "harmonic_real", "harmonic_t"]
 
 
 _HARMONIC = {}  # order r -> table of H_n^{(r)}
+_DOUBLES = {}  # order r -> table of the doubles of H_n^{(r)}, on _HARMONIC[r]
 
 
 def harmonic(n: int, r: int = 1) -> Fraction:
     """Exact H_n^{(r)} = sum_{m=1}^{n} m^{-r} for any integer order r.
 
     r <= 0 is the literal power sum (H_n^{(0)} = n, H_n^{(-1)} = n(n+1)/2),
-    needed where derived orders cross zero.  H_0^{(r)} = 0.
+    needed where derived orders cross zero.  H_0^{(r)} = 0.  n and r go
+    through operator.index before any table is read, so a float order such
+    as 2.0, which hashes like 2, raises TypeError and keys no table.
     """
+    try:
+        n, r = index(n), index(r)
+    except TypeError:
+        raise TypeError(f"harmonic requires an integer n and an integer order r, got n={n!r}, r={r!r}") from None
     if n < 0:
         raise ValueError("harmonic requires n >= 0")
-    table = _HARMONIC.get(r) or _HARMONIC.setdefault(r, SequenceTable(lambda h: _prefix_sums(h, r)))
-    return table[n]
+    return _exact(r)[n]
+
+
+def _exact(r: int) -> SequenceTable:
+    """The table of H_n^{(r)}, n = 0, 1, ..., for an int r."""
+    return _HARMONIC.get(r) or _HARMONIC.setdefault(r, SequenceTable(lambda h: _prefix_sums(h, r)))
+
+
+def _doubles(r: int) -> SequenceTable:
+    """The table of doubles of H_n^{(r)}, n = 0, 1, ..., for an int r: it
+    sits on the exact table of order r, and its producer reads each exact
+    value in place and divides its numerator by its denominator, int by
+    int, so each cell is correctly rounded, bit for bit float() of it."""
+    table = _DOUBLES.get(r)
+    if table is None:
+        exact = _exact(r)
+        values = exact._values
+
+        def produce(doubles):
+            for n in count(len(doubles)):
+                value = values[n]
+                yield value.numerator / value.denominator
+
+        table = _DOUBLES.setdefault(r, SequenceTable(produce, exact))
+    return table
+
+
+def _double_cells(orders, J: int):
+    """(j, (H_j^{(r)} for r in orders)) for j = 1..J, each a double of
+    ``_doubles(r)`` read in place."""
+    return enumerate(zip(*(_doubles(r).cells(1, J + 1) for r in orders)), 1)
 
 
 def _prefix_sums(h: list, r: int):

@@ -7,7 +7,17 @@ binomial sum (``m_alt``) disagree as written (e.g. m_def(3,1,1) = 1
 while m_alt(3,1,1) = -1), and the displayed homogeneous recurrence
 fails for both.  The functions compute each side verbatim under a
 selectable Stirling-1 sign reading so the discrepancies themselves are
-reproducible artifacts.  ``m_def`` sums its harmonic numbers of mixed
+reproducible artifacts.  Two repairs are tested exactly, with the
+repaired forms kept as test oracles:
+
+* the alternate sum with c*(k+2, j) j! where the display has
+  c*(k+2, j) (-1)^j, (n+d)!/n! sum_j C(n, j) c*(k+2, j) j!/(j+d), equals
+  ``m_def`` under the unsigned reading (k = 3..8, d = 1..4, n = 0..12);
+* the homogeneous recurrence with (n+1) in place of (n+2) holds under
+  ``m_def`` (k = 3..6, d = 1..3, n = 0..9), since
+  M_{k+1}(n+1) - M_{k+1}(n) = sum_m s1(d, m) / (n+1)^{k+1-m}.
+
+``m_def`` sums its harmonic numbers of mixed
 orders through ``exactnum._linear_combination``, and ``m_alt`` the c*
 row through ``harmonic._weighted_row_sum``.
 """

@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 from .coeffs import _CLASSIC_ROWS, _DOUBLE_ROWS, _harmonic_form
 from .exactnum import _binomial_sums, _over_common, factorial
-from .harmonicnums import harmonic, harmonic_real
+from .harmonicnums import _double_cells, harmonic_real
 from .reports import IdentityReport, compare
 
 __all__ = [
@@ -266,14 +266,16 @@ def zeta_star(s: int, J: int = 120, method: str = "series") -> float:
 def zeta_star_harmonic_form(s: int, J: int = 120) -> float:
     """The displayed harmonic-polynomial series for the alternating zeta
     values, s = 1..4 (e.g. s = 2: sum_j (H_j^2 + H_j^{(2)})/(4*2^j)), whose
-    terms are the closed forms of |c*(s+2, j)| j! over 2^{j+1}."""
+    terms are the closed forms of |c*(s+2, j)| j! over 2^{j+1}
+    (``coeffs._harmonic_form``) at the doubles of ``harmonicnums._doubles``:
+    each H_j^{(r)} correctly rounded, once per process."""
     if not 1 <= s <= 4:
         raise ValueError("harmonic-polynomial forms exist for s in 1..4")
     if J < 1:
         raise ValueError("harmonic-polynomial forms require J >= 1")
     total = 0.0
-    for j in range(1, J + 1):
-        total += math.ldexp(_harmonic_form(s + 2, j, float), -j - 1)
+    for j, h in _double_cells(range(1, s + 1), J):
+        total += math.ldexp(_harmonic_form(s + 2, h), -j - 1)
     return total
 
 
@@ -283,25 +285,23 @@ def zeta_star_euler_form(s: int, J: int = 200) -> float:
 
     s = 4 uses the repaired second sum with H_j^{(4)} (see module
     docstring); the displayed H_j H_j^{(3)} variant is audited
-    separately.
+    separately.  Each H_j^{(r)} is the correctly rounded double of its
+    exact value, read in place from ``harmonicnums._doubles``, where it is
+    rounded once per process.
     """
     if s not in (3, 4, 5):
         raise ValueError("Euler-sum forms exist for s in 3..5")
     if J < 1:
         raise ValueError("Euler-sum forms require J >= 1")
-    log2 = math.log(2)
-    total = log2**s / factorial(s)
-    for j in range(1, J + 1):
-        h1 = float(harmonic(j, 1))
-        h2 = float(harmonic(j, 2))
-        if s == 3:
+    total = math.log(2) ** s / factorial(s)
+    if s == 3:
+        for j, (h1, h2) in _double_cells((1, 2), J):
             total += math.ldexp(h1 * h2, -(j + 1))
-        elif s == 4:
-            h4 = float(harmonic(j, 4))
+    elif s == 4:
+        for j, (h1, h2, h4) in _double_cells((1, 2, 4), J):
             total += math.ldexp(h1**2 * h2 + h4, -(j + 2))
-        else:
-            h3 = float(harmonic(j, 3))
-            h4 = float(harmonic(j, 4))
+    else:
+        for j, (h1, h2, h3, h4) in _double_cells((1, 2, 3, 4), J):
             total += math.ldexp(h1**3 * h2 / 12, -j)
             total += math.ldexp(h2 * h3 / 6, -j)
             total += math.ldexp(h1 * h4, -(j + 2))

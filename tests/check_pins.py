@@ -11,7 +11,11 @@ c*(k, j) cells k = 2..14, j <= 600 of ``s2star_rec``, read once with j
 ascending and once descending, because the recurrence derives a row's
 denominators one way in order and another out of it.  It checks every
 H_n^(r), r = -3..8, n <= 2000, of ``harmonicnums.harmonic`` against a
-plain Fraction loop, since its kernel builds each value by its slots.
+plain Fraction loop, since its kernel builds each value by its slots, and
+the double of each in ``harmonicnums._doubles`` against num / den of the
+loop's value by float.hex, which pins the conversion on every
+interpreter, whether float() of a Fraction runs ``numbers.Rational``'s
+method (3.10, 3.11) or Fraction's own (3.12 on).
 It checks the Lerch-style inner rows of ``special._phi_inner_table``
 (``LERCH_ROWS``) bit for bit against the double nearest each exact
 binomial sum, since their recurrence rounds one exact quotient per cell.
@@ -37,7 +41,7 @@ from zetaseries import audit  # noqa: E402
 from zetaseries.cli import main  # noqa: E402
 from zetaseries.coeffs import _scaled_numerators, s2star_rec  # noqa: E402
 from zetaseries.exactnum import _reduced, factorial  # noqa: E402
-from zetaseries.harmonicnums import harmonic  # noqa: E402
+from zetaseries.harmonicnums import _doubles, harmonic  # noqa: E402
 from zetaseries.special import _phi_inner_table  # noqa: E402
 
 PINS = json.loads((TESTS / "pins.json").read_text())
@@ -140,12 +144,16 @@ def harmonic_loop(n: int, r: int) -> list:
 
 
 def harmonic_mismatches(orders=range(-3, 9), nmax: int = 2000):
-    """harmonic(n, r) against the plain loop: type, terms and hash."""
+    """harmonic(n, r) against the plain loop: type, terms and hash; and
+    its double cell against num / den of the loop's value, by float.hex."""
     for r in orders:
+        doubles = _doubles(r)
         for n, want in enumerate(harmonic_loop(nmax, r)):
             got = harmonic(n, r)
             if not (type(got) is Fraction and terms(got) == terms(want) and hash(got) == hash(want)):
                 yield f"harmonic({n}, {r}) differs from a Fraction loop"
+            if doubles[n].hex() != (want.numerator / want.denominator).hex():
+                yield f"harmonicnums._doubles({r})[{n}] differs from num / den"
 
 
 def lerch_reference(s: int, alpha: Fraction, beta: Fraction, K: int) -> list:
@@ -182,7 +190,8 @@ def main_check() -> int:
         print(line)
     pinned = 3 * len(PINS["report_sha256"]) + sum(map(len, PINS["document_sha256"].values()))
     version = ".".join(map(str, sys.version_info[:3]))
-    print(f"Python {version}: {pinned} pins, _reduced, the harmonic sums and {len(LERCH_ROWS)} Lerch rows checked, "
+    print(f"Python {version}: {pinned} pins, _reduced, the harmonic sums and their doubles and {len(LERCH_ROWS)} "
+          f"Lerch rows checked, "
           f"{len(mismatches)} mismatches")
     return 1 if mismatches else 0
 

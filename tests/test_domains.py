@@ -43,6 +43,7 @@ ROWS = [
     # harmonicnums: n >= 0 [harmonic]
     row("harmonicnums.harmonic", harmonicnums.harmonic, (0, 1), (-1, 1), ValueError, "n >= 0",
         ("harmonic", "--n", "-1")),
+    row("harmonicnums.harmonic.r", harmonicnums.harmonic, (3, 2), (3, 2.0), TypeError, "integer order r"),
     row("harmonicnums.harmonic_real", harmonicnums.harmonic_real, (0, 1.5), (-1, 1.5), ValueError, "n >= 0"),
     row("harmonicnums.harmonic_t", harmonicnums.harmonic_t, (0, 1, Fraction(1, 2)), (-1, 1, Fraction(1, 2)),
         ValueError, "n >= 0", ("harmonic", "--n", "-1", "--t", "1/2")),

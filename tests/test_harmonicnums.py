@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from zetaseries import harmonicnums
 from zetaseries.exactnum import SequenceTable
-from zetaseries.harmonicnums import _prefix_sums, harmonic, harmonic_real, harmonic_t
+from zetaseries.harmonicnums import _doubles, _prefix_sums, harmonic, harmonic_real, harmonic_t
 
 
 def test_harmonic_direct_positive_orders():
@@ -90,6 +91,43 @@ def test_prefix_sums_resume_bit_identically(r):
     jump, ascending = (SequenceTable(lambda h: _prefix_sums(h, r)) for _ in range(2))
     assert jump[1500] == full[1500]
     assert [ascending[n] for n in range(1601)] == list(jump.cells(0, 1601)) == full
+
+
+@pytest.mark.parametrize("n, r", [(3, 2.0), (3.0, 2), (Fraction(3), 2), (3, Fraction(2))])
+def test_a_refused_order_leaves_the_tables_clean(monkeypatch, n, r):
+    # 2.0 hashes like 2: a float order once keyed a table whose producer
+    # raised, and every later harmonic(j, 2) read that table and raised too
+    monkeypatch.setattr(harmonicnums, "_HARMONIC", {})
+    monkeypatch.setattr(harmonicnums, "_DOUBLES", {})
+    with pytest.raises(TypeError, match="integer n and an integer order r"):
+        harmonic(n, r)
+    assert harmonicnums._HARMONIC == {} and harmonicnums._DOUBLES == {}
+    value = harmonic(300, 2)
+    want = check_pins.harmonic_loop(300, 2)[300]
+    assert type(value) is Fraction and (value.numerator, value.denominator) == (want.numerator, want.denominator)
+    assert list(harmonicnums._HARMONIC) == [2]
+
+
+def test_double_cells_are_the_rounded_exact_values():
+    for r in range(1, 6):
+        assert [x.hex() for x in _doubles(r).cells(0, 501)] == [float(harmonic(n, r)).hex() for n in range(501)]
+
+
+def test_double_cells_are_rounded_once_whatever_the_reading_order(monkeypatch):
+    # a fresh table on the built exact one, read to J = 300 then 50 or the
+    # reverse: a later read returns the very doubles an earlier one built,
+    # and both orders build the same bits
+    built = []
+    for reads in ((300, 50), (50, 300)):
+        monkeypatch.setattr(harmonicnums, "_DOUBLES", {})
+        for r in range(1, 6):
+            table = _doubles(r)
+            assert table._below is harmonicnums._HARMONIC[r] and _doubles(r) is table
+            first, second = (list(table.cells(1, J + 1)) for J in reads)
+            assert all(x is y for x, y in zip(first, second))
+            assert all(table[n] is x for n, x in enumerate(first, 1))
+            built.append([x.hex() for x in table.cells(1, 301)])
+    assert built[:5] == built[5:]
 
 
 def test_harmonic_frozen_values():

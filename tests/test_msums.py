@@ -112,3 +112,34 @@ def test_family_degeneration_matches():
     )
     assert r1.status in ("exact_pass", "fail")
     assert r2.status in ("exact_pass", "fail")
+
+
+def _m_alt_repaired(k, d, n):
+    # the displayed alternate sum with c*(k+2, j) j! where it prints
+    # c*(k+2, j) (-1)^j: (n+d)!/n! sum_j C(n, j) c*(k+2, j) j!/(j+d)
+    return Fraction(factorial(n + d), factorial(n)) * sum(
+        (binomial(n, j) * s2star_rec(k + 2, j) * Fraction(factorial(j), j + d) for j in range(1, n + 1)), Fraction(0)
+    )
+
+
+def test_repaired_alternate_sum_is_the_definition():
+    points = [(k, d, n) for k in range(3, 9) for d in range(1, 5) for n in range(13)]
+    assert len(points) == 312
+    for k, d, n in points:
+        assert _m_alt_repaired(k, d, n) == m_def(MSumSpec(k, d, n, "unsigned")), (k, d, n)
+
+
+def _recurrence_repaired(k, d, n, source):
+    # the displayed homogeneous recurrence with (n+1) where it prints (n+2)
+    M = lambda order, at: m_value(order, d, at, source)
+    return M(k, n) - M(k, n + 1) + (n + 1) * M(k + 1, n + 1) - (n + 1) * M(k + 1, n)
+
+
+@pytest.mark.parametrize("source", ["def_unsigned", "def_signed"])
+def test_repaired_recurrence_holds_under_the_definition(source):
+    # (n+1) (M_{k+2}(n+1) - M_{k+2}(n)) = sum_m s1(d, m) / (n+1)^(k+1-m)
+    # = M_{k+1}(n+1) - M_{k+1}(n), term by term of m_def
+    points = [(k, d, n) for k in range(3, 7) for d in range(1, 4) for n in range(10)]
+    assert len(points) == 120
+    for k, d, n in points:
+        assert _recurrence_repaired(k, d, n, source) == 0, (k, d, n)

@@ -8,9 +8,10 @@ from fractions import Fraction
 import check_pins
 import pytest
 
-from zetaseries import special
+from zetaseries import harmonicnums, special
 from zetaseries.coeffs import _LCM, _NUMERATORS, s2star_scaled
 from zetaseries.exactnum import _RUN, SequenceTable, binomial
+from zetaseries.harmonicnums import harmonic
 from zetaseries.special import (
     EvalResult,
     _phi_inner_table,
@@ -297,6 +298,64 @@ def test_zeta_star_forms_beyond_double_exponent_range():
     assert zeta_star(2, J, "series") == pytest.approx(zeta_star(2, method="closed"), abs=1e-12)
     assert zeta_star_harmonic_form(2, J) == pytest.approx(zeta_star(2, method="closed"), abs=1e-12)
     assert zeta_star_euler_form(3, J) == pytest.approx(zeta_star(3, method="closed"), abs=1e-12)
+
+
+def _per_term_harmonic_form(s, J):
+    # each H_j^(r) converted by float() afresh per term
+    total = 0.0
+    for j in range(1, J + 1):
+        h1, h2, h3, h4 = (float(harmonic(j, r)) for r in range(1, 5))
+        form = {
+            1: h1,
+            2: (h1**2 + h2) / 2,
+            3: (h1**3 + 3 * h1 * h2 + 2 * h3) / 6,
+            4: (h1**4 + 6 * h1**2 * h2 + 3 * h2**2 + 8 * h1 * h3 + 6 * h4) / 24,
+        }[s]
+        total += math.ldexp(form, -j - 1)
+    return total
+
+
+def _per_term_euler_form(s, J):
+    total = math.log(2) ** s / math.factorial(s)
+    for j in range(1, J + 1):
+        h1, h2, h3, h4 = (float(harmonic(j, r)) for r in range(1, 5))
+        if s == 3:
+            total += math.ldexp(h1 * h2, -(j + 1))
+        elif s == 4:
+            total += math.ldexp(h1**2 * h2 + h4, -(j + 2))
+        else:
+            total += math.ldexp(h1**3 * h2 / 12, -j)
+            total += math.ldexp(h2 * h3 / 6, -j)
+            total += math.ldexp(h1 * h4, -(j + 2))
+    return total
+
+
+def test_zeta_star_forms_match_per_term_conversion(monkeypatch):
+    # fresh double tables, so each larger J reads past the tables' end
+    monkeypatch.setattr(harmonicnums, "_DOUBLES", {})
+    for J in (1, 120, 200, 350):
+        for s in (1, 2, 3, 4):
+            assert zeta_star_harmonic_form(s, J).hex() == _per_term_harmonic_form(s, J).hex()
+        for s in (3, 4, 5):
+            assert zeta_star_euler_form(s, J).hex() == _per_term_euler_form(s, J).hex()
+
+
+def test_zeta_star_forms_convert_no_fraction_on_warm_tables(monkeypatch):
+    # each harmonic number is rounded once per process, in its double table
+    for s in (3, 4, 5):
+        zeta_star_euler_form(s, 200)
+    for s in (1, 2, 3, 4):
+        zeta_star_harmonic_form(s, 200)
+    converted = []
+    to_float = Fraction.__float__
+    monkeypatch.setattr(Fraction, "__float__", lambda value: converted.append(value) or to_float(value))
+    assert float(Fraction(1, 3)) == 1 / 3 and converted == [Fraction(1, 3)]
+    converted.clear()
+    for s in (3, 4, 5):
+        zeta_star_euler_form(s, 200)
+    for s in (1, 2, 3, 4):
+        zeta_star_harmonic_form(s, 200)
+    assert converted == []
 
 
 def test_zeta_star_euler_forms_match_display_decimals():
