@@ -49,10 +49,12 @@ def _exact(r: int) -> SequenceTable:
 
 
 def _doubles(r: int) -> SequenceTable:
-    """The table of doubles of H_n^{(r)}, n = 0, 1, ..., for an int r: it
-    sits on the exact table of order r, and its producer reads each exact
-    value in place and divides its numerator by its denominator, int by
-    int, so each cell is correctly rounded, bit for bit float() of it."""
+    """The table of doubles of H_n^{(r)}, n = 0, 1, ..., for an integer r,
+    checked as in ``harmonic``: it sits on the exact table of order r, and
+    its producer reads each exact value in place and divides its numerator
+    by its denominator, int by int, so each cell is correctly rounded, bit
+    for bit float() of it."""
+    r = index(r)
     table = _DOUBLES.get(r)
     if table is None:
         exact = _exact(r)

@@ -101,6 +101,8 @@ def test_a_refused_order_leaves_the_tables_clean(monkeypatch, n, r):
     monkeypatch.setattr(harmonicnums, "_DOUBLES", {})
     with pytest.raises(TypeError, match="integer n and an integer order r"):
         harmonic(n, r)
+    with pytest.raises(TypeError):
+        _doubles(2.0)
     assert harmonicnums._HARMONIC == {} and harmonicnums._DOUBLES == {}
     value = harmonic(300, 2)
     want = check_pins.harmonic_loop(300, 2)[300]
