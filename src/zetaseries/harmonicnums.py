@@ -40,11 +40,12 @@ def harmonic(n: int, r: int = 1) -> Fraction:
         raise TypeError(f"harmonic requires an integer n and an integer order r, got n={n!r}, r={r!r}") from None
     if n < 0:
         raise ValueError("harmonic requires n >= 0")
-    return _exact(r)[n]
+    return (_HARMONIC.get(r) or _exact(r))[n]
 
 
 def _exact(r: int) -> SequenceTable:
-    """The table of H_n^{(r)}, n = 0, 1, ..., for an int r."""
+    """The table of H_n^{(r)}, n = 0, 1, ..., for an int r, made on first
+    use (``harmonic`` reads ``_HARMONIC`` itself first, saving a call)."""
     return _HARMONIC.get(r) or _HARMONIC.setdefault(r, SequenceTable(lambda h: _prefix_sums(h, r)))
 
 
