@@ -13,9 +13,9 @@ denominators one way in order and another out of it.  It checks every
 H_n^(r), r = -3..8, n <= 2000, of ``harmonicnums.harmonic`` against a
 plain Fraction loop, since its kernel builds each value by its slots, and
 the double of each in ``harmonicnums._doubles`` against num / den of the
-loop's value by float.hex, which pins the conversion on every
-interpreter, whether float() of a Fraction runs ``numbers.Rational``'s
-method (3.10, 3.11) or Fraction's own (3.12 on).
+loop's value by float.hex: the cells are built by that int division, not
+by float(), so the pin holds them to the correctly rounded value on every
+interpreter, whichever method float() of a Fraction runs there.
 It checks the Lerch-style inner rows of ``special._phi_inner_table``
 (``LERCH_ROWS``) bit for bit against the double nearest each exact
 binomial sum, since their recurrence rounds one exact quotient per cell.
@@ -190,9 +190,8 @@ def main_check() -> int:
         print(line)
     pinned = 3 * len(PINS["report_sha256"]) + sum(map(len, PINS["document_sha256"].values()))
     version = ".".join(map(str, sys.version_info[:3]))
-    print(f"Python {version}: {pinned} pins, _reduced, the harmonic sums and their doubles and {len(LERCH_ROWS)} "
-          f"Lerch rows checked, "
-          f"{len(mismatches)} mismatches")
+    print(f"Python {version}: {pinned} pins, _reduced, the harmonic sums, their doubles and "
+          f"{len(LERCH_ROWS)} Lerch rows checked, {len(mismatches)} mismatches")
     return 1 if mismatches else 0
 
 
