@@ -7,16 +7,20 @@ Bernoulli numbers (:mod:`stirling`), exact harmonic numbers
 transform coefficient table (:mod:`coeffs`), harmonic-number identities
 (:mod:`harmonic`), identity reports (:mod:`reports`), the transform and
 its constructions on series (:mod:`series`), numeric special functions
-(:mod:`special`), remainder-term sums (:mod:`msums`), and the identity
-verification registry (:mod:`audit`) behind the :mod:`cli`.  No module
-imports a later one.  ``zetaseries.harmonic`` is the function
+(:mod:`special`), remainder-term sums (:mod:`msums`), the identity
+verification registry (:mod:`audit`) and its six suites (``suite_core``
+and the rest, one module each), behind the :mod:`cli`.  No module
+imports a later one, except that :mod:`audit` loads its suites by name,
+on first use.  ``zetaseries.harmonic`` is the function
 ``harmonicnums.harmonic``, even as ``import zetaseries.harmonic as m``;
 ``from zetaseries.harmonic import ...`` or ``importlib`` reach the module.
 
 Importing the package loads every layer below :mod:`audit`.  The
 verification layer loads on first use: reading ``run_suite``,
 ``suite_names``, ``suite_passes`` or ``emit_report`` from the package
-imports it, so a process that never verifies does not pay for it.
+imports it, so a process that never verifies does not pay for it.  A
+``verify --suite S`` process loads :mod:`audit` and the one suite module
+of ``S`` (see :mod:`audit`).
 """
 
 from .coeffs import (

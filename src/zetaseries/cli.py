@@ -7,6 +7,10 @@ harmonic numbers (``harmonic``), the truncated-series constructions
 identity verification suites (``verify``).
 
 ``--help`` and ``verify --help`` end by naming the verification suites.
+A process builds the subparser of its own command only (all of them for
+``--help``, no command or an unknown one), loads ``json`` only to write a
+JSON document, and loads :mod:`audit` and one suite module only for
+``verify`` (see :mod:`audit`).
 
 Exit codes: 0 success, 1 domain error in the requested evaluation or an
 ``--output`` path that cannot be opened, 2 unknown verification suite or
@@ -29,7 +33,6 @@ the JSON report.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -69,11 +72,17 @@ def _exact_str(value: Fraction, format: str) -> str:
     return f"{quotient.normalize(context):.15g}"
 
 
+def _json_doc(value) -> str:
+    import json  # on first use: only the json documents need it
+
+    return json.dumps(value, separators=(",", ":")) + "\n"
+
+
 def _value_doc(cell: str, format: str) -> str:
     """One value as a document: a JSON string, a one-column csv or markdown
     table headed ``value``, or the bare cell."""
     if format == "json":
-        return json.dumps(cell) + "\n"
+        return _json_doc(cell)
     if format in ("csv", "markdown"):
         return render(["value"], [[cell]], format)
     return cell + "\n"
@@ -97,7 +106,7 @@ def cmd_table(args) -> str:
             cells.append(_exact_str(value, args.format))
         rows.append(cells)
     if args.format == "json":
-        return json.dumps([dict(zip(header, row)) for row in rows], separators=(",", ":")) + "\n"
+        return _json_doc([dict(zip(header, row)) for row in rows])
     if args.format == "frac":
         # plain whitespace-aligned rows without header
         widths = [max(len(r[i]) for r in rows + [header]) for i in range(len(header))]
@@ -142,7 +151,7 @@ def cmd_series(args) -> str:
     else:
         cells = [_exact_str(c, args.format) for c in result.coeffs]
     if args.format == "json":
-        return json.dumps(cells, separators=(",", ":")) + "\n"
+        return _json_doc(cells)
     if args.format in ("csv", "markdown"):
         return render(["n", "coeff"], ([str(n), c] for n, c in enumerate(cells)), args.format)
     return "\n".join(f"z^{n}: {c}" for n, c in enumerate(cells)) + "\n"
@@ -158,7 +167,7 @@ def _eval_result_doc(result: special.EvalResult, format: str) -> str:
             "method": result.method,
             "domain_warning": result.domain_warning,
         }
-        return json.dumps(payload, separators=(",", ":")) + "\n"
+        return _json_doc(payload)
     return _value_doc(_decimal_str(value), format)
 
 
@@ -191,12 +200,11 @@ def cmd_verify(args) -> tuple:
     from . import audit
 
     format = args.format if args.format in ("json", "csv", "markdown") else "json"
-    reports = audit.run_suite(args.suite)
+    reports, passed = audit.verify_suite(args.suite)
     document = audit.emit_report(reports, format)
     if not document.endswith("\n"):
         document += "\n"
-    code = 0 if audit.suite_passes(args.suite, reports) else 1
-    return document, code
+    return document, 0 if passed else 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -215,83 +223,84 @@ class _Parser(argparse.ArgumentParser):
         return super().format_help()
 
 
-def build_parser() -> argparse.ArgumentParser:
+_INT = {"type": int, "required": True}
+
+# each command: its help line, the function that runs it, its default
+# format and its own flags, in help order; --format and --output follow
+_COMMANDS = {
+    "table": ("coefficient table", cmd_table, "markdown", {
+        "--kmax": {"type": int, "default": 6},
+        "--jmax": {"type": int, "default": 8},
+        "--scaled": {"action": "store_true"},
+    }),
+    "coeff": ("single coefficient", cmd_coeff, "frac", {
+        "--k": _INT,
+        "--j": _INT,
+        "--scaled": {"action": "store_true"},
+    }),
+    "harmonic": ("exact (generalized) harmonic number", cmd_harmonic, "frac", {
+        "--n": _INT,
+        "--k": {"type": int, "default": 1},
+        "--t": {"default": None, "help": "optional weight t for sum t^m/m^k"},
+    }),
+    "series": ("introduction example series", cmd_series, "frac", {
+        "--example": {"choices": list("abcdefg"), "required": True},
+        "--k": _INT,
+        "--u": _INT,
+        "--t": {"default": None},
+        "--r": {"default": None},
+        "--a": {"type": int, "default": None},
+        "--b": {"type": int, "default": None},
+    }),
+    "polylog": ("polylogarithm evaluation", cmd_polylog, "decimal", {
+        "--s": _INT,
+        "--z": {"required": True},
+        "--terms": {"type": int, "default": 400},
+    }),
+    "zetastar": ("alternating zeta value", cmd_zetastar, "decimal", {
+        "--s": _INT,
+        "--terms": {"type": int, "default": 120},
+        "--method": {"choices": ("series", "closed", "harmonic", "euler"), "default": "series"},
+    }),
+    "fourier": ("periodic Bernoulli function via its Fourier polylog form", cmd_fourier, "decimal", {
+        "--order": _INT,
+        "--x": {"required": True},
+        "--terms": {"type": int, "default": 60},
+    }),
+    "msum": ("remainder-term sum M_{k+1}^{(d)}(n)", cmd_msum, "frac", {
+        "--k": _INT,
+        "--d": _INT,
+        "--n": _INT,
+        "--source": {"choices": ("def_unsigned", "def_signed", "alt"), "default": "def_unsigned"},
+    }),
+    "verify": ("run an identity verification suite", cmd_verify, "json", {
+        "--suite": {"required": True},
+    }),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The command-line parser.  Given the name of a command, it holds that
+    command's subparser only, which parses that command's lines as the full
+    parser does; given anything else, or nothing, it holds all of them."""
     parser = _Parser(
         list_suites=True,
         prog="zetaseries",
         description="Zeta-series transform coefficients, harmonic identities, and verification suites.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    names = [command] if command in _COMMANDS else list(_COMMANDS)
+    # one command's usage line still names every command, as the errors of
+    # the top parser print it (such as "unrecognized arguments")
+    metavar = "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help, func, format, flags = _COMMANDS[name]
+        p = sub.add_parser(name, help=help, list_suites=name == "verify")
+        for flag, options in flags.items():
+            p.add_argument(flag, **options)
         p.add_argument("--format", choices=_FORMATS, default="frac")
         p.add_argument("--output", default=None, help="write the document to this path")
-
-    p = sub.add_parser("table", help="coefficient table")
-    p.add_argument("--kmax", type=int, default=6)
-    p.add_argument("--jmax", type=int, default=8)
-    p.add_argument("--scaled", action="store_true")
-    add_common(p)
-    p.set_defaults(func=cmd_table, format="markdown")
-
-    p = sub.add_parser("coeff", help="single coefficient")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
-    p.add_argument("--scaled", action="store_true")
-    add_common(p)
-    p.set_defaults(func=cmd_coeff)
-
-    p = sub.add_parser("harmonic", help="exact (generalized) harmonic number")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--t", default=None, help="optional weight t for sum t^m/m^k")
-    add_common(p)
-    p.set_defaults(func=cmd_harmonic)
-
-    p = sub.add_parser("series", help="introduction example series")
-    p.add_argument("--example", choices=list("abcdefg"), required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--u", type=int, required=True)
-    p.add_argument("--t", default=None)
-    p.add_argument("--r", default=None)
-    p.add_argument("--a", type=int, default=None)
-    p.add_argument("--b", type=int, default=None)
-    add_common(p)
-    p.set_defaults(func=cmd_series)
-
-    p = sub.add_parser("polylog", help="polylogarithm evaluation")
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--z", required=True)
-    p.add_argument("--terms", type=int, default=400)
-    add_common(p)
-    p.set_defaults(func=cmd_polylog, format="decimal")
-
-    p = sub.add_parser("zetastar", help="alternating zeta value")
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--terms", type=int, default=120)
-    p.add_argument("--method", choices=("series", "closed", "harmonic", "euler"), default="series")
-    add_common(p)
-    p.set_defaults(func=cmd_zetastar, format="decimal")
-
-    p = sub.add_parser("fourier", help="periodic Bernoulli function via its Fourier polylog form")
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--x", required=True)
-    p.add_argument("--terms", type=int, default=60)
-    add_common(p)
-    p.set_defaults(func=cmd_fourier, format="decimal")
-
-    p = sub.add_parser("msum", help="remainder-term sum M_{k+1}^{(d)}(n)")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--source", choices=("def_unsigned", "def_signed", "alt"), default="def_unsigned")
-    add_common(p)
-    p.set_defaults(func=cmd_msum)
-
-    p = sub.add_parser("verify", help="run an identity verification suite", list_suites=True)
-    p.add_argument("--suite", required=True)
-    add_common(p)
-    p.set_defaults(func=cmd_verify, format="json")
+        p.set_defaults(func=func, format=format)
     return parser
 
 
@@ -327,8 +336,8 @@ def _bind_negative_fractions(argv: Sequence[str]) -> list:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_bind_negative_fractions(sys.argv[1:] if argv is None else argv))
+    argv = _bind_negative_fractions(sys.argv[1:] if argv is None else argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         if args.func is cmd_verify:
             document, code = cmd_verify(args)

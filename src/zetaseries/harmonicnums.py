@@ -128,7 +128,14 @@ def harmonic_real(n: int, rho: float) -> float:
 
 
 def harmonic_t(n: int, r: int, t) -> Fraction:
-    """Exact t-parameterized harmonic sum H_n^{(r)}(t) = sum t^m / m^r."""
+    """Exact t-parameterized harmonic sum H_n^{(r)}(t) = sum t^m / m^r.
+
+    n and r go through operator.index, as in ``harmonic``, so a float order
+    such as 2.0 raises TypeError rather than summing in doubles."""
+    try:
+        n, r = index(n), index(r)
+    except TypeError:
+        raise TypeError(f"harmonic_t requires an integer n and an integer order r, got n={n!r}, r={r!r}") from None
     if n < 0:
         raise ValueError("harmonic_t requires n >= 0")
     t = Fraction(t)

@@ -15,7 +15,7 @@ from fractions import Fraction
 import check_pins
 import pytest
 
-from zetaseries.cli import _eval_result_doc, main
+from zetaseries.cli import _eval_result_doc, build_parser, main
 from zetaseries.coeffs import s2star_rec
 from zetaseries.exactnum import parse_rational
 from zetaseries.harmonicnums import harmonic
@@ -37,6 +37,42 @@ def test_help_names_the_verification_suites(capsys, argv):
     assert stop.value.code == 0
     assert capsys.readouterr().out.endswith(
         "\nverification suites: core, fourier, harmonic, msums, series, special\n")
+
+
+def _parse_exit(capsys, parser, argv):
+    with pytest.raises(SystemExit) as stop:
+        parser.parse_args(argv)
+    captured = capsys.readouterr()
+    return stop.value.code, captured.out, captured.err
+
+
+# one malformed line per command: a bad value, a missing or unknown flag,
+# or an extra token, which the top parser refuses with its own usage line
+_MALFORMED = {
+    "table": ["table", "--kmax", "x"],
+    "coeff": ["coeff", "--k", "x"],
+    "harmonic": ["harmonic", "--n", "x"],
+    "series": ["series", "--example", "z", "--k", "1", "--u", "1"],
+    "polylog": ["polylog", "--s", "2"],
+    "zetastar": ["zetastar", "--s", "1", "--method", "nope"],
+    "fourier": ["fourier", "--order", "x", "--x", "1/4"],
+    "msum": ["msum", "--k", "3", "--d", "1", "--n", "1", "extra"],
+    "verify": ["verify", "--suite", "core", "--threads", "2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_MALFORMED))
+def test_one_command_parser_prints_what_the_full_parser_does(capsys, command):
+    one = build_parser(command)
+    help = _parse_exit(capsys, one, [command, "--help"])
+    assert help[0] == 0 and help[1].startswith(f"usage: zetaseries {command} ")
+    assert help == _parse_exit(capsys, build_parser(), [command, "--help"])
+    malformed = _parse_exit(capsys, one, _MALFORMED[command])
+    assert malformed[0] == 2 and malformed[2].startswith("usage: zetaseries")
+    assert malformed == _parse_exit(capsys, build_parser(), _MALFORMED[command])
+    # it holds no other command
+    other = "coeff" if command == "table" else "table"
+    assert _parse_exit(capsys, one, [other])[0] == 2
 
 
 def test_coeff_fraction(capsys):

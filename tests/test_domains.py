@@ -47,6 +47,8 @@ ROWS = [
     row("harmonicnums.harmonic_real", harmonicnums.harmonic_real, (0, 1.5), (-1, 1.5), ValueError, "n >= 0"),
     row("harmonicnums.harmonic_t", harmonicnums.harmonic_t, (0, 1, Fraction(1, 2)), (-1, 1, Fraction(1, 2)),
         ValueError, "n >= 0", ("harmonic", "--n", "-1", "--t", "1/2")),
+    row("harmonicnums.harmonic_t.r", harmonicnums.harmonic_t, (3, 2, Fraction(1, 2)), (3, 2.0, Fraction(1, 2)),
+        TypeError, "integer order r"),
     # coeffs: every route but s2star_rec requires j >= 1 and raises outside its range of k [coeff, table]
     row("coeffs.s2star_sum.j", coeffs.s2star_sum, (2, 1), (2, 0), ValueError, "j >= 1"),
     row("coeffs.s2star_sum.k", coeffs.s2star_sum, (2, 1), (1, 1), ValueError, "k >= 2"),

@@ -41,7 +41,7 @@ def test_zeta_ref_sums_left_to_right(s):
 
 
 def test_hurwitz_direct_reference_sums_left_to_right():
-    (spec,) = [spec for spec in audit._suite_special() if spec.id == "special.hurwitz_direct"]
+    (spec,) = [spec for spec in audit._build("special") if spec.id == "special.hurwitz_direct"]
     for p in spec.points:
         direct = spec.sides(**p)[1]
         want = left_to_right(p["z"] ** n / (p["alpha"] * n + p["beta"]) ** p["s"] for n in range(1, 400))
@@ -49,6 +49,6 @@ def test_hurwitz_direct_reference_sums_left_to_right():
 
 
 def test_no_float_sum_calls_sum():
-    hurwitz = next(spec.sides for spec in audit._suite_special() if spec.id == "special.hurwitz_direct")
+    hurwitz = next(spec.sides for spec in audit._build("special") if spec.id == "special.hurwitz_direct")
     for function in (harmonic_real, zeta_ref, hurwitz):
         assert not calls_sum(function), function

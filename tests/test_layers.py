@@ -26,7 +26,8 @@ from zetaseries.special import EvalResult
 
 # lowest first, as in the package docstring
 LAYERS = ["exactnum", "stirling", "harmonicnums", "powerseries", "coeffs", "harmonic",
-          "reports", "series", "special", "msums", "audit", "cli"]
+          "reports", "series", "special", "msums", "audit", "suite_core", "suite_harmonic",
+          "suite_series", "suite_special", "suite_msums", "suite_fourier", "cli"]
 
 PACKAGE = pathlib.Path(zetaseries.__file__).parent
 
@@ -191,11 +192,12 @@ def test_no_second_copies():
 AUDIT_NAMES = {"run_suite", "suite_names", "suite_passes", "emit_report"}
 
 # Loads the CLI in a fresh interpreter, runs commands through main and
-# prints which of the heavy modules are loaded after each step.
+# prints which of the heavy modules and suite modules are loaded after
+# each step.
 _COLD_SCRIPT = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 from zetaseries.cli import main
-HEAVY = ("zetaseries.audit", "concurrent.futures", "logging", "dataclasses", "inspect")
+HEAVY = ("zetaseries.audit", "json", "concurrent.futures", "logging", "dataclasses", "inspect")
 def run(argv):
     with contextlib.redirect_stdout(io.StringIO()):
         try:
@@ -207,9 +209,12 @@ for step, argv in [("coeff", ["coeff", "--k", "4", "--j", "5"]),
                    ("polylog", ["polylog", "--s", "2", "--z", "-1/2"]),
                    ("table", ["table", "--kmax", "2", "--jmax", "3"]),
                    ("coeff_help", ["coeff", "--help"]),
+                   ("help", ["--help"]),
+                   ("verify_help", ["verify", "--help"]),
                    ("verify", ["verify", "--suite", "fourier"])]:
     assert run(argv) == 0, argv
-    loaded[step] = [name for name in HEAVY if name in sys.modules]
+    loaded[step] = sorted(name for name in sys.modules if name in HEAVY or name.startswith("zetaseries.suite_"))
+import json  # last, as the commands above must not load it
 print(json.dumps(loaded))
 """
 
@@ -220,8 +225,12 @@ def test_cold_cli_loads_audit_only_for_verify():
     result = subprocess.run([sys.executable, "-c", _COLD_SCRIPT], capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
     loaded = json.loads(result.stdout)
+    # no suite module, and no json: these commands write no json document
     assert loaded["coeff"] == loaded["polylog"] == loaded["table"] == loaded["coeff_help"] == []
-    assert loaded["verify"] == ["zetaseries.audit"]  # no thread pool, so no concurrent.futures or logging
+    # help names the suites, read from audit, and builds none of them
+    assert loaded["help"] == loaded["verify_help"] == ["zetaseries.audit"]
+    # no thread pool, so no concurrent.futures or logging; one suite module
+    assert loaded["verify"] == ["json", "zetaseries.audit", "zetaseries.suite_fourier"]
 
 
 def test_every_public_name_resolves_to_its_home_object():
