@@ -152,6 +152,16 @@ def test_disagreeing_sides_fail_under_spec_id(monkeypatch, n):
     assert not audit.suite_passes("fake", reports)
 
 
+def test_verify_suite_builds_once_and_agrees_with_run_suite(monkeypatch):
+    builds = []
+    build = audit._SUITES["fourier"]
+    monkeypatch.setitem(audit._SUITES, "fourier", lambda: builds.append(1) or build())
+    reports, passed = audit.verify_suite("fourier")
+    assert len(builds) == 1
+    assert reports == audit.run_suite("fourier")
+    assert passed is audit.suite_passes("fourier", reports) is True
+
+
 def test_failing_trilog_check_fails_verify(monkeypatch, capsys):
     sides = special.trilog_functional_eq_sides
 
