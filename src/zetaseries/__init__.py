@@ -17,10 +17,10 @@ on first use.  ``zetaseries.harmonic`` is the function
 
 Importing the package loads every layer below :mod:`audit`.  The
 verification layer loads on first use: reading ``run_suite``,
-``suite_names``, ``suite_passes`` or ``emit_report`` from the package
-imports it, so a process that never verifies does not pay for it.  A
-``verify --suite S`` process loads :mod:`audit` and the one suite module
-of ``S`` (see :mod:`audit`).
+``suite_names`` or ``emit_report`` from the package imports it, so a
+process that never verifies does not pay for it.  A ``verify --suite S``
+process loads :mod:`audit` and the one suite module of ``S`` (see
+:mod:`audit`).
 """
 
 from .coeffs import (
@@ -72,7 +72,7 @@ from .stirling import (
 
 __version__ = "0.1.0"
 
-_AUDIT_NAMES = ("run_suite", "suite_names", "suite_passes", "emit_report")
+_AUDIT_NAMES = ("run_suite", "suite_names", "emit_report")
 
 
 def __getattr__(name):
@@ -139,7 +139,6 @@ __all__ = [
     "IdentityReport",
     "run_suite",
     "suite_names",
-    "suite_passes",
     "emit_report",
     "__version__",
 ]

@@ -6,19 +6,20 @@ harmonic numbers (``harmonic``), the truncated-series constructions
 ``fourier``), the Section-style remainder sums (``msum``), and the
 identity verification suites (``verify``).
 
-``--help`` and ``verify --help`` end by naming the verification suites.
 A process builds the subparser of its own command only (all of them for
-``--help``, no command or an unknown one), loads ``json`` only to write a
-JSON document, and loads :mod:`audit` and one suite module only for
-``verify`` (see :mod:`audit`).
+``--help``, no command or an unknown one) and loads ``json`` only to
+write a JSON document.  The help of the full parser and of ``verify``
+ends by naming the verification suites, so building either loads
+:mod:`audit`; only ``verify`` runs a suite, and loads its one module
+(see :mod:`audit`).
 
 Exit codes: 0 success, 1 domain error in the requested evaluation or an
 ``--output`` path that cannot be opened, 2 unknown verification suite or
 a malformed command line (such as ``coeff --k x``).  A polylog point
 evaluated by a fallback method prints a ``warning:`` line naming it on
 stderr, in every format.  Negative numbers may follow their flag
-directly (``--z -1/2``, ``--z -1e-3``); a fraction flag with a zero
-denominator is a domain error naming the flag.  Exact values print as
+directly (``--z -1/2``, ``--z -1e-3``); a fraction flag that is no
+fraction, or has a zero denominator, is a domain error naming the flag.  Exact values print as
 fractions, in full at any number of digits, unless
 ``--format decimal`` is given: 15 significant digits, rounded from the
 exact value beyond a double's range.  A command printing one value
@@ -122,9 +123,9 @@ def cmd_coeff(args) -> str:
 
 def _fraction(args, flag: str, double: bool = False) -> Optional[Fraction | float]:
     """The value of a fraction flag (``--z``, ``--x``, ``--t``, ``--r``),
-    rounded to a float if ``double``, or None when it is not given; a zero
-    denominator, or a double out of range, is a domain error that names
-    the flag."""
+    rounded to a float if ``double``, or None when it is not given; a
+    malformed fraction, a zero denominator or a double out of range is a
+    domain error that names the flag."""
     text = getattr(args, flag)
     if text is None:
         return None
@@ -133,6 +134,8 @@ def _fraction(args, flag: str, double: bool = False) -> Optional[Fraction | floa
         return float(value) if double else value
     except ZeroDivisionError:
         raise ValueError(f"--{flag} {text}: zero denominator") from None
+    except ValueError:
+        raise ValueError(f"--{flag} {text}: not a fraction") from None
     except OverflowError:
         raise ValueError(f"--{flag} {text}: too large for a double") from None
 
@@ -207,20 +210,10 @@ def cmd_verify(args) -> tuple:
     return document, 0 if passed else 1
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argument parser whose help may end by naming the verification
-    suites.  They are read from audit, imported only when such help is
-    printed."""
+def _suites_line() -> str:
+    from .audit import suite_names  # loads audit, and no suite module
 
-    def __init__(self, *args, list_suites: bool = False, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.list_suites = list_suites
-
-    def format_help(self) -> str:
-        if self.list_suites:
-            from .audit import suite_names
-            self.epilog = "verification suites: " + ", ".join(suite_names())
-        return super().format_help()
+    return "verification suites: " + ", ".join(suite_names())
 
 
 _INT = {"type": int, "required": True}
@@ -283,19 +276,20 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     """The command-line parser.  Given the name of a command, it holds that
     command's subparser only, which parses that command's lines as the full
     parser does; given anything else, or nothing, it holds all of them."""
-    parser = _Parser(
-        list_suites=True,
+    names = [command] if command in _COMMANDS else list(_COMMANDS)
+    # the help of the full parser, and of verify, ends by naming the suites
+    parser = argparse.ArgumentParser(
         prog="zetaseries",
         description="Zeta-series transform coefficients, harmonic identities, and verification suites.",
+        epilog=_suites_line() if len(names) > 1 else None,
     )
-    names = [command] if command in _COMMANDS else list(_COMMANDS)
     # one command's usage line still names every command, as the errors of
     # the top parser print it (such as "unrecognized arguments")
     metavar = "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in names:
         help, func, format, flags = _COMMANDS[name]
-        p = sub.add_parser(name, help=help, list_suites=name == "verify")
+        p = sub.add_parser(name, help=help, epilog=_suites_line() if name == "verify" else None)
         for flag, options in flags.items():
             p.add_argument(flag, **options)
         p.add_argument("--format", choices=_FORMATS, default="frac")

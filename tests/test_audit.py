@@ -3,12 +3,14 @@
 import csv
 import io
 import json
+import sys
+import types
 from fractions import Fraction
 
 import check_pins
 import pytest
 
-from zetaseries import audit, special
+from zetaseries import audit, special, suite_core, suite_fourier
 from zetaseries.cli import main
 from zetaseries.coeffs import s2star_rec, s2star_scaled
 from zetaseries.reports import IdentityReport
@@ -140,7 +142,8 @@ def test_disagreeing_sides_fail_under_spec_id(monkeypatch, n):
         # tolerance 0.0 is numeric, not exact: the residual stays a float
         audit.IdentitySpec("fake.zero_tolerance", point, lambda n: (1.0, 1.0 + 2**-52), tolerance=0.0),
     ]
-    monkeypatch.setitem(audit._SUITES, "fake", lambda: specs)
+    monkeypatch.setattr(audit, "_SUITES", audit._SUITES + ("fake",))
+    monkeypatch.setitem(sys.modules, "zetaseries.suite_fake", types.SimpleNamespace(build=lambda: specs))
     reports = audit.run_suite("fake")
     assert [(r.id, r.params, r.status, r.residual) for r in reports] == [
         ("fake.exact", (("n", n),), "fail", "-1/6"),
@@ -149,17 +152,18 @@ def test_disagreeing_sides_fail_under_spec_id(monkeypatch, n):
         ("fake.zero_tolerance", (("n", n),), "fail", 2**-52),
     ]
     assert reports[2].witness == ("[z^1] 2", "[z^1] 3")
-    assert not audit.suite_passes("fake", reports)
+    assert audit.verify_suite("fake") == (reports, False)
 
 
 def test_verify_suite_builds_once_and_agrees_with_run_suite(monkeypatch):
     builds = []
-    build = audit._SUITES["fourier"]
-    monkeypatch.setitem(audit._SUITES, "fourier", lambda: builds.append(1) or build())
+    build = suite_fourier.build
+    monkeypatch.setattr(suite_fourier, "build", lambda: builds.append(1) or build())
     reports, passed = audit.verify_suite("fourier")
     assert len(builds) == 1
     assert reports == audit.run_suite("fourier")
-    assert passed is audit.suite_passes("fourier", reports) is True
+    asserted = audit.assert_ids("fourier")
+    assert passed is all(r.passed for r in reports if r.id in asserted) is True
 
 
 def test_failing_trilog_check_fails_verify(monkeypatch, capsys):
@@ -204,7 +208,7 @@ def test_asserted_identities_all_pass():
         asserted = audit.assert_ids(suite)
         bad = [r for r in reports if r.id in asserted and not r.passed]
         assert not bad, bad[:3]
-        assert audit.suite_passes(suite, reports)
+        assert audit.verify_suite(suite) == (reports, True)
 
 
 def test_report_only_failures_are_expected_ones():
@@ -268,10 +272,10 @@ def test_emit_rejects_unknown_format():
 
 
 def test_frozen_tables_match_computed():
-    for k, row in audit.TABLE1.items():
+    for k, row in suite_core.TABLE1.items():
         for j, value in enumerate(row):
             assert s2star_rec(k, j) == value
-    for k, row in audit.TABLE2.items():
+    for k, row in suite_core.TABLE2.items():
         for j, value in enumerate(row):
             if j == 0:
                 continue

@@ -179,6 +179,19 @@ def test_zero_denominator_names_its_flag(capsys, argv, flag):
 
 
 @pytest.mark.parametrize("argv, flag", [
+    (("polylog", "--s", "2", "--z", "nan"), "--z"),
+    (("polylog", "--s", "2", "--z", "abc"), "--z"),
+    (("fourier", "--order", "2", "--x", "inf"), "--x"),
+    (("harmonic", "--n", "4", "--t", "1/2/3"), "--t"),
+])
+def test_malformed_fraction_names_its_flag(capsys, argv, flag):
+    assert main(list(argv)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} {argv[-1]}: not a fraction\n"
+
+
+@pytest.mark.parametrize("argv, flag", [
     (("polylog", "--s", "2", "--z", "-1e400"), "--z"),
     (("fourier", "--order", "2", "--x", "1e400"), "--x"),
 ])

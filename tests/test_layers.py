@@ -189,7 +189,25 @@ def test_no_second_copies():
     assert not any(isinstance(node, ast.If) for node in ast.walk(ast.parse(inspect.getsource(cli.cmd_zetastar))))
 
 
-AUDIT_NAMES = {"run_suite", "suite_names", "suite_passes", "emit_report"}
+
+def test_one_suite_registry_and_one_runner():
+    # the suites are a tuple of names, each imported by name; one sweep
+    # applies the exit-code policy; the paper's tables live in the one
+    # suite that reads them; and the help epilog needs no parser class
+    from zetaseries import audit, cli, suite_core
+    assert audit.suite_names() is audit._SUITES == ("core", "fourier", "harmonic", "msums", "series", "special")
+    for name in ("suite_passes", "_suite", "_asserted", "_passes", "TABLE1", "TABLE2", "_TABLE3_T0",
+                 "_TABLE3_T1", "table3_expression"):
+        assert not hasattr(audit, name), name
+    assert not hasattr(cli, "_Parser")
+    assert suite_core.TABLE1[6][8] == Fraction(-3355156783231, 20074173235200000)
+    tree = ast.parse((PACKAGE / "audit.py").read_text(encoding="utf-8"))
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    assert "reports" in imported and not {"fractions", "harmonicnums"} & imported
+
+
+AUDIT_NAMES = {"run_suite", "suite_names", "emit_report"}
 
 # Loads the CLI in a fresh interpreter, runs commands through main and
 # prints which of the heavy modules and suite modules are loaded after
@@ -237,7 +255,7 @@ def test_every_public_name_resolves_to_its_home_object():
     star = {}
     exec("from zetaseries import *", star)
     modules = [importlib.import_module(f"zetaseries.{name}") for name in LAYERS]
-    assert len(zetaseries.__all__) == 54
+    assert len(zetaseries.__all__) == 53
     for name in zetaseries.__all__:
         value = getattr(zetaseries, name)
         assert star[name] is value

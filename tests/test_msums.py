@@ -17,7 +17,7 @@ from zetaseries.msums import (
 )
 from zetaseries.coeffs import s2star_rec
 from zetaseries.reports import compare
-from zetaseries.stirling import stirling1_signed, stirling1_unsigned
+from zetaseries.stirling import stirling1_signed, stirling1_unsigned, stirling2
 
 
 def test_spec_validation():
@@ -143,3 +143,15 @@ def test_repaired_recurrence_holds_under_the_definition(source):
     assert len(points) == 120
     for k, d, n in points:
         assert _recurrence_repaired(k, d, n, source) == 0, (k, d, n)
+
+
+@pytest.mark.parametrize("reading, sign", [("unsigned", -1), ("signed", 1)])
+def test_stirling2_inverts_the_definition(reading, sign):
+    # S2 inverts s1: H_n^(k+1-m) = sum_d sign^(m-d) S2(m, d) M^(d), with
+    # the alternating sign under the unsigned reading; family 3's
+    # d-coefficients 1, 15, 25, 10, 1 are S2(5, d)
+    points = [(m, k, n) for m in range(2, 6) for k in range(5, 9) for n in range(10)]
+    assert len(points) == 160
+    for m, k, n in points:
+        inverted = sum(sign ** (m - d) * stirling2(m, d) * m_def(MSumSpec(k, d, n, reading)) for d in range(1, m + 1))
+        assert inverted == harmonic(n, k + 1 - m), (m, k, n)

@@ -70,7 +70,7 @@ import json, math, sys, tracemalloc
 from fractions import Fraction
 
 sys.setrecursionlimit(150)
-from zetaseries.audit import TABLE1
+from zetaseries.suite_core import TABLE1
 from zetaseries import stirling
 from zetaseries.coeffs import s2star_rec, s2star_sum
 from zetaseries.harmonicnums import harmonic
