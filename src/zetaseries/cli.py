@@ -19,10 +19,10 @@ a malformed command line (such as ``coeff --k x``).  A polylog point
 evaluated by a fallback method prints a ``warning:`` line naming it on
 stderr, in every format.  Negative numbers may follow their flag
 directly (``--z -1/2``, ``--z -1e-3``); a fraction flag that is no
-fraction, or has a zero denominator, is a domain error naming the flag.  Exact values print as
-fractions, in full at any number of digits, unless
-``--format decimal`` is given: 15 significant digits, rounded from the
-exact value beyond a double's range.  A command printing one value
+fraction, or has a zero denominator, is a domain error naming the flag.
+Exact values print as fractions, in full at any number of digits,
+unless ``--format decimal`` is given: 15 significant digits, rounded
+from the exact value beyond a double's range.  A command printing one value
 (``coeff``, ``harmonic``, ``msum``, ``zetastar``, ``fourier``, and
 ``polylog`` but for its json) prints it bare in ``frac`` and
 ``decimal``, as a JSON string in ``json``, and as a one-column table
@@ -277,7 +277,8 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     command's subparser only, which parses that command's lines as the full
     parser does; given anything else, or nothing, it holds all of them."""
     names = [command] if command in _COMMANDS else list(_COMMANDS)
-    # the help of the full parser, and of verify, ends by naming the suites
+    # the help of the full parser and of verify ends by naming the suites; a
+    # one-command parser never prints its own help
     parser = argparse.ArgumentParser(
         prog="zetaseries",
         description="Zeta-series transform coefficients, harmonic identities, and verification suites.",
