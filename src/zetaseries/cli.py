@@ -307,23 +307,14 @@ def _emit(document: str, output: Optional[str]) -> None:
         sys.stdout.write(document)
 
 
-def _is_number(token: str) -> bool:
-    try:
-        Fraction(token)
-    except ZeroDivisionError:  # a number over zero: it binds, and its command refuses it
-        pass
-    except ValueError:
-        return False
-    return True
-
-
 def _bind_negative_fractions(argv: Sequence[str]) -> list:
-    """argparse reads a token like ``-1/2`` or ``-1e-3`` as an option, so
-    bind each negative number ``Fraction`` parses to the flag before it
-    (``--z -1/2`` becomes ``--z=-1/2``)."""
+    """argparse reads a token like ``-1/2``, ``-1e-3`` or ``-inf`` as an
+    option, so bind each token that starts with a single ``-``, but
+    ``-h``, to the ``--flag`` before it (``--z -1/2`` becomes
+    ``--z=-1/2``); the flag's own parsing then accepts or refuses it."""
     bound = []
     for token in argv:
-        if bound and bound[-1].startswith("--") and token.startswith("-") and _is_number(token):
+        if bound and bound[-1].startswith("--") and token.startswith("-") and not token.startswith("--") and token != "-h":
             bound[-1] += "=" + token
         else:
             bound.append(token)

@@ -7,8 +7,8 @@ binomial sum (``m_alt``) disagree as written (e.g. m_def(3,1,1) = 1
 while m_alt(3,1,1) = -1), and the displayed homogeneous recurrence
 fails for both.  The functions compute each side verbatim under a
 selectable Stirling-1 sign reading so the discrepancies themselves are
-reproducible artifacts.  Two repairs are tested exactly, with the
-repaired forms kept as test oracles:
+reproducible artifacts.  Two repairs of the sums are tested exactly,
+with the repaired forms kept as test oracles:
 
 * the alternate sum with c*(k+2, j) j! where the display has
   c*(k+2, j) (-1)^j, (n+d)!/n! sum_j C(n, j) c*(k+2, j) j!/(j+d), equals
@@ -17,9 +17,26 @@ repaired forms kept as test oracles:
   ``m_def`` (k = 3..6, d = 1..3, n = 0..9), since
   M_{k+1}(n+1) - M_{k+1}(n) = sum_m s1(d, m) / (n+1)^{k+1-m}.
 
-``m_def`` sums its harmonic numbers of mixed
-orders through ``exactnum._linear_combination``, and ``m_alt`` the c*
-row through ``harmonic._weighted_row_sum``.
+Under ``m_def`` each M(d) is sum_m s1(d, m) H(k+1-m), so a relation
+between H(k), ..., H(k-4) and M(2), ..., M(5) holds at every k and n
+exactly when its image over H(k), ..., H(k-4) is zero.  No printed
+display, and no constant row or d row of the three families, has a zero
+image under either reading.  Three sign repairs do; they too are test
+oracles, held exactly through ``_relation_sides`` at k = 7, 8 and
+n = 0..23:
+
+* display 1 under the signed reading with -M(3):
+  H(k) = H(k-2) - 3 M(2) - M(3);
+* family 1's d row under the unsigned reading with -M(3):
+  H(k) = H(k-2) + 3 M(2) - M(3);
+* family 3's d row under the unsigned reading with its four M weights
+  negated, the S2(5, d) inversion:
+  H(k) = H(k-4) + 15 M(2) - 25 M(3) + 10 M(4) - M(5).
+
+``m_def`` sums its harmonic numbers of mixed orders, and
+``_relation_sides`` the right side of every printed relation, through
+``exactnum._linear_combination``; ``m_alt`` sums the c* row through
+``harmonic._weighted_row_sum``.
 """
 
 from __future__ import annotations
@@ -28,7 +45,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .exactnum import _linear_combination, binomial, factorial
+from .exactnum import _linear_combination, _over_common, binomial, factorial
 from .harmonic import _weighted_row_sum
 from .harmonicnums import harmonic
 from .stirling import stirling1_signed, stirling1_unsigned
@@ -120,47 +137,79 @@ def m_recurrence_residual(k: int, d: int, n: int, source: str) -> Fraction:
     )
 
 
+# The right-hand terms of every printed relation at one (k, n), in table
+# order: H(k-1), ..., H(k-4), M(2), ..., M(5).  Each relation below is its
+# weight of H(k) and its weights over these eight terms.
+_DISPLAYS = (
+    (1, (0, 1, 0, 0, -3, 1, 0, 0)),
+    (2, (-3, -1, 0, 0, 0, -1, 0, 0)),
+    (7, (-12, 6, -1, 0, -1, 0, 1, 0)),
+    (5, (-9, -5, -1, 0, -1, 1, -1, 0)),
+    (1, (0, 2, -1, 0, 1, -4, 1, 0)),
+    (1, (0, 1, 0, 0, -3, 1, 0, 0)),  # display 6 at m = 0 ...
+)
+_DISPLAY_6_PER_M = (0, -1, 0, 1, -12, 24, -10, 1)  # ... plus m times this
+# per family: one row per free constant, then the row of d
+_FAMILIES = (
+    ((1, 1, 0, 0, 2, 1, 0, 0), (0, 1, 0, 0, 3, 1, 0, 0)),
+    ((1, 0, -1, 0, -6, 6, -1, 0), (0, 1, 1, 0, 4, -5, 1, 0), (0, 0, -1, 0, -7, 6, -1, 0)),
+    (
+        (1, 0, 0, 1, -14, 25, -10, 1),
+        (0, 1, 0, -1, 12, -24, 10, -1),
+        (0, 0, 1, 1, -8, 19, -9, 1),
+        (0, 0, 0, 1, -15, 25, -10, 1),
+    ),
+)
+
+
+def _relation_sides(scale, weights: Sequence, k: int, n: int, source: str) -> tuple:
+    """scale H(k) and sum_i weights[i] T_i over the eight right-hand terms
+    T = H(k-1), ..., H(k-4), M(2), ..., M(5) at (k, n), with M from
+    ``source``.  Only the terms of nonzero weight are evaluated; the
+    rational weights go over one denominator and the right side is one
+    integer ``_linear_combination``."""
+    terms = [i for i, w in enumerate(weights) if w]
+    numerators, common = _over_common([weights[i] for i in terms])
+    values = [harmonic(n, k - 1 - i) if i < 4 else m_value(k, i - 2, n, source) for i in terms]
+    return scale * harmonic(n, k), _linear_combination(numerators, values, common)
+
+
 def almost_linear_sides(which: int, k: int, n: int, m=Fraction(0), source: str = "alt") -> tuple:
     """Both sides of one of the six displayed almost-linear
-    harmonic-number recurrences (the undefined orders written p-3 and
-    p-4 are read as k-3 and k-4); the sixth has a free constant m."""
+    harmonic-number recurrences, as printed (the undefined orders written
+    p-3 and p-4 are read as k-3 and k-4; the sixth has a free constant m):
+
+    1. H(k) = H(k-2) - 3 M(2) + M(3)
+    2. 2 H(k) = -3 H(k-1) - H(k-2) - M(3)
+    3. 7 H(k) = -12 H(k-1) + 6 H(k-2) - H(k-3) - M(2) + M(4)
+    4. 5 H(k) = -9 H(k-1) - 5 H(k-2) - H(k-3) - M(2) + M(3) - M(4)
+    5. H(k) = 2 H(k-2) - H(k-3) + M(2) - 4 M(3) + M(4)
+    6. H(k) = (1-m) H(k-2) + m H(k-4) - (12m+3) M(2) + (24m+1) M(3)
+       - 10m M(4) + m M(5)
+
+    with H(r) = H_n^(r) and M(d) = M_{k+1}^(d)(n) from ``source``."""
     if which not in range(1, 7):
         raise ValueError("which must be in 1..6")
     m = Fraction(m)
-
-    def M(d: int) -> Fraction:
-        return m_value(k, d, n, source)
-
-    H = lambda r: harmonic(n, r)
-    if which == 1:
-        lhs, rhs = H(k), H(k - 2) - 3 * M(2) + M(3)
-    elif which == 2:
-        lhs, rhs = 2 * H(k), -3 * H(k - 1) - H(k - 2) - M(3)
-    elif which == 3:
-        lhs, rhs = 7 * H(k), -12 * H(k - 1) + 6 * H(k - 2) - H(k - 3) - M(2) + M(4)
-    elif which == 4:
-        lhs, rhs = 5 * H(k), -9 * H(k - 1) - 5 * H(k - 2) - H(k - 3) - M(2) + M(3) - M(4)
-    elif which == 5:
-        lhs, rhs = H(k), 2 * H(k - 2) - H(k - 3) + M(2) - 4 * M(3) + M(4)
-    else:
-        lhs = H(k)
-        rhs = (
-            (1 - m) * H(k - 2)
-            + m * H(k - 4)
-            - (12 * m + 3) * M(2)
-            + (24 * m + 1) * M(3)
-            - 10 * m * M(4)
-            + m * M(5)
-        )
-    return lhs, rhs
+    scale, weights = _DISPLAYS[which - 1]
+    if which == 6:
+        weights = [w + m * v for w, v in zip(weights, _DISPLAY_6_PER_M)]
+    return _relation_sides(scale, weights, k, n, source)
 
 
-def general_relation_sides(
-    family: int, coeffs: Sequence, d, k: int, n: int, source: str = "alt"
-) -> tuple:
+def general_relation_sides(family: int, coeffs: Sequence, d, k: int, n: int, source: str = "alt") -> tuple:
     """Both sides of the parameterized relations the displayed
     recurrences specialize, with free constants a1 / b1,b2 / c1,c2,c3
-    and a common scale d != 0."""
+    and a common scale d != 0, as printed:
+
+    1. d H(k) = a1 H(k-1) + (a1+d) H(k-2) + (2a1+3d) M(2) + (a1+d) M(3)
+    2. d H(k) = b1 H(k-1) + b2 H(k-2) - (b1-b2+d) H(k-3)
+       - (6b1-4b2+7d) M(2) + (6b1-5b2+6d) M(3) - (b1-b2+d) M(4)
+    3. d H(k) = c1 H(k-1) + c2 H(k-2) + c3 H(k-3) + (c1-c2+c3+d) H(k-4)
+       - (14c1-12c2+8c3+15d) M(2) + (25c1-24c2+19c3+25d) M(3)
+       - (10c1-10c2+9c3+10d) M(4) + (c1-c2+c3+d) M(5)
+
+    with H and M as in :func:`almost_linear_sides`."""
     if family not in (1, 2, 3):
         raise ValueError("family must be in 1..3")
     if len(coeffs) != family:
@@ -168,36 +217,6 @@ def general_relation_sides(
     d = Fraction(d)
     if d == 0:
         raise ValueError("the scale d must be nonzero")
-    coeffs = [Fraction(c) for c in coeffs]
-
-    def M(order: int) -> Fraction:
-        return m_value(k, order, n, source)
-
-    H = lambda r: harmonic(n, r)
-    lhs = d * H(k)
-    if family == 1:
-        (a1,) = coeffs
-        rhs = a1 * H(k - 1) + (a1 + d) * H(k - 2) + (2 * a1 + 3 * d) * M(2) + (a1 + d) * M(3)
-    elif family == 2:
-        b1, b2 = coeffs
-        rhs = (
-            b1 * H(k - 1)
-            + b2 * H(k - 2)
-            - (b1 - b2 + d) * H(k - 3)
-            - (6 * b1 - 4 * b2 + 7 * d) * M(2)
-            + (6 * b1 - 5 * b2 + 6 * d) * M(3)
-            - (b1 - b2 + d) * M(4)
-        )
-    else:
-        c1, c2, c3 = coeffs
-        rhs = (
-            c1 * H(k - 1)
-            + c2 * H(k - 2)
-            + c3 * H(k - 3)
-            + (c1 - c2 + c3 + d) * H(k - 4)
-            - (14 * c1 - 12 * c2 + 8 * c3 + 15 * d) * M(2)
-            + (25 * c1 - 24 * c2 + 19 * c3 + 25 * d) * M(3)
-            - (10 * c1 - 10 * c2 + 9 * c3 + 10 * d) * M(4)
-            + (c1 - c2 + c3 + d) * M(5)
-        )
-    return lhs, rhs
+    constants = [Fraction(c) for c in coeffs] + [d]
+    weights = [sum(c * w for c, w in zip(constants, column)) for column in zip(*_FAMILIES[family - 1])]
+    return _relation_sides(d, weights, k, n, source)

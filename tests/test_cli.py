@@ -180,6 +180,8 @@ def test_zero_denominator_names_its_flag(capsys, argv, flag):
 
 @pytest.mark.parametrize("argv, flag", [
     (("polylog", "--s", "2", "--z", "nan"), "--z"),
+    (("polylog", "--s", "2", "--z", "-nan"), "--z"),
+    (("polylog", "--s", "2", "--z", "-inf"), "--z"),
     (("polylog", "--s", "2", "--z", "abc"), "--z"),
     (("fourier", "--order", "2", "--x", "inf"), "--x"),
     (("harmonic", "--n", "4", "--t", "1/2/3"), "--t"),

@@ -113,6 +113,16 @@ def test_one_kernel_per_exact_sum():
     assert msums._weighted_row_sum is harmonic._weighted_row_sum
     for module in ("harmonic", "msums"):
         assert "Fraction(0)\n" not in (PACKAGE / f"{module}.py").read_text(encoding="utf-8"), module
+    # the printed M-sum relations are tables of weights: both relation
+    # functions return through one evaluator, whose right side is one
+    # integer combination over one common denominator, and neither reads a
+    # term itself
+    kernel = ast.unparse(ast.parse(textwrap.dedent(inspect.getsource(msums._relation_sides))))
+    assert kernel.count("_linear_combination(") == kernel.count("_over_common(") == 1
+    for function in (msums.almost_linear_sides, msums.general_relation_sides):
+        source = ast.unparse(ast.parse(textwrap.dedent(inspect.getsource(function))).body[0].body[1:])
+        assert "return _relation_sides(" in source, function
+        assert not re.search(r"\b(harmonic|m_value|M|H)\(", source), function
 
 
 def test_one_pascal_rule_kernel(monkeypatch):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from zetaseries import msums
 from zetaseries.exactnum import binomial, factorial
 from zetaseries.harmonicnums import harmonic
 from zetaseries.msums import (
@@ -155,3 +156,59 @@ def test_stirling2_inverts_the_definition(reading, sign):
     for m, k, n in points:
         inverted = sum(sign ** (m - d) * stirling2(m, d) * m_def(MSumSpec(k, d, n, reading)) for d in range(1, m + 1))
         assert inverted == harmonic(n, k + 1 - m), (m, k, n)
+
+
+def _image(scale, weights, reading):
+    # scale H(k) - sum_i w_i T_i as integer weights of H(k), ..., H(k-4), each
+    # M(d) read as m_def's sum_m s1(d, m) H(k+1-m): the H_n^(r) of distinct r
+    # are independent functions of n, so the relation holds at every k and n
+    # exactly when the image is zero (Stirling inversion, Graham, Knuth and
+    # Patashnik, Concrete Mathematics, section 6.1)
+    s1 = stirling1_unsigned if reading == "unsigned" else stirling1_signed
+    image = [scale, *(-w for w in weights[:4])]
+    for d, w in zip(range(2, 6), weights[4:]):
+        for m in range(1, d + 1):
+            image[m - 1] -= w * s1(d, m)
+    return image
+
+
+@pytest.mark.parametrize("reading", ["unsigned", "signed"])
+def test_no_printed_relation_holds_under_the_definition(reading):
+    # hence every printed relation is report-only
+    for scale, weights in msums._DISPLAYS:
+        assert any(_image(scale, weights, reading)), weights
+    # display 6 fails for every m: its m = 0 image and its per-m image are
+    # independent, so no m sums them to zero
+    base, per_m = _image(*msums._DISPLAYS[5], reading), _image(0, msums._DISPLAY_6_PER_M, reading)
+    assert any(base[i] * per_m[j] - base[j] * per_m[i] for i in range(5) for j in range(i))
+    for rows in msums._FAMILIES:
+        for row in rows[:-1]:
+            assert any(_image(0, row, reading)), row
+        assert any(_image(1, rows[-1], reading)), rows[-1]
+
+
+def _negated(weights, terms):
+    return tuple(-w if i in terms else w for i, w in enumerate(weights))
+
+
+# the weights of M(2), ..., M(5) are terms 4..7
+_SIGN_REPAIRS = [
+    pytest.param("def_signed", _negated(msums._DISPLAYS[0][1], {5}), id="display-1-minus-M3"),
+    pytest.param("def_unsigned", _negated(msums._FAMILIES[0][-1], {5}), id="family-1-d-row-minus-M3"),
+    pytest.param("def_unsigned", _negated(msums._FAMILIES[2][-1], {4, 5, 6, 7}), id="family-3-d-row-minus-M"),
+]
+
+
+@pytest.mark.parametrize("source, weights", _SIGN_REPAIRS)
+def test_sign_repairs_hold_under_the_definition(source, weights):
+    assert _image(1, weights, source.removeprefix("def_")) == [0] * 5
+    for k in (7, 8):
+        for n in range(24):
+            lhs, rhs = msums._relation_sides(1, weights, k, n, source)
+            assert lhs == rhs, (k, n)
+
+
+def test_family_3_repair_is_the_stirling2_inversion():
+    # H(k) = H(k-4) - sum_{d>=2} (-1)^(5-d) S2(5, d) M(d) under the unsigned reading
+    weights = _negated(msums._FAMILIES[2][-1], {4, 5, 6, 7})
+    assert weights == (0, 0, 0, 1, *(-((-1) ** (5 - d)) * stirling2(5, d) for d in range(2, 6)))
