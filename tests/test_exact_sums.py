@@ -5,6 +5,7 @@ Each reference below is the earlier body of the function, kept verbatim:
 a Fraction multiply-add per term, in the order the paper displays the sum.
 The grids reach past the audit's, to n = 0 and k = 0 where defined."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -131,6 +132,56 @@ def m_alt_loop(spec):
             * shift
         )
     return total
+
+
+def almost_linear_sides_expressions(which, k, n, m, source):
+    M = lambda d: msums.m_value(k, d, n, source)
+    H = lambda r: harmonic(n, r)
+    return {
+        1: (H(k), H(k - 2) - 3 * M(2) + M(3)),
+        2: (2 * H(k), -3 * H(k - 1) - H(k - 2) - M(3)),
+        3: (7 * H(k), -12 * H(k - 1) + 6 * H(k - 2) - H(k - 3) - M(2) + M(4)),
+        4: (5 * H(k), -9 * H(k - 1) - 5 * H(k - 2) - H(k - 3) - M(2) + M(3) - M(4)),
+        5: (H(k), 2 * H(k - 2) - H(k - 3) + M(2) - 4 * M(3) + M(4)),
+        6: (H(k), (1 - m) * H(k - 2) + m * H(k - 4) - (12 * m + 3) * M(2) + (24 * m + 1) * M(3)
+            - 10 * m * M(4) + m * M(5)),
+    }[which]
+
+
+def general_relation_sides_expressions(family, coeffs, d, k, n, source):
+    M = lambda order: msums.m_value(k, order, n, source)
+    H = lambda r: harmonic(n, r)
+    if family == 1:
+        (a1,) = coeffs
+        return d * H(k), a1 * H(k - 1) + (a1 + d) * H(k - 2) + (2 * a1 + 3 * d) * M(2) + (a1 + d) * M(3)
+    if family == 2:
+        b1, b2 = coeffs
+        return d * H(k), (b1 * H(k - 1) + b2 * H(k - 2) - (b1 - b2 + d) * H(k - 3) - (6 * b1 - 4 * b2 + 7 * d) * M(2)
+                          + (6 * b1 - 5 * b2 + 6 * d) * M(3) - (b1 - b2 + d) * M(4))
+    c1, c2, c3 = coeffs
+    return d * H(k), (c1 * H(k - 1) + c2 * H(k - 2) + c3 * H(k - 3) + (c1 - c2 + c3 + d) * H(k - 4)
+                      - (14 * c1 - 12 * c2 + 8 * c3 + 15 * d) * M(2) + (25 * c1 - 24 * c2 + 19 * c3 + 25 * d) * M(3)
+                      - (10 * c1 - 10 * c2 + 9 * c3 + 10 * d) * M(4) + (c1 - c2 + c3 + d) * M(5))
+
+
+_SOURCES = ("alt", "def_unsigned", "def_signed")
+_CONSTANTS = (Fraction(0), Fraction(1), Fraction(-2, 5))
+
+
+def test_relation_tables_match_the_printed_expressions():
+    # the tables of msums against each relation written out as printed
+    for source in _SOURCES:
+        for k in (5, 6, 7):
+            for n in (0, 1, 3, 6):
+                for which in range(1, 7):
+                    for m in (_CONSTANTS if which == 6 else (0,)):
+                        sides = msums.almost_linear_sides(which, k, n, m, source)
+                        assert sides == almost_linear_sides_expressions(which, k, n, m, source), (which, k, n, m)
+                for family in (1, 2, 3):
+                    for coeffs in itertools.product(_CONSTANTS, repeat=family):
+                        for d in (Fraction(1), Fraction(3, 2)):
+                            sides = msums.general_relation_sides(family, coeffs, d, k, n, source)
+                            assert sides == general_relation_sides_expressions(family, coeffs, d, k, n, source)
 
 
 K, N = range(0, 8), range(0, 26)
