@@ -180,11 +180,11 @@ def test_zero_denominator_names_its_flag(capsys, argv, flag):
 
 @pytest.mark.parametrize("argv, flag", [
     (("polylog", "--s", "2", "--z", "nan"), "--z"),
-    (("polylog", "--s", "2", "--z", "-nan"), "--z"),
-    (("polylog", "--s", "2", "--z", "-inf"), "--z"),
     (("polylog", "--s", "2", "--z", "abc"), "--z"),
     (("fourier", "--order", "2", "--x", "inf"), "--x"),
     (("harmonic", "--n", "4", "--t", "1/2/3"), "--t"),
+    (("polylog", "--s", "2", "--z", "-nan"), "--z"),
+    (("polylog", "--s", "2", "--z", "-inf"), "--z"),
 ])
 def test_malformed_fraction_names_its_flag(capsys, argv, flag):
     assert main(list(argv)) == 1
