@@ -11,7 +11,9 @@ its constructions on series (:mod:`series`), numeric special functions
 verification registry (:mod:`audit`) and its six suites (``suite_core``
 and the rest, one module each), behind the :mod:`cli`.  No module
 imports a later one, except that :mod:`audit` loads its suites by name,
-on first use.  ``zetaseries.harmonic`` is the function
+on first use.  Each public name has one home, the one module whose
+``__all__`` lists it, and the package imports it from there.
+``zetaseries.harmonic`` is the function
 ``harmonicnums.harmonic``, even as ``import zetaseries.harmonic as m``;
 ``from zetaseries.harmonic import ...`` or ``importlib`` reach the module.
 
@@ -40,13 +42,13 @@ from .harmonic import (
     harmonic_powers_of_n,
     harmonic_rec_corollary,
     harmonic_via_rec,
-    npow_forward,
     npow_inverse,
 )
 from .harmonicnums import harmonic, harmonic_real, harmonic_t
 from .msums import MSumSpec, m_alt, m_def, m_recurrence_residual, m_value
+from .powerseries import TruncSeries
 from .reports import IdentityReport
-from .series import TruncSeries, intro_example, multisection, transform_forward, transform_zeta
+from .series import intro_example, multisection, transform_forward, transform_zeta
 from .special import (
     EvalResult,
     bernoulli_closed_logforms,
@@ -65,6 +67,7 @@ from .stirling import (
     bernoulli_number,
     bernoulli_poly,
     faulhaber_sum,
+    npow_forward,
     stirling1_signed,
     stirling1_unsigned,
     stirling2,

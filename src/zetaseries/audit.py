@@ -33,7 +33,6 @@ from .reports import IdentityReport, compare, render
 
 __all__ = [
     "IdentitySpec",
-    "IdentityReport",
     "suite_names",
     "registered_ids",
     "assert_ids",

@@ -18,9 +18,13 @@ exactly on their common domain:
 This module owns the format of the c* rows.  The recurrence runs once,
 into the integer rows of ``_numerator_row``; every other reader takes its
 cells from them: ``s2star_rec`` one exact cell, ``_scaled_numerators`` a
-whole row for the exact sums of :mod:`harmonic`, and the row families of
+whole signed row over one denominator, and the row families of
 ``_double_rows`` (``_DOUBLE_ROWS``, ``_CLASSIC_ROWS``) the doubles that
-:mod:`special` sums.
+:mod:`special` sums.  The one weighted row sum of the transform,
+sum_j c*(k, j) j! w_j, is summed here too, over that signed row:
+``_weighted_row_sum`` at one n for the exact identities of
+:mod:`harmonic` and :mod:`msums`, and ``_binomial_row_sums`` at every n
+up to N for the series of :mod:`series`.
 
 Derived quantities: the scaled table, the t0/t1 remainder functions
 against unsigned Stirling-1 numbers, and the alpha*n+beta generalization.
@@ -32,7 +36,7 @@ import math
 from fractions import Fraction
 from itertools import count
 
-from .exactnum import SequenceTable, _reduced, factorial
+from .exactnum import SequenceTable, _binomial_sums, _reduced, factorial
 from .harmonicnums import harmonic
 from .powerseries import TruncSeries
 from .stirling import stirling1_unsigned
@@ -154,12 +158,31 @@ def s2star_rec(k: int, j: int) -> Fraction:
 
 def _scaled_numerators(k: int, J: int) -> tuple:
     """Integer numerators N_k(j), j = 0..J, over the common denominator
-    D = lcm(1..J)^(k-2), with N_k(j) / D = |c*(k, j)| j! (k >= 2): the
-    table's M_k(j) rescaled by (L_J / L_j)^(k-2)."""
+    D = lcm(1..J)^(k-2), with N_k(j) / D = c*(k, j) j! (k >= 2): the
+    table's M_k(j) rescaled by (L_J / L_j)^(k-2) and signed (-1)^(j-1)."""
     e = k - 2
     top = _LCM[J]
     cells = zip(_NUMERATORS[e].cells(0, J + 1), _LCM.cells(0, J + 1))
-    return [m * (top // lcm) ** e for m, lcm in cells], top**e
+    return [(m if j % 2 else -m) * (top // lcm) ** e for j, (m, lcm) in enumerate(cells)], top**e
+
+
+def _weighted_row_sum(k: int, n: int, weight, over: int = 1) -> Fraction:
+    """sum_{j=1}^{n} c*(k, j) j! weight(j) / over for integer weights
+    (k >= 2), summed as integers over the common denominator D of
+    ``_scaled_numerators``; one Fraction is built."""
+    numerators, denominator = _scaled_numerators(k, n)
+    return Fraction(sum(numerators[j] * weight(j) for j in range(1, n + 1)), denominator * over)
+
+
+def _binomial_row_sums(k: int, N: int, shift: int) -> list:
+    """[sum_{j=1}^{n} c*(k, j) j! C(n+shift, j+shift) for n = 0..N] (k >= 2):
+    one row at J = N serves every n.  Entry n is entry n + shift of
+    ``exactnum._binomial_sums`` over shift zeros and the row of
+    ``_scaled_numerators``, whose cell 0 is 0; each n builds one
+    Fraction.  At shift 0 it is 1/n^(k-2) (n >= 1), and at shift 1
+    H_n^(k-2)."""
+    numerators, denominator = _scaled_numerators(k, N)
+    return [Fraction(x, denominator) for x in _binomial_sums([0] * shift + numerators)[shift:]]
 
 
 def s2star_sum(k: int, j: int) -> Fraction:

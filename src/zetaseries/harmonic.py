@@ -7,10 +7,12 @@ paths return doubles.
 
 Each exact side is regrouped from its display, without applying an
 identity, into one integer sum that builds one Fraction: sums weighted by
-c*(k, j) read the integer rows of :mod:`coeffs` through
+c*(k, j) j! go through the row sums of :mod:`coeffs`,
 ``_weighted_row_sum`` (one n) and ``_binomial_row_sums`` (every n up to
-N), and sums of harmonic numbers against integer weights go through
-``exactnum._linear_combination``.
+N), which own the row's sign, and sums of harmonic numbers against
+integer weights go through ``exactnum._linear_combination``.  The
+Stirling-2 side of the transform, ``npow_forward``, lives with the S2
+table in :mod:`stirling`.
 """
 
 from __future__ import annotations
@@ -18,17 +20,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .coeffs import _LCM, _scaled_numerators, s2star_rec
-from .exactnum import _binomial_sums, _linear_combination, binomial, factorial, falling_factorial
-from .harmonicnums import _doubles, harmonic, harmonic_real, harmonic_t
-from .stirling import stirling1_unsigned, stirling2
+from .coeffs import _LCM, _binomial_row_sums, _weighted_row_sum, s2star_rec
+from .exactnum import _linear_combination, binomial, factorial
+from .harmonicnums import _doubles, harmonic, harmonic_real
+from .stirling import stirling1_unsigned
 
 __all__ = [
-    "harmonic",
-    "harmonic_real",
-    "harmonic_t",
     "npow_inverse",
-    "npow_forward",
     "harmonic_via_rec",
     "s2star_from_hnum_int",
     "s2star_from_hnum_real",
@@ -40,25 +38,6 @@ __all__ = [
 ]
 
 
-def _weighted_row_sum(k: int, n: int, weight, over: int = 1) -> Fraction:
-    """sum_{j=1}^{n} c*(k, j) j! weight(j) / over for integer weights
-    (k >= 2), summed as integers over the common denominator of the row
-    kernel: c*(k, j) j! = (-1)^{j-1} N_k(j) / D."""
-    numerators, denominator = _scaled_numerators(k, n)
-    total = sum((-1) ** (j - 1) * numerators[j] * weight(j) for j in range(1, n + 1))
-    return Fraction(total, denominator * over)
-
-
-def _binomial_row_sums(k: int, N: int, shift: int) -> list:
-    """[sum_{j=1}^{n} c*(k, j) j! C(n+shift, j+shift) for n = 0..N] (k >= 2):
-    one kernel row at J = N serves every n.  Entry n is entry n + shift of
-    ``exactnum._binomial_sums`` over shift + 1 zeros and the signed integer
-    row; each n builds one Fraction.  At shift 0 it is 1/n^(k-2) (n >= 1)."""
-    numerators, denominator = _scaled_numerators(k, N)
-    signed = [(-1) ** (j - 1) * numerators[j] for j in range(1, N + 1)]
-    return [Fraction(x, denominator) for x in _binomial_sums([0] * (shift + 1) + signed)[shift:]]
-
-
 def npow_inverse(n: int, k: int) -> Fraction:
     """sum_{j=1}^{n} c*(k+2, j) n!/(n-j)!; equals 1/n^k exactly (k >= 0)."""
     if n < 1:
@@ -66,13 +45,6 @@ def npow_inverse(n: int, k: int) -> Fraction:
     if k < 0:
         raise ValueError("npow_inverse requires k >= 0")
     return _weighted_row_sum(k + 2, n, lambda j: binomial(n, j))
-
-
-def npow_forward(n: int, k: int) -> Fraction:
-    """sum_{j} S2(k, j) n!/(n-j)!; equals n^k (n, k >= 0)."""
-    if k < 0:
-        raise ValueError("npow_forward requires k >= 0")
-    return Fraction(sum(stirling2(k, j) * falling_factorial(n, j) for j in range(k + 1)))
 
 
 def harmonic_via_rec(n: int, k: int) -> Fraction:

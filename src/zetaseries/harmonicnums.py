@@ -26,20 +26,27 @@ _HARMONIC = {}  # order r -> table of H_n^{(r)}
 _DOUBLES = {}  # order r -> table of the doubles of H_n^{(r)}, on _HARMONIC[r]
 
 
+def _integer_args(name: str, n, r) -> tuple:
+    """(n, r) through operator.index, with n >= 0, for ``harmonic`` and
+    ``harmonic_t``: a float order such as 2.0, which hashes like 2, raises
+    TypeError before any table is read or any sum is taken in doubles."""
+    try:
+        n, r = index(n), index(r)
+    except TypeError:
+        raise TypeError(f"{name} requires an integer n and an integer order r, got n={n!r}, r={r!r}") from None
+    if n < 0:
+        raise ValueError(f"{name} requires n >= 0")
+    return n, r
+
+
 def harmonic(n: int, r: int = 1) -> Fraction:
     """Exact H_n^{(r)} = sum_{m=1}^{n} m^{-r} for any integer order r.
 
     r <= 0 is the literal power sum (H_n^{(0)} = n, H_n^{(-1)} = n(n+1)/2),
-    needed where derived orders cross zero.  H_0^{(r)} = 0.  n and r go
-    through operator.index before any table is read, so a float order such
-    as 2.0, which hashes like 2, raises TypeError and keys no table.
+    needed where derived orders cross zero.  H_0^{(r)} = 0.  n and r are
+    checked by ``_integer_args``, so a float order keys no table.
     """
-    try:
-        n, r = index(n), index(r)
-    except TypeError:
-        raise TypeError(f"harmonic requires an integer n and an integer order r, got n={n!r}, r={r!r}") from None
-    if n < 0:
-        raise ValueError("harmonic requires n >= 0")
+    n, r = _integer_args("harmonic", n, r)
     return (_HARMONIC.get(r) or _exact(r))[n]
 
 
@@ -128,16 +135,9 @@ def harmonic_real(n: int, rho: float) -> float:
 
 
 def harmonic_t(n: int, r: int, t) -> Fraction:
-    """Exact t-parameterized harmonic sum H_n^{(r)}(t) = sum t^m / m^r.
-
-    n and r go through operator.index, as in ``harmonic``, so a float order
-    such as 2.0 raises TypeError rather than summing in doubles."""
-    try:
-        n, r = index(n), index(r)
-    except TypeError:
-        raise TypeError(f"harmonic_t requires an integer n and an integer order r, got n={n!r}, r={r!r}") from None
-    if n < 0:
-        raise ValueError("harmonic_t requires n >= 0")
+    """Exact t-parameterized harmonic sum H_n^{(r)}(t) = sum t^m / m^r,
+    with n and r checked by ``_integer_args`` as in ``harmonic``."""
+    n, r = _integer_args("harmonic_t", n, r)
     t = Fraction(t)
     total, weight = Fraction(0), Fraction(1)
     for m in range(1, n + 1):

@@ -36,7 +36,7 @@ n = 0..23:
 ``m_def`` sums its harmonic numbers of mixed orders, and
 ``_relation_sides`` the right side of every printed relation, through
 ``exactnum._linear_combination``; ``m_alt`` sums the c* row through
-``harmonic._weighted_row_sum``.
+``coeffs._weighted_row_sum``.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
+from .coeffs import _weighted_row_sum
 from .exactnum import _linear_combination, _over_common, binomial, factorial
-from .harmonic import _weighted_row_sum
 from .harmonicnums import harmonic
 from .stirling import stirling1_signed, stirling1_unsigned
 

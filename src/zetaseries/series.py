@@ -1,15 +1,16 @@
 """The transform constructions on truncated power series.
 
 ``TruncSeries`` lives in :mod:`powerseries`, below the coefficient
-table, and is re-exported here.  It is exact-only (int and Fraction
-coefficients); the two double-precision constructions, ``multisection``
-and ``intro_example("g", ...)``, return tuples of complex numbers.
+table, and the package exports it from there.  It is exact-only (int and
+Fraction coefficients); the two double-precision constructions,
+``multisection`` and ``intro_example("g", ...)``, return tuples of
+complex numbers.
 
 The transforms sum_j w_j z^j G^{(j)}(z) act coefficientwise, since
 [z^n] z^j G^{(j)}(z) = n!/(n-j)! g_n: coefficient n is
 (sum_j w_j n!/(n-j)!) g_n.  For w_j = c*(k+2, j) that inner sum is
-1/n^k (``harmonic._binomial_row_sums``); w_j = S2(m, j) gives n^m
-(``harmonic.npow_forward``).  The introduction examples collapse to the
+1/n^k (``coeffs._binomial_row_sums``); w_j = S2(m, j) gives n^m
+(``stirling.npow_forward``).  The introduction examples collapse to the
 same row sums (``intro_example``), so no bivariate series is built.
 """
 
@@ -18,13 +19,12 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate
 
+from .coeffs import _binomial_row_sums
 from .exactnum import factorial, root_of_unity
-from .harmonic import _binomial_row_sums, npow_forward
 from .powerseries import TruncSeries
-from .stirling import stirling1_unsigned
+from .stirling import npow_forward, stirling1_unsigned
 
 __all__ = [
-    "TruncSeries",
     "transform_forward",
     "transform_zeta",
     "intro_example",

@@ -1,10 +1,13 @@
 """Classical combinatorial number tables.
 
 Stirling numbers of both kinds, Bernoulli numbers and polynomials,
-Faulhaber power sums, and the Stirling-2 weighted power sum.  Each kind
-of Stirling number is one family of column tables (``_columns``), and the
-Bernoulli numbers are one more table; the two power sums reuse
-``bernoulli_poly`` and ``exactnum.falling_factorial``."""
+Faulhaber power sums, and the Stirling-2 weighted sums.  Each kind of
+Stirling number is one family of column tables (``_columns``), and the
+Bernoulli numbers are one more table.  The Stirling-2 side of the
+transform, sum_j S2(k, j) n!/(n-j)! = n^k, is summed once, by
+``npow_forward`` beside the S2 table; ``stirling2_power_sum`` sums its
+values against powers of x, and ``faulhaber_sum`` reuses
+``bernoulli_poly``."""
 
 from __future__ import annotations
 
@@ -20,6 +23,7 @@ __all__ = [
     "bernoulli_number",
     "bernoulli_poly",
     "faulhaber_sum",
+    "npow_forward",
     "stirling2_power_sum",
 ]
 
@@ -106,18 +110,23 @@ def faulhaber_sum(k: int, n: int) -> Fraction:
     return (bernoulli_poly(k + 1, n) - bernoulli_number(k + 1)) / (k + 1)
 
 
+def npow_forward(n: int, k: int) -> Fraction:
+    """sum_{j} S2(k, j) n!/(n-j)!; equals n^k (n, k >= 0)."""
+    if k < 0:
+        raise ValueError("npow_forward requires k >= 0")
+    return Fraction(sum(stirling2(k, j) * falling_factorial(n, j) for j in range(k + 1)))
+
+
 def stirling2_power_sum(k: int, n: int, x: Fraction) -> Fraction:
     """sum_{j=0}^{n} j^k x^j via Stirling-2 weighted derivatives.
 
-    Evaluates sum_j S2(k,j) x^j d^j/dx^j [1 + x + ... + x^n] as
-    sum_j sum_{i>=j} S2(k, j) i!/(i-j)! x^i, each monomial's derivative
-    by ``falling_factorial``.  x = 0 and x = 1 are rejected (the source
+    Evaluates sum_j S2(k,j) x^j d^j/dx^j [1 + x + ... + x^n]: the
+    derivatives take monomial x^i to i!/(i-j)! x^(i-j), so the sum is
+    sum_i x^i sum_j S2(k, j) i!/(i-j)!, the inner sum being
+    ``npow_forward(i, k)``.  x = 0 and x = 1 are rejected (the source
     identity's quotient form is singular there).
     """
     x = Fraction(x)
     if x == 0 or x == 1:
         raise ValueError("stirling2_power_sum requires x not in {0, 1}")
-    return sum(
-        (stirling2(k, j) * falling_factorial(i, j) * x**i for j in range(k + 1) for i in range(j, n + 1)),
-        Fraction(0),
-    )
+    return sum((npow_forward(i, k) * x**i for i in range(n + 1)), Fraction(0))

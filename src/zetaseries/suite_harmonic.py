@@ -16,12 +16,12 @@ from .harmonic import (
     harmonic_powers_of_n,
     harmonic_rec_corollary,
     harmonic_via_rec,
-    npow_forward,
     npow_inverse,
     s2star_from_hnum_int,
     s2star_from_hnum_real,
 )
 from .harmonicnums import _doubles, harmonic
+from .stirling import npow_forward
 
 
 def build() -> list:

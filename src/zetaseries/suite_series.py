@@ -10,8 +10,8 @@ from typing import Callable, Tuple
 from .audit import IdentitySpec, _grid
 from .exactnum import factorial, parse_rational
 from .harmonicnums import harmonic, harmonic_t
+from .powerseries import TruncSeries
 from .series import (
-    TruncSeries,
     dilog_functional_eq_sides,
     exp_harmonic_series,
     intro_example,

@@ -27,21 +27,20 @@ from zetaseries.coeffs import (
 from zetaseries.exactnum import factorial
 from zetaseries.harmonic import (
     exp_harmonic_conv,
-    harmonic,
     harmonic_rec_corollary,
-    npow_forward,
     npow_inverse,
     s2star_from_hnum_int,
     s2star_from_hnum_real,
 )
+from zetaseries.harmonicnums import harmonic
+from zetaseries.powerseries import TruncSeries
 from zetaseries.reports import compare
 from zetaseries.series import (
-    TruncSeries,
     dilog_functional_eq_check,
     intro_example,
     transform_zeta,
 )
-from zetaseries.stirling import bernoulli_poly
+from zetaseries.stirling import bernoulli_poly, npow_forward
 
 
 @pytest.fixture

@@ -14,7 +14,7 @@ from zetaseries import audit, special, suite_core, suite_fourier
 from zetaseries.cli import main
 from zetaseries.coeffs import s2star_rec, s2star_scaled
 from zetaseries.reports import IdentityReport
-from zetaseries.series import TruncSeries
+from zetaseries.powerseries import TruncSeries
 
 # Static manifest of every registered identity, by suite.  A new identity
 # must be added here deliberately; a dropped one fails loudly.

@@ -50,7 +50,7 @@ def zeta_star_loop(s, J):
 
 def classic_row_rescaled(s, K):
     numerators, denominator = _scaled_numerators(s + 1, K + 1)
-    return tuple(-numerators[k + 1] / (denominator * (k + 1)) for k in range(K + 1))
+    return tuple(-abs(numerators[k + 1]) / (denominator * (k + 1)) for k in range(K + 1))
 
 
 def bits(value):

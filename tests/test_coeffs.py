@@ -207,14 +207,14 @@ def test_general_f_ratio_chain_with_a_large_power(k, j):
 
 
 def test_scaled_numerators_match_closed_sum():
-    # N_k(j) / lcm(1..J)^(k-2) = |c*(k, j)| j!, and N_k(0) = 0; the closed
-    # binomial sum shares no table with the kernel
+    # N_k(j) / lcm(1..J)^(k-2) = c*(k, j) j!, signed, and N_k(0) = 0; the
+    # closed binomial sum shares no table with the kernel
     for k in range(2, 11):
         numerators, denominator = _scaled_numerators(k, 60)
         assert len(numerators) == 61 and numerators[0] == 0
         assert denominator == math.lcm(*range(1, 61)) ** (k - 2)
         for j in range(1, 61):
-            assert Fraction(numerators[j], denominator) == abs(s2star_sum(k, j)) * factorial(j)
+            assert Fraction(numerators[j], denominator) == s2star_sum(k, j) * factorial(j)
 
 
 def test_rec_cells_are_in_lowest_terms_past_the_audit_grid():

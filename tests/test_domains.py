@@ -20,11 +20,11 @@ from zetaseries.harmonic import (
     harmonic_powers_of_n,
     harmonic_rec_corollary,
     harmonic_via_rec,
-    npow_forward,
     npow_inverse,
     s2star_from_hnum_int,
 )
-from zetaseries.series import TruncSeries, intro_example
+from zetaseries.powerseries import TruncSeries
+from zetaseries.series import intro_example
 
 
 def row(id, function, inside, outside, error, bound, argv=None, code=1):
@@ -40,6 +40,9 @@ ROWS = [
     row("stirling.bernoulli_number", stirling.bernoulli_number, (0,), (-1,), ValueError, "n >= 0"),
     row("stirling.bernoulli_poly", stirling.bernoulli_poly, (0, 5), (-1, 5), ValueError, "n >= 0"),
     row("stirling.faulhaber_sum", stirling.faulhaber_sum, (0, 3), (-1, 3), ValueError, "n >= 0"),
+    # stirling: npow_forward of a negative n or k
+    row("stirling.npow_forward.n", stirling.npow_forward, (0, 2), (-1, 2), ValueError, "non-negative"),
+    row("stirling.npow_forward.k", stirling.npow_forward, (2, 0), (2, -1), ValueError, "k >= 0"),
     # harmonicnums: n >= 0 [harmonic]
     row("harmonicnums.harmonic", harmonicnums.harmonic, (0, 1), (-1, 1), ValueError, "n >= 0",
         ("harmonic", "--n", "-1")),
@@ -69,8 +72,6 @@ ROWS = [
     # harmonic: k, n, j >= 0 (n >= 1 for npow_inverse and harmonic_rec_corollary)
     row("harmonic.npow_inverse", npow_inverse, (1, 2), (0, 2), ValueError, "n >= 1"),
     row("harmonic.harmonic_rec_corollary", harmonic_rec_corollary, (1, 2, 1), (0, 2, 1), ValueError, "n >= 1"),
-    row("harmonic.npow_forward.n", npow_forward, (0, 2), (-1, 2), ValueError, "non-negative"),
-    row("harmonic.npow_forward.k", npow_forward, (2, 0), (2, -1), ValueError, "k >= 0"),
     row("harmonic.harmonic_via_rec", harmonic_via_rec, (0, 2), (-1, 2), ValueError, "n >= 0"),
     row("harmonic.harmonic_binomial_form", harmonic_binomial_form, (0, 2), (-1, 2), ValueError, "n >= 0"),
     row("harmonic.harmonic_powers_of_n", harmonic_powers_of_n, (0, 2), (-1, 2), ValueError, "n >= 0"),

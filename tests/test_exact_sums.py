@@ -16,13 +16,12 @@ from zetaseries.exactnum import _linear_combination, binomial, factorial, fallin
 from zetaseries.harmonic import (
     exp_harmonic_conv,
     exp_harmonic_inv,
-    harmonic,
     harmonic_powers_of_n,
     harmonic_rec_corollary,
-    npow_forward,
     s2star_from_hnum_int,
 )
-from zetaseries.stirling import stirling1_signed, stirling1_unsigned, stirling2
+from zetaseries.harmonicnums import harmonic
+from zetaseries.stirling import npow_forward, stirling1_signed, stirling1_unsigned, stirling2
 
 
 def npow_forward_loop(n, k):

@@ -6,23 +6,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetaseries.coeffs import s2star_heuristic, s2star_rec, s2star_reverse_binomial
+from zetaseries.coeffs import _binomial_row_sums, s2star_heuristic, s2star_rec, s2star_reverse_binomial
 from zetaseries.exactnum import binomial, factorial, falling_factorial
 from zetaseries.harmonic import (
-    _binomial_row_sums,
     exp_harmonic_conv,
     exp_harmonic_inv,
-    harmonic,
     harmonic_binomial_form,
     harmonic_powers_of_n,
     harmonic_rec_corollary,
     harmonic_via_rec,
-    npow_forward,
     npow_inverse,
     s2star_from_hnum_int,
     s2star_from_hnum_real,
 )
-from zetaseries.series import TruncSeries, transform_zeta
+from zetaseries.harmonicnums import harmonic
+from zetaseries.powerseries import TruncSeries
+from zetaseries.series import transform_zeta
+from zetaseries.stirling import npow_forward
 
 
 @given(st.integers(1, 60), st.integers(1, 8))

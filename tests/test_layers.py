@@ -94,7 +94,8 @@ def test_one_scaled_row_kernel():
     assert special._DOUBLE_ROWS is coeffs._DOUBLE_ROWS and special._CLASSIC_ROWS is coeffs._CLASSIC_ROWS
     # every c*-weighted series reads one all-n row sum; series keeps no
     # diagonal builders of its own
-    assert _defining_modules("binomial_row_sums") == ["harmonic"]
+    assert _defining_modules("binomial_row_sums") == ["coeffs"]
+    assert series._binomial_row_sums is coeffs._binomial_row_sums
     series_source = (PACKAGE / "series.py").read_text(encoding="utf-8")
     for name in ("_diag_geom_pow", "_diag_geom_pow_sums", "_diag_exp_pow", "_diag_exp_shifted",
                  "_diagonal_sum", "_INTRO_DIAGONALS"):
@@ -105,12 +106,12 @@ def test_one_scaled_row_kernel():
 def test_one_kernel_per_exact_sum():
     # the rational-weighted and the c*-weighted sums each have one kernel,
     # and the M-sums import both rather than keep a Fraction loop
-    exactnum, harmonic, msums = (importlib.import_module(f"zetaseries.{name}")
-                                 for name in ("exactnum", "harmonic", "msums"))
+    coeffs, exactnum, harmonic, msums = (importlib.import_module(f"zetaseries.{name}")
+                                         for name in ("coeffs", "exactnum", "harmonic", "msums"))
     assert _defining_modules("linear_combination") == ["exactnum"]
-    assert _defining_modules("weighted_row_sum") == ["harmonic"]
+    assert _defining_modules("weighted_row_sum") == ["coeffs"]
     assert msums._linear_combination is harmonic._linear_combination is exactnum._linear_combination
-    assert msums._weighted_row_sum is harmonic._weighted_row_sum
+    assert msums._weighted_row_sum is harmonic._weighted_row_sum is coeffs._weighted_row_sum
     for module in ("harmonic", "msums"):
         assert "Fraction(0)\n" not in (PACKAGE / f"{module}.py").read_text(encoding="utf-8"), module
     # the printed M-sum relations are tables of weights: both relation
@@ -125,20 +126,35 @@ def test_one_kernel_per_exact_sum():
         assert not re.search(r"\b(harmonic|m_value|M|H)\(", source), function
 
 
+def test_each_transform_sums_beside_its_table():
+    # the c* row sums live with the c* table, which alone applies the row's
+    # sign; the S2 row sum lives with the S2 table, and the power sum and
+    # the forward transform read it
+    from zetaseries import series, stirling
+    harmonic_source = (PACKAGE / "harmonic.py").read_text(encoding="utf-8")
+    assert "(-1) ** (j - 1)" not in harmonic_source
+    assert not re.search(r"\b(_scaled_numerators|_binomial_sums)\b", harmonic_source)
+    assert _defining_modules("npow_forward") == ["stirling"]
+    assert series.npow_forward is stirling.npow_forward
+    power_sum = ast.unparse(ast.parse(textwrap.dedent(inspect.getsource(stirling.stirling2_power_sum))))
+    assert "npow_forward(" in power_sum and not re.search(r"stirling2\(|falling_factorial", power_sum)
+    # the identities module has two importers in the package
+    importers = [path.stem for path in sorted(PACKAGE.glob("*.py")) if "harmonic" in _imported_modules(path)]
+    assert importers == ["__init__", "suite_harmonic"]
+
+
 def test_one_pascal_rule_kernel(monkeypatch):
     # every exact binomial transform is the kernel of exactnum over one row;
     # the s >= 1 Lerch-style rows of special are the harmonic-polynomial
-    # recurrence instead, and the s <= 0 rows the kernel over 1 - s terms.
-    # zetaseries.harmonic is the function harmonicnums.harmonic, so the
-    # identities module is reached through importlib
-    harmonic, powerseries, special = (importlib.import_module(f"zetaseries.{name}")
-                                      for name in ("harmonic", "powerseries", "special"))
+    # recurrence instead, and the s <= 0 rows the kernel over 1 - s terms
+    coeffs, powerseries, special = (importlib.import_module(f"zetaseries.{name}")
+                                    for name in ("coeffs", "powerseries", "special"))
     assert _defining_modules("binomial_sums") == ["exactnum"]
     assert [path.stem for path in PACKAGE.glob("*.py") if "row[1:]" in path.read_text(encoding="utf-8")] == ["exactnum"]
     imported = {alias.name for node in ast.walk(ast.parse((PACKAGE / "powerseries.py").read_text(encoding="utf-8")))
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert "binomial" not in imported and "_binomial_sums" in imported
-    for function in (harmonic._binomial_row_sums, powerseries.TruncSeries.binomial_transform):
+    for function in (coeffs._binomial_row_sums, powerseries.TruncSeries.binomial_transform):
         tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
         assert not any(isinstance(node, (ast.For, ast.While)) for node in ast.walk(tree)), function
         assert "_binomial_sums" in ast.unparse(tree), function
@@ -269,7 +285,7 @@ def test_every_public_name_resolves_to_its_home_object():
         assert star[name] is value
         if name != "__version__":
             homes = [module for module in modules if name in getattr(module, "__all__", ())]
-            assert homes and all(getattr(module, name) is value for module in homes), name
+            assert len(homes) == 1 and getattr(homes[0], name) is value, (name, homes)
     assert zetaseries.harmonic is zetaseries.harmonicnums.harmonic
     assert AUDIT_NAMES <= set(dir(zetaseries))
     with pytest.raises(AttributeError):

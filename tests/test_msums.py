@@ -83,10 +83,15 @@ def test_d_equals_one_reduces_to_harmonic():
 
 
 def test_almost_linear_check_reports():
-    for which in range(1, 7):
-        report = compare("msum_almost_linear", {"which": which}, *almost_linear_sides(which, 6, 2))
+    # at k = 6 with M from the displayed alternate sum every display fails
+    # at n = 2, by these residuals, and holds at n = 0, where every term is 0
+    residuals = ["1143/128", "-1143/32", "26469/128", "-19431/128", "6003/128", "1143/128"]
+    for which, residual in zip(range(1, 7), residuals):
+        report = compare("msum_almost_linear", {"which": which}, *almost_linear_sides(which, 6, 2, source="alt"))
         assert report.id == "msum_almost_linear"
-        assert report.status in ("exact_pass", "fail")
+        assert (report.status, report.residual) == ("fail", residual), which
+        report = compare("msum_almost_linear", {"which": which}, *almost_linear_sides(which, 6, 0, source="alt"))
+        assert (report.status, report.residual) == ("exact_pass", "0"), which
     with pytest.raises(ValueError):
         almost_linear_sides(7, 6, 2)
 
@@ -103,16 +108,16 @@ def test_general_relations_families():
 
 
 def test_family_degeneration_matches():
-    # family 2 with b1 = b2 = 0 and family 1 with a1 = 0 describe
-    # different relations but share the same value sources; both produce
-    # well-formed reports on the same grid point
-    r1 = compare("msum_general_relation", {}, *general_relation_sides(1, [Fraction(0)], Fraction(1), 6, 3, "alt"))
-    r2 = compare(
-        "msum_general_relation", {},
-        *general_relation_sides(2, [Fraction(0), Fraction(0)], Fraction(1), 6, 3, "alt"),
-    )
-    assert r1.status in ("exact_pass", "fail")
-    assert r2.status in ("exact_pass", "fail")
+    # family 1 with a1 = 0 and family 2 with b1 = b2 = 0 (d = 1) are the
+    # relations written out below, term by term; at k = 6, n = 3 both fail
+    H = lambda r: harmonic(3, r)
+    M = lambda d: m_value(6, d, 3, "alt")
+    family_1 = general_relation_sides(1, [Fraction(0)], Fraction(1), 6, 3, "alt")
+    family_2 = general_relation_sides(2, [Fraction(0), Fraction(0)], Fraction(1), 6, 3, "alt")
+    assert family_1 == (H(6), H(4) + 3 * M(2) + M(3))
+    assert family_2 == (H(6), -H(3) - 7 * M(2) + 6 * M(3) - M(4))
+    for sides in (family_1, family_2):
+        assert compare("msum_general_relation", {}, *sides).status == "fail"
 
 
 def _m_alt_repaired(k, d, n):

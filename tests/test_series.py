@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from zetaseries.exactnum import factorial
 from zetaseries import powerseries, series
 from zetaseries.harmonicnums import harmonic, harmonic_t
+from zetaseries.powerseries import TruncSeries
 from zetaseries.series import (
-    TruncSeries,
     dilog_functional_eq_check,
     exp_harmonic_series,
     intro_example,
@@ -171,6 +171,28 @@ def test_integer_kernel_matches_the_fraction_loop(f, g):
     assert [(c.numerator, c.denominator) for c in got] == [(c.numerator, c.denominator) for c in want]
 
 
+_ONE_TWO_THREE = TruncSeries([1, 2, 3])
+
+
+@pytest.mark.parametrize("operation, expected", [
+    pytest.param(lambda s: s.truncate(1), TruncSeries([1, 2]), id="truncate-to-a-lower-order"),
+    pytest.param(lambda s: s == 1, False, id="eq-with-an-int"),
+    pytest.param(lambda s: hash(s) == hash(TruncSeries([1, 2, Fraction(3)])), True, id="equal-series-equal-hashes"),
+    pytest.param(lambda s: s + 1, TypeError, id="add-an-int"),
+    pytest.param(lambda s: s - 1, TypeError, id="sub-an-int"),
+    pytest.param(lambda s: s * Fraction(-2, 3), _ONE_TWO_THREE.scale(Fraction(-2, 3)), id="scalar-on-the-right"),
+    pytest.param(lambda s: Fraction(-2, 3) * s, _ONE_TWO_THREE.scale(Fraction(-2, 3)), id="scalar-on-the-left"),
+    pytest.param(lambda s: 3 * s, _ONE_TWO_THREE.scale(3), id="int-on-the-left"),
+    pytest.param(lambda s: TruncSeries([Fraction(5, 2)]).derivative(), TruncSeries([0]), id="derivative-of-order-0"),
+])
+def test_series_operations_at_their_edges(operation, expected):
+    if expected is TypeError:
+        with pytest.raises(TypeError):
+            operation(_ONE_TWO_THREE)
+    else:
+        assert operation(_ONE_TWO_THREE) == expected
+
+
 def test_series_reexports_the_powerseries_class():
     assert series.TruncSeries is powerseries.TruncSeries
 
@@ -281,14 +303,14 @@ def test_intro_examples_reject_negative_order(k):
 
 
 def test_each_transform_builds_one_kernel_row(monkeypatch):
-    harmonic_module = importlib.import_module("zetaseries.harmonic")
-    kernel, builds = harmonic_module._scaled_numerators, []
+    coeffs, harmonic_module = (importlib.import_module(f"zetaseries.{name}") for name in ("coeffs", "harmonic"))
+    kernel, builds = coeffs._scaled_numerators, []
 
     def counted(k, J):
         builds.append((k, J))
         return kernel(k, J)
 
-    monkeypatch.setattr(harmonic_module, "_scaled_numerators", counted)
+    monkeypatch.setattr(coeffs, "_scaled_numerators", counted)
     calls = [
         lambda: transform_zeta(TruncSeries.geometric(1, 50), 3),
         lambda: harmonic_module.harmonic_via_rec(50, 2),
