@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import count
+from operator import index
 
 from .exactnum import SequenceTable, _binomial_sums, _reduced, factorial
 from .harmonicnums import harmonic
@@ -136,24 +137,37 @@ def s2star_rec(k: int, j: int) -> Fraction:
 
     with base rows c*(0, j) = [j = 0], c*(1, j) = [j = 1] and base column
     c*(k, 0) = [k = 0]; for k >= 2 and j >= 1 it is read from the integer
-    table as (-1)^(j-1) M_k(j) / (L_j^(k-2) j!).  Right after cell
-    (k, j - 1) that denominator is the row's last one times
-    j (L_j / L_{j-1})^(k-2), one small multiply; any other read raises
-    L_j^(k-2) j! afresh.  Either way the row then keeps (j, denominator),
-    and the cell is reduced against L_j by ``exactnum._reduced``.
+    table as (-1)^(j-1) M_k(j) / (L_j^(k-2) j!).  k and j pass through
+    operator.index first, so a float k raises TypeError before any table
+    is read or written.  Right after cell (k, j - 1) that denominator is
+    the row's last one times j (L_j / L_{j-1})^(k-2), one small multiply;
+    any other read raises L_j^(k-2) j! afresh.  Either way the row then
+    keeps (j, denominator), and ``exactnum._reduced`` reduces the cell
+    against L_{floor(j/2)}, not L_j: a prime p in (j/2, j] divides L_j
+    once and only the term 1/p of h_(k-2)(1, ..., 1/j) carries it, so
+    M_k(j) = (L_j / p)^(k-2), not 0, mod p.  The bound is tight: at
+    j = 2p, p divides the cell's common part when p | 2^(k-1) - 1.
     """
+    if type(k) is not int or type(j) is not int:
+        try:
+            k, j = index(k), index(j)
+        except TypeError:
+            raise TypeError(f"s2star_rec requires integers k and j, got k={k!r}, j={j!r}") from None
     if k < 0 or j < 0:
         return Fraction(0)
     if k < 2 or j == 0:
         return Fraction(int(j == k))
-    e, lcm = k - 2, _LCM[j]
+    e = k - 2
+    m = _NUMERATORS[e][j]
+    lcms = _LCM._values  # built through j by the row read
+    lcm = lcms[j]
     last, denominator = _DENOMINATORS.get(k, (0, 1))  # L_0^e 0! = 1
     if last == j - 1:
-        denominator *= j * (lcm // _LCM[j - 1]) ** e
+        denominator *= j * (lcm // lcms[j - 1]) ** e
     else:
         denominator = lcm**e * factorial(j)
     _DENOMINATORS[k] = (j, denominator)
-    return _reduced((-1) ** (j - 1) * _NUMERATORS[e][j], denominator, lcm)
+    return _reduced(m if j % 2 else -m, denominator, lcms[j // 2])
 
 
 def _scaled_numerators(k: int, J: int) -> tuple:

@@ -85,19 +85,22 @@ def _binomial_sums(values) -> list:
 
 
 def _reduced(numerator: int, denominator: int, radical: int) -> Fraction:
-    """numerator / denominator in lowest terms, for denominator > 0 and
-    every prime of denominator dividing radical > 0.  Every common prime
-    then divides gcd(numerator, denominator, radical) =
-    gcd(gcd(numerator, radical), denominator), taken in two steps: c =
-    gcd(numerator mod radical, radical), then gcd(denominator mod c, c),
-    so the long denominator is reduced modulo c, usually a few digits,
-    not modulo radical.  Each round divides that common part out and looks
-    for what is left of it the same way, numerator first: the
-    denominator is read only when c = gcd(numerator mod c, c) is still
-    above 1, so a round that ends the reduction reads one long integer,
-    not two.  The result is built without the full gcd of the two long
-    integers that Fraction() would take.  A zero numerator shares every
-    prime of the denominator, so 0/d comes out as 0/1."""
+    """numerator / denominator in lowest terms, for denominator > 0,
+    radical > 0 and every prime common to numerator and denominator
+    dividing radical: the denominator's whole radical serves, or a shorter
+    one where the caller proves that the numerator misses the other
+    primes.  Every common prime then divides gcd(numerator, denominator,
+    radical) = gcd(gcd(numerator, radical), denominator), taken in two
+    steps: c = gcd(numerator mod radical, radical), then
+    gcd(denominator mod c, c), so the long denominator is reduced modulo
+    c, usually a few digits, not modulo radical.  Each round divides that
+    common part out and looks for what is left of it the same way,
+    numerator first: the denominator is read only when
+    c = gcd(numerator mod c, c) is still above 1, so a round that ends the
+    reduction reads one long integer, not two.  The result is built
+    without the full gcd of the two long integers that Fraction() would
+    take.  A zero numerator shares every prime of the denominator, so 0/d
+    needs them all in radical, and then comes out as 0/1."""
     common = math.gcd(numerator % radical, radical)
     while common > 1 and (common := math.gcd(denominator % common, common)) > 1:
         numerator, denominator = numerator // common, denominator // common
@@ -144,17 +147,19 @@ class SequenceTable:
     ``produce(values)`` returns an iterator that yields f(len(values)),
     f(len(values) + 1), ... and keeps its running state in locals.
     Values are appended under a lock and never change, so reading a built
-    index is one bounds check and one list index.  A table may sit on a
-    ``below`` table (row k-1 of a two-index recurrence), and its producer
-    reads the tables down that chain in place, as lists, at an index no
-    higher than its own: a miss at n builds every table down the chain
-    that is shorter than n + 1 + ``_RUN``, lowest first and each through
-    n + ``_RUN`` (no further than the table below it holds), so no
-    extension nests, no recursion grows with n, and reads past the end
-    miss once per run of cells.  If a pull raises, the iterator is
-    dropped, and the next miss calls ``produce`` again on the values built
-    so far; a pull past n, for a cell not asked for, raises nothing: the
-    read that asks for that cell raises it."""
+    index is one bounds check and one list index, and a hot reader may
+    index ``_values`` itself and call the table only past its end, on
+    ``IndexError``.  A table may sit on a ``below`` table (row k-1 of a
+    two-index recurrence), and its producer reads the tables down that
+    chain in place, as lists, at an index no higher than its own: a miss
+    at n builds every table down the chain that is shorter than
+    n + 1 + ``_RUN``, lowest first and each through n + ``_RUN`` (no
+    further than the table below it holds), so no extension nests, no
+    recursion grows with n, and reads past the end miss once per run of
+    cells.  If a pull raises, the iterator is dropped, and the next miss
+    calls ``produce`` again on the values built so far; a pull past n, for
+    a cell not asked for, raises nothing: the read that asks for that cell
+    raises it."""
 
     __slots__ = ("_produce", "_below", "_values", "_lock", "_source")
 

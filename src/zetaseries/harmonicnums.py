@@ -43,11 +43,17 @@ def harmonic(n: int, r: int = 1) -> Fraction:
     """Exact H_n^{(r)} = sum_{m=1}^{n} m^{-r} for any integer order r.
 
     r <= 0 is the literal power sum (H_n^{(0)} = n, H_n^{(-1)} = n(n+1)/2),
-    needed where derived orders cross zero.  H_0^{(r)} = 0.  n and r are
-    checked by ``_integer_args``, so a float order keys no table.
+    needed where derived orders cross zero.  H_0^{(r)} = 0.  An int n >= 0
+    and int r read a built cell with one list index; any other n and r
+    are checked by ``_integer_args``, so a float order keys no table.
     """
-    n, r = _integer_args("harmonic", n, r)
-    return (_HARMONIC.get(r) or _exact(r))[n]
+    if type(n) is not int or type(r) is not int or n < 0:
+        n, r = _integer_args("harmonic", n, r)
+    table = _HARMONIC.get(r) or _exact(r)
+    try:
+        return table._values[n]
+    except IndexError:
+        return table[n]
 
 
 def _exact(r: int) -> SequenceTable:

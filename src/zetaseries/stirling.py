@@ -28,11 +28,13 @@ __all__ = [
 ]
 
 
-def _columns(weight) -> SequenceTable:
-    """Columns k = 0, 1, ... of T(n, k) = weight(n, k) T(n-1, k) + T(n-1, k-1)
-    with T(0, 0) = 1 and T(n, 0) = 0 for n >= 1, each indexed from its first
-    nonzero cell: entry i of column k is T(k+i, k), the weighted entry i-1
-    plus entry i of column k-1, read in place."""
+def _columns(step: int) -> SequenceTable:
+    """Columns k = 0, 1, ... of T(n, k) = w T(n-1, k) + T(n-1, k-1) with
+    weight w = k + step (n - k - 1), k for S2 (step 0) and n - 1 for S1
+    (step 1), T(0, 0) = 1 and T(n, 0) = 0 for n >= 1, each indexed from
+    its first nonzero cell: entry i of column k is T(k+i, k), the weighted
+    entry i-1 plus entry i of column k-1, read in place.  The producer
+    carries the weight from cell to cell, adding step."""
 
     def column(k: int, columns: list) -> SequenceTable:
         if k == 0:
@@ -41,9 +43,10 @@ def _columns(weight) -> SequenceTable:
         lower = below._values
 
         def produce(col):
-            t = col[-1] if col else 0
+            t, weight = (col[-1] if col else 0), k + step * (len(col) - 1)
             for i in count(len(col)):
-                t = weight(k + i, k) * t + lower[i]
+                t = weight * t + lower[i]
+                weight += step
                 yield t
 
         return SequenceTable(produce, below)
@@ -51,22 +54,28 @@ def _columns(weight) -> SequenceTable:
     return SequenceTable(lambda columns: (column(k, columns) for k in count(len(columns))))
 
 
-_STIRLING2 = _columns(lambda n, k: k)
-_STIRLING1 = _columns(lambda n, k: n - 1)
+_STIRLING2 = _columns(0)
+_STIRLING1 = _columns(1)
 
 
 def stirling2(n: int, k: int) -> int:
     """Stirling number of the second kind, Iverson base case at n=k=0."""
     if n < 0 or k < 0 or k > n:
         return 0
-    return _STIRLING2[k][n - k]
+    try:
+        return _STIRLING2._values[k]._values[n - k]
+    except IndexError:
+        return _STIRLING2[k][n - k]
 
 
 def stirling1_unsigned(n: int, k: int) -> int:
     """Unsigned Stirling number of the first kind (cycle counts)."""
     if n < 0 or k < 0 or k > n:
         return 0
-    return _STIRLING1[k][n - k]
+    try:
+        return _STIRLING1._values[k]._values[n - k]
+    except IndexError:
+        return _STIRLING1[k][n - k]
 
 
 def stirling1_signed(n: int, k: int) -> int:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zetaseries import coeffs
 from zetaseries.coeffs import (
     _scaled_numerators,
     remainder_t,
@@ -232,6 +233,20 @@ def test_rec_cells_do_not_depend_on_reading_order():
     # shuffle mixes both
     orders = (sorted, reversed, shuffled)
     assert list(check_pins.rec_mismatches(14, 300, orders)) == []
+
+
+def test_a_float_k_leaves_the_row_denominators_as_they_were(monkeypatch):
+    # a float k once stored (3, 216.0) as row 4's last denominator before
+    # raising, and the ascending reads of row 4 after it came out over floats
+    monkeypatch.setattr(coeffs, "_DENOMINATORS", {})
+    s2star_rec(4, 2)
+    with pytest.raises(TypeError, match="s2star_rec requires integers k and j, got k=4.0, j=3"):
+        s2star_rec(4.0, 3)
+    assert coeffs._DENOMINATORS == {4: (2, 8)}
+    for j in range(3, 21):
+        value = s2star_rec(4, j)
+        assert value == s2star_sum(4, j) and type(value.denominator) is int
+    assert coeffs._DENOMINATORS[4][0] == 20
 
 
 def test_ogf_coeff_far_beyond_the_denominator_degree():

@@ -52,6 +52,8 @@ ROWS = [
         ValueError, "n >= 0", ("harmonic", "--n", "-1", "--t", "1/2")),
     row("harmonicnums.harmonic_t.r", harmonicnums.harmonic_t, (3, 2, Fraction(1, 2)), (3, 2.0, Fraction(1, 2)),
         TypeError, "integer order r"),
+    # coeffs: s2star_rec takes every integer k and j, and refuses a k that is not an integer
+    row("coeffs.s2star_rec.k", coeffs.s2star_rec, (4, 3), (4.0, 3), TypeError, "s2star_rec requires integers"),
     # coeffs: every route but s2star_rec requires j >= 1 and raises outside its range of k [coeff, table]
     row("coeffs.s2star_sum.j", coeffs.s2star_sum, (2, 1), (2, 0), ValueError, "j >= 1"),
     row("coeffs.s2star_sum.k", coeffs.s2star_sum, (2, 1), (1, 1), ValueError, "k >= 2"),

@@ -193,8 +193,9 @@ def test_series_operations_at_their_edges(operation, expected):
         assert operation(_ONE_TWO_THREE) == expected
 
 
-def test_series_reexports_the_powerseries_class():
+def test_series_builds_on_the_powerseries_class():
     assert series.TruncSeries is powerseries.TruncSeries
+    assert "TruncSeries" not in series.__all__
 
 
 # --- the transform --------------------------------------------------------
