@@ -20,13 +20,16 @@ evaluated by a fallback method prints a ``warning:`` line naming it on
 stderr, in every format.  Negative numbers may follow their flag
 directly (``--z -1/2``, ``--z -1e-3``); a fraction flag that is no
 fraction, or has a zero denominator, is a domain error naming the flag.
-Exact values print as fractions, in full at any number of digits,
-unless ``--format decimal`` is given: 15 significant digits, rounded
-from the exact value beyond a double's range.  A command printing one value
-(``coeff``, ``harmonic``, ``msum``, ``zetastar``, ``fourier``, and
-``polylog`` but for its json) prints it bare in ``frac`` and
-``decimal``, as a JSON string in ``json``, and as a one-column table
-headed ``value`` in ``csv`` and ``markdown``.  ``verify`` writes its
+A value's type decides how it prints (``_cell``): an exact int or
+Fraction prints as a fraction, in full at any number of digits, unless
+``--format decimal`` is given: 15 significant digits, rounded from the
+exact value beyond a double's range; any other value prints as the
+15-digit double of its real part.  A command printing one value
+(``coeff``, ``harmonic``, ``msum``, ``zetastar``, ``fourier``,
+``polylog``) prints it bare in ``frac`` and ``decimal``, as a JSON
+string in ``json``, and as a one-column table headed ``value`` in
+``csv`` and ``markdown``; an evaluation record (``polylog``) prints its
+value so, but in ``json`` all five of its fields.  ``verify`` writes its
 report as JSON, CSV or markdown; ``--format frac`` and ``decimal`` give
 the JSON report.
 """
@@ -73,15 +76,36 @@ def _exact_str(value: Fraction, format: str) -> str:
     return f"{quotient.normalize(context):.15g}"
 
 
+def _cell(value, format: str) -> str:
+    """An exact int or Fraction by ``_exact_str``, any other value as the
+    15-digit double of its real part."""
+    if isinstance(value, (int, Fraction)):
+        return _exact_str(value, format)
+    return _decimal_str(value.real)
+
+
 def _json_doc(value) -> str:
     import json  # on first use: only the json documents need it
 
     return json.dumps(value, separators=(",", ":")) + "\n"
 
 
-def _value_doc(cell: str, format: str) -> str:
-    """One value as a document: a JSON string, a one-column csv or markdown
-    table headed ``value``, or the bare cell."""
+def _value_doc(value, format: str) -> str:
+    """One value as a document: its ``_cell`` as a JSON string, a one-column
+    csv or markdown table headed ``value``, or bare.  An ``EvalResult``
+    prints its value so, but in ``json`` as the record's five fields,
+    each named here, so that a field added to the record adds no key."""
+    if isinstance(value, special.EvalResult):
+        if format == "json":
+            return _json_doc({
+                "value": value.value.real,
+                "terms_used": value.terms_used,
+                "last_term_magnitude": value.last_term_magnitude,
+                "method": value.method,
+                "domain_warning": value.domain_warning,
+            })
+        value = value.value
+    cell = _cell(value, format)
     if format == "json":
         return _json_doc(cell)
     if format in ("csv", "markdown"):
@@ -103,8 +127,7 @@ def cmd_table(args) -> str:
     for k in range(args.kmax + 1):
         cells = [str(k)]
         for j in range(args.jmax + 1):
-            value = _table_cell(k, j, args.scaled)
-            cells.append(_exact_str(value, args.format))
+            cells.append(_cell(_table_cell(k, j, args.scaled), args.format))
         rows.append(cells)
     if args.format == "json":
         return _json_doc([dict(zip(header, row)) for row in rows])
@@ -117,8 +140,7 @@ def cmd_table(args) -> str:
 
 
 def cmd_coeff(args) -> str:
-    value = _table_cell(args.k, args.j, args.scaled)
-    return _value_doc(_exact_str(value, args.format), args.format)
+    return _value_doc(_table_cell(args.k, args.j, args.scaled), args.format)
 
 
 def _fraction(args, flag: str, double: bool = False) -> Optional[Fraction | float]:
@@ -142,36 +164,19 @@ def _fraction(args, flag: str, double: bool = False) -> Optional[Fraction | floa
 
 def cmd_harmonic(args) -> str:
     t = _fraction(args, "t")
-    value = harmonic(args.n, args.k) if t is None else harmonic_t(args.n, args.k, t)
-    return _value_doc(_exact_str(value, args.format), args.format)
+    return _value_doc(harmonic(args.n, args.k) if t is None else harmonic_t(args.n, args.k, t), args.format)
 
 
 def cmd_series(args) -> str:
     t, r = _fraction(args, "t"), _fraction(args, "r")
     result = series.intro_example(args.example, args.k, args.u, t=t, r=r, a=args.a, b=args.b)
-    if args.example == "g":
-        cells = [_decimal_str(c.real) for c in result]
-    else:
-        cells = [_exact_str(c, args.format) for c in result.coeffs]
+    # example g is a tuple of complex numbers, the others a TruncSeries
+    cells = [_cell(c, args.format) for c in getattr(result, "coeffs", result)]
     if args.format == "json":
         return _json_doc(cells)
     if args.format in ("csv", "markdown"):
         return render(["n", "coeff"], ([str(n), c] for n, c in enumerate(cells)), args.format)
     return "\n".join(f"z^{n}: {c}" for n, c in enumerate(cells)) + "\n"
-
-
-def _eval_result_doc(result: special.EvalResult, format: str) -> str:
-    value = result.value.real if isinstance(result.value, complex) else result.value
-    if format == "json":
-        payload = {
-            "value": value,
-            "terms_used": result.terms_used,
-            "last_term_magnitude": result.last_term_magnitude,
-            "method": result.method,
-            "domain_warning": result.domain_warning,
-        }
-        return _json_doc(payload)
-    return _value_doc(_decimal_str(value), format)
 
 
 def cmd_polylog(args) -> str:
@@ -180,22 +185,20 @@ def cmd_polylog(args) -> str:
     if result.domain_warning:
         print(f"warning: z = {args.z} is outside the coefficient series domain "
               f"|z/(1-z)| < 1; evaluated by method {result.method}", file=sys.stderr)
-    return _eval_result_doc(result, args.format)
+    return _value_doc(result, args.format)
 
 
 def cmd_zetastar(args) -> str:
-    return _value_doc(_decimal_str(special.zeta_star(args.s, args.terms, args.method)), args.format)
+    return _value_doc(special.zeta_star(args.s, args.terms, args.method), args.format)
 
 
 def cmd_fourier(args) -> str:
     x = _fraction(args, "x", double=True)
-    value = special.bernoulli_fourier(args.order, x, args.terms)
-    return _value_doc(_decimal_str(value), args.format)
+    return _value_doc(special.bernoulli_fourier(args.order, x, args.terms), args.format)
 
 
 def cmd_msum(args) -> str:
-    value = msums.m_value(args.k, args.d, args.n, args.source)
-    return _value_doc(_exact_str(value, args.format), args.format)
+    return _value_doc(msums.m_value(args.k, args.d, args.n, args.source), args.format)
 
 
 def cmd_verify(args) -> tuple:
@@ -325,11 +328,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = _bind_negative_fractions(sys.argv[1:] if argv is None else argv)
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        if args.func is cmd_verify:
-            document, code = cmd_verify(args)
-        else:
-            document = args.func(args)
-            code = 0
+        result = args.func(args)  # a document, or verify's (document, exit code)
+        document, code = (result, 0) if isinstance(result, str) else result
     except KeyError as error:
         print(f"error: {error.args[0]}", file=sys.stderr)
         return 2

@@ -35,9 +35,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import count
-from operator import index
 
-from .exactnum import SequenceTable, _binomial_sums, _reduced, factorial
+from .exactnum import SequenceTable, _binomial_sums, _integers, _reduced, factorial
 from .harmonicnums import harmonic
 from .powerseries import TruncSeries
 from .stirling import stirling1_unsigned
@@ -138,8 +137,8 @@ def s2star_rec(k: int, j: int) -> Fraction:
     with base rows c*(0, j) = [j = 0], c*(1, j) = [j = 1] and base column
     c*(k, 0) = [k = 0]; for k >= 2 and j >= 1 it is read from the integer
     table as (-1)^(j-1) M_k(j) / (L_j^(k-2) j!).  k and j pass through
-    operator.index first, so a float k raises TypeError before any table
-    is read or written.  Right after cell (k, j - 1) that denominator is
+    ``exactnum._integers`` first, so a float k raises TypeError before any
+    table is read or written.  Right after cell (k, j - 1) that denominator is
     the row's last one times j (L_j / L_{j-1})^(k-2), one small multiply;
     any other read raises L_j^(k-2) j! afresh.  Either way the row then
     keeps (j, denominator), and ``exactnum._reduced`` reduces the cell
@@ -149,10 +148,7 @@ def s2star_rec(k: int, j: int) -> Fraction:
     j = 2p, p divides the cell's common part when p | 2^(k-1) - 1.
     """
     if type(k) is not int or type(j) is not int:
-        try:
-            k, j = index(k), index(j)
-        except TypeError:
-            raise TypeError(f"s2star_rec requires integers k and j, got k={k!r}, j={j!r}") from None
+        k, j = _integers("s2star_rec", k=k, j=j)
     if k < 0 or j < 0:
         return Fraction(0)
     if k < 2 or j == 0:

@@ -8,7 +8,8 @@ its code: ``_reduced`` and ``_coprime`` build canonical values,
 ``_over_common`` and ``_linear_combination`` put rationals over one
 denominator, ``_binomial_sums`` is the kernel of every exact binomial
 transform, and :class:`SequenceTable` holds each tabulated sequence
-(Stirling, Bernoulli and harmonic numbers, the c* rows).
+(Stirling, Bernoulli and harmonic numbers, the c* rows).  ``_integers``
+is the one guard of the readers whose indices key a table or a row.
 ``factorial`` and ``falling_factorial`` are ``math.factorial`` and
 ``math.perm``; every integer/complex primitive raises ValueError outside
 its domain.
@@ -21,6 +22,7 @@ import math
 import threading
 from fractions import Fraction
 from itertools import islice
+from operator import index
 
 # Canonical exact value type used throughout the package.
 Rational = Fraction
@@ -52,6 +54,20 @@ def binomial(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
+
+
+def _integers(name: str, **args) -> tuple:
+    """The values of args through operator.index, in order.  One that is no
+    integer, such as 2.0, which hashes like 2, raises TypeError naming the
+    function and every argument with its value, before any table is read
+    or keyed by it.  Hot readers call it only where type(x) is not int."""
+    try:
+        return tuple(index(value) for value in args.values())
+    except TypeError:
+        *rest, last = args
+        names = f"integers {', '.join(rest)} and {last}" if rest else f"an integer {last}"
+        listed = ", ".join(f"{key}={value!r}" for key, value in args.items())
+        raise TypeError(f"{name} requires {names}, got {listed}") from None
 
 
 factorial = math.factorial  # n!; ValueError for n < 0

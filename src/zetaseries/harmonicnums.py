@@ -15,9 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import count
 from math import gcd
-from operator import index
 
-from .exactnum import SequenceTable, _coprime
+from .exactnum import SequenceTable, _coprime, _integers
 
 __all__ = ["harmonic", "harmonic_real", "harmonic_t"]
 
@@ -26,29 +25,18 @@ _HARMONIC = {}  # order r -> table of H_n^{(r)}
 _DOUBLES = {}  # order r -> table of the doubles of H_n^{(r)}, on _HARMONIC[r]
 
 
-def _integer_args(name: str, n, r) -> tuple:
-    """(n, r) through operator.index, with n >= 0, for ``harmonic`` and
-    ``harmonic_t``: a float order such as 2.0, which hashes like 2, raises
-    TypeError before any table is read or any sum is taken in doubles."""
-    try:
-        n, r = index(n), index(r)
-    except TypeError:
-        raise TypeError(f"{name} requires an integer n and an integer order r, got n={n!r}, r={r!r}") from None
-    if n < 0:
-        raise ValueError(f"{name} requires n >= 0")
-    return n, r
-
-
 def harmonic(n: int, r: int = 1) -> Fraction:
     """Exact H_n^{(r)} = sum_{m=1}^{n} m^{-r} for any integer order r.
 
     r <= 0 is the literal power sum (H_n^{(0)} = n, H_n^{(-1)} = n(n+1)/2),
     needed where derived orders cross zero.  H_0^{(r)} = 0.  An int n >= 0
     and int r read a built cell with one list index; any other n and r
-    are checked by ``_integer_args``, so a float order keys no table.
+    pass through ``exactnum._integers``, so a float order keys no table.
     """
     if type(n) is not int or type(r) is not int or n < 0:
-        n, r = _integer_args("harmonic", n, r)
+        n, r = _integers("harmonic", n=n, r=r)
+        if n < 0:
+            raise ValueError("harmonic requires n >= 0")
     table = _HARMONIC.get(r) or _exact(r)
     try:
         return table._values[n]
@@ -68,7 +56,8 @@ def _doubles(r: int) -> SequenceTable:
     its producer reads each exact value in place and divides its numerator
     by its denominator, int by int, so each cell is correctly rounded, bit
     for bit float() of it."""
-    r = index(r)
+    if type(r) is not int:
+        (r,) = _integers("_doubles", r=r)
     table = _DOUBLES.get(r)
     if table is None:
         exact = _exact(r)
@@ -142,8 +131,10 @@ def harmonic_real(n: int, rho: float) -> float:
 
 def harmonic_t(n: int, r: int, t) -> Fraction:
     """Exact t-parameterized harmonic sum H_n^{(r)}(t) = sum t^m / m^r,
-    with n and r checked by ``_integer_args`` as in ``harmonic``."""
-    n, r = _integer_args("harmonic_t", n, r)
+    with n and r checked as in ``harmonic``."""
+    n, r = _integers("harmonic_t", n=n, r=r)
+    if n < 0:
+        raise ValueError("harmonic_t requires n >= 0")
     t = Fraction(t)
     total, weight = Fraction(0), Fraction(1)
     for m in range(1, n + 1):

@@ -46,7 +46,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .coeffs import _weighted_row_sum
-from .exactnum import _linear_combination, _over_common, binomial, factorial
+from .exactnum import _integers, _linear_combination, _over_common, binomial, factorial
 from .harmonicnums import harmonic
 from .stirling import stirling1_signed, stirling1_unsigned
 
@@ -77,6 +77,7 @@ class MSumSpec(_MSumFields):
     __slots__ = ()
 
     def __new__(cls, k: int, d: int, n: int, stirling_reading: str = "unsigned"):
+        k, d, n = _integers("MSumSpec", k=k, d=d, n=n)
         if k <= 2:
             raise ValueError("M sums require k > 2")
         if d < 1:

@@ -56,7 +56,7 @@ def compare(
         return IdentityReport(identity_id, frozen, "fail", float(distance), (repr(lhs), repr(rhs)))
     label = ""
     if isinstance(lhs, TruncSeries):
-        first = next(((i, a, b) for i, (a, b) in enumerate(zip(lhs.coeffs, rhs.coeffs)) if a != b), None)
+        first = _first_difference(lhs, rhs)
         if first is None:
             return IdentityReport(identity_id, frozen, "exact_pass", "0")
         i, lhs, rhs = first
@@ -65,6 +65,12 @@ def compare(
     if residual == 0:
         return IdentityReport(identity_id, frozen, "exact_pass", "0")
     return IdentityReport(identity_id, frozen, "fail", str(residual), (f"{label}{lhs}", f"{label}{rhs}"))
+
+
+def _first_difference(lhs: TruncSeries, rhs: TruncSeries):
+    """(i, lhs[z^i], rhs[z^i]) at the first coefficient where the two
+    series differ, up to the shorter order, or None where none does."""
+    return next(((i, a, b) for i, (a, b) in enumerate(zip(lhs.coeffs, rhs.coeffs)) if a != b), None)
 
 
 def render(header: Sequence[str], rows: Iterable[Sequence[str]], format: str) -> str:

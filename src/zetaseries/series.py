@@ -22,6 +22,7 @@ from itertools import accumulate
 from .coeffs import _binomial_row_sums
 from .exactnum import factorial, root_of_unity
 from .powerseries import TruncSeries
+from .reports import _first_difference
 from .stirling import npow_forward, stirling1_unsigned
 
 __all__ = [
@@ -185,8 +186,9 @@ def dilog_functional_eq_sides(order: int) -> tuple[TruncSeries, TruncSeries]:
 def dilog_functional_eq_check(order: int):
     """Exact truncated-series verification of ``dilog_functional_eq_sides``.
 
-    Returns (passed, first_mismatch) with the witness coefficient pair.
+    Returns (passed, first_mismatch), the mismatch being the index and the
+    witness coefficient pair of ``reports._first_difference``, or None.
     """
     lhs, rhs = dilog_functional_eq_sides(order)
-    first = next(((n, a, b) for n, (a, b) in enumerate(zip(lhs.coeffs, rhs.coeffs)) if a != b), None)
+    first = _first_difference(lhs, rhs)
     return first is None, first

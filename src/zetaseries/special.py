@@ -41,7 +41,7 @@ from functools import cache
 from typing import NamedTuple
 
 from .coeffs import _CLASSIC_ROWS, _DOUBLE_ROWS, _harmonic_form
-from .exactnum import _binomial_sums, _over_common, factorial
+from .exactnum import _binomial_sums, _integers, _over_common, factorial
 from .harmonicnums import _double_cells, harmonic_real
 from .reports import IdentityReport, compare
 
@@ -112,6 +112,8 @@ def li_new_series(s: int, z, J: int) -> EvalResult:
     where |z| < 1, summed directly until |z|^n < 1e-14 (at least J terms,
     at most ``_FALLBACK_TERMS_CAP``); otherwise it raises ValueError.
     """
+    if type(s) is not int:
+        (s,) = _integers("li_new_series", s=s)
     if s < 1:
         raise ValueError("li_new_series requires s >= 1")
     if J < 1:
@@ -163,6 +165,8 @@ def _phi_inner_table(s: int, alpha: Fraction, beta: Fraction, K: int):
     of the classical row for s (``coeffs._CLASSIC_ROWS``), read in place;
     otherwise the row of ``_phi_general_table``.
     """
+    if type(s) is not int:
+        (s,) = _integers("_phi_inner_table", s=s)
     if K < 0:
         raise ValueError("the binomial series requires K >= 0")
     if alpha == 1 and beta == 0 and s >= 1:
@@ -248,6 +252,8 @@ def zeta_star(s: int, J: int = 120, method: str = "series") -> float:
     harmonic: ``zeta_star_harmonic_form(s, J)``, s = 1..4;
     euler:    ``zeta_star_euler_form(s, J)``, s = 3..5.
     """
+    if type(s) is not int:
+        (s,) = _integers("zeta_star", s=s)
     if s < 1:
         raise ValueError("zeta_star requires s >= 1")
     if method == "closed":

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import count
 
-from .exactnum import SequenceTable, binomial, falling_factorial
+from .exactnum import SequenceTable, _integers, binomial, falling_factorial
 
 __all__ = [
     "stirling2",
@@ -60,6 +60,8 @@ _STIRLING1 = _columns(1)
 
 def stirling2(n: int, k: int) -> int:
     """Stirling number of the second kind, Iverson base case at n=k=0."""
+    if type(n) is not int or type(k) is not int:
+        n, k = _integers("stirling2", n=n, k=k)
     if n < 0 or k < 0 or k > n:
         return 0
     try:
@@ -70,6 +72,8 @@ def stirling2(n: int, k: int) -> int:
 
 def stirling1_unsigned(n: int, k: int) -> int:
     """Unsigned Stirling number of the first kind (cycle counts)."""
+    if type(n) is not int or type(k) is not int:
+        n, k = _integers("stirling1_unsigned", n=n, k=k)
     if n < 0 or k < 0 or k > n:
         return 0
     try:
@@ -96,6 +100,8 @@ def bernoulli_number(n: int) -> Fraction:
 
     sum_{j=0}^{n} C(n+1, j) B_j = [n = 0].
     """
+    if type(n) is not int:
+        (n,) = _integers("bernoulli_number", n=n)
     if n < 0:
         raise ValueError("bernoulli_number requires n >= 0")
     return _BERNOULLI[n]

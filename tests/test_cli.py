@@ -15,7 +15,7 @@ from fractions import Fraction
 import check_pins
 import pytest
 
-from zetaseries.cli import _eval_result_doc, build_parser, main
+from zetaseries.cli import _value_doc, build_parser, main
 from zetaseries.coeffs import s2star_rec
 from zetaseries.exactnum import parse_rational
 from zetaseries.harmonicnums import harmonic
@@ -321,7 +321,7 @@ def test_domain_warning_on_stderr_in_every_format(capsys, format):
     assert code == 0
     assert captured.err.startswith("warning:")
     assert "direct_fallback" in captured.err
-    assert captured.out == _eval_result_doc(li_new_series(2, 0.9, 400), format)
+    assert captured.out == _value_doc(li_new_series(2, 0.9, 400), format)
     main(["polylog", "--s", "2", "--z", "-1", "--format", format])
     assert capsys.readouterr().err == ""
 

@@ -43,15 +43,24 @@ ROWS = [
     # stirling: npow_forward of a negative n or k
     row("stirling.npow_forward.n", stirling.npow_forward, (0, 2), (-1, 2), ValueError, "non-negative"),
     row("stirling.npow_forward.k", stirling.npow_forward, (2, 0), (2, -1), ValueError, "k >= 0"),
+    # the readers whose indices key a table or a row: an index that is not an integer
+    row("stirling.stirling2.int", stirling.stirling2, (3, 1), (3.0, 1), TypeError,
+        "stirling2 requires integers n and k, got n=3.0, k=1"),
+    row("stirling.stirling2.negative", stirling.stirling2, (-1, 0), (-1.0, 0), TypeError,
+        "stirling2 requires integers n and k"),
+    row("stirling.stirling1_unsigned.int", stirling.stirling1_unsigned, (5, 2), (5, 2.0), TypeError,
+        "stirling1_unsigned requires integers n and k, got n=5, k=2.0"),
+    row("stirling.bernoulli_number.int", stirling.bernoulli_number, (2,), (2.0,), TypeError,
+        "bernoulli_number requires an integer n, got n=2.0"),
     # harmonicnums: n >= 0 [harmonic]
     row("harmonicnums.harmonic", harmonicnums.harmonic, (0, 1), (-1, 1), ValueError, "n >= 0",
         ("harmonic", "--n", "-1")),
-    row("harmonicnums.harmonic.r", harmonicnums.harmonic, (3, 2), (3, 2.0), TypeError, "integer order r"),
+    row("harmonicnums.harmonic.r", harmonicnums.harmonic, (3, 2), (3, 2.0), TypeError, "integers n and r"),
     row("harmonicnums.harmonic_real", harmonicnums.harmonic_real, (0, 1.5), (-1, 1.5), ValueError, "n >= 0"),
     row("harmonicnums.harmonic_t", harmonicnums.harmonic_t, (0, 1, Fraction(1, 2)), (-1, 1, Fraction(1, 2)),
         ValueError, "n >= 0", ("harmonic", "--n", "-1", "--t", "1/2")),
     row("harmonicnums.harmonic_t.r", harmonicnums.harmonic_t, (3, 2, Fraction(1, 2)), (3, 2.0, Fraction(1, 2)),
-        TypeError, "integer order r"),
+        TypeError, "integers n and r"),
     # coeffs: s2star_rec takes every integer k and j, and refuses a k that is not an integer
     row("coeffs.s2star_rec.k", coeffs.s2star_rec, (4, 3), (4.0, 3), TypeError, "s2star_rec requires integers"),
     # coeffs: every route but s2star_rec requires j >= 1 and raises outside its range of k [coeff, table]
@@ -107,8 +116,18 @@ ROWS = [
         "alpha > 0"),
     row("special.hurwitz_phi.pole", special.hurwitz_phi, (0.3, 2, 1, -3, 1), (0.3, 2, 1, -2, 1),
         ZeroDivisionError, "alpha*2 + beta = 0"),
+    row("special.li_new_series.s.int", special.li_new_series, (2, 0.3, 50), (2.5, 0.3, 50), TypeError,
+        "li_new_series requires an integer s, got s=2.5"),
+    row("special.li_new_series.s.int.fallback", special.li_new_series, (2, 0.5, 50), (2.5, 0.5, 50), TypeError,
+        "li_new_series requires an integer s"),
+    row("special.li_classic_series.s.int", special.li_classic_series, (2, 0.3, 50), (2.5, 0.3, 50), TypeError,
+        "requires an integer s, got s=2.5"),
+    row("special.hurwitz_phi.s.int", special.hurwitz_phi, (0.3, 2, 2, 1, 50), (0.3, 2.5, 2, 1, 50), TypeError,
+        "requires an integer s, got s=2.5"),
     # zeta_star: s >= 1 [zetastar]
     row("special.zeta_star", special.zeta_star, (1,), (0,), ValueError, "s >= 1", ("zetastar", "--s", "0")),
+    row("special.zeta_star.int", special.zeta_star, (2,), (2.0,), TypeError,
+        "zeta_star requires an integer s, got s=2.0"),
     # the closed log forms: x not an integer
     row("special.bernoulli_closed_logforms", special.bernoulli_closed_logforms, (2, 0.17), (2, 1.0), ValueError,
         "singular at integer x"),
@@ -119,6 +138,10 @@ ROWS = [
         ("msum", "--k", "3", "--d", "0", "--n", "1")),
     row("msums.m_value.n", msums.m_value, (3, 1, 0, "alt"), (3, 1, -1, "alt"), ValueError, "n >= 0",
         ("msum", "--k", "3", "--d", "1", "--n", "-1")),
+    row("msums.m_value.int", msums.m_value, (3, 1, 2, "alt"), (3.0, 1, 2, "alt"), TypeError,
+        "MSumSpec requires integers k, d and n, got k=3.0, d=1, n=2"),
+    row("msums.MSumSpec.int", msums.MSumSpec, (3, 1, 2), (3.0, 1, 2), TypeError,
+        "MSumSpec requires integers k, d and n"),
     # audit: an unknown suite [verify, exit 2]
     row("audit.suite", audit.registered_ids, ("fourier",), ("bad",), KeyError, "unknown suite 'bad'",
         ("verify", "--suite", "bad"), 2),

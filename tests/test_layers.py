@@ -194,13 +194,16 @@ def test_one_common_denominator_rule():
 def test_no_second_copies():
     # each of these calls the kernel that already computes its concept:
     # bernoulli_poly, harmonic_real, scale_arg, __add__ and the first-
-    # difference scan of reports.compare
-    from zetaseries import series, special, stirling
+    # difference scan of reports, which reports.compare calls too
+    from zetaseries import reports, series, special, stirling
     from zetaseries.powerseries import TruncSeries
+    loops = (ast.For, ast.While, ast.GeneratorExp, ast.ListComp)
     for function in (stirling.faulhaber_sum, special.zeta_ref, TruncSeries.geometric, TruncSeries.__sub__,
-                     series.dilog_functional_eq_check):
+                     series.dilog_functional_eq_check, reports.compare):
         tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
-        assert not any(isinstance(node, (ast.For, ast.While)) for node in ast.walk(tree)), function
+        assert not any(isinstance(node, loops) for node in ast.walk(tree)), function
+    for function in (series.dilog_functional_eq_check, reports.compare):
+        assert "_first_difference" in _called_names(function), function
     assert not hasattr(TruncSeries, "log_one_minus_z")
     # one table of closed forms, one way to build a reduced Fraction, the
     # math module's factorials, and one dispatcher of the zeta* methods
@@ -213,6 +216,29 @@ def test_no_second_copies():
     assert not hasattr(harmonicnums, "_inv_power")
     assert exactnum.factorial is math.factorial and exactnum.falling_factorial is math.perm
     assert not any(isinstance(node, ast.If) for node in ast.walk(ast.parse(inspect.getsource(cli.cmd_zetastar))))
+
+
+def _called_names(function) -> list:
+    tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
+    return [node.func.id for node in ast.walk(tree) if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+
+
+def test_the_cli_prints_every_value_by_one_rule():
+    # _cell alone picks the fraction or the 15-digit double, _value_doc
+    # alone writes a one-value document, and main names no command
+    from zetaseries import cli
+    assert not hasattr(cli, "_eval_result_doc")
+    callers = {name: [] for name in ("_exact_str", "_decimal_str", "_value_doc")}
+    for name, function in vars(cli).items():
+        if inspect.isfunction(function) and function.__module__ == cli.__name__:
+            for called in _called_names(function):
+                if called in callers:
+                    callers[called].append(name)
+    assert callers["_exact_str"] == ["_cell"]
+    assert sorted(callers["_decimal_str"]) == ["_cell", "_exact_str"]
+    assert sorted(callers["_value_doc"]) == ["cmd_coeff", "cmd_fourier", "cmd_harmonic", "cmd_msum",
+                                             "cmd_polylog", "cmd_zetastar"]
+    assert "cmd_verify" not in inspect.getsource(cli.main)
 
 
 def test_one_suite_registry_and_one_runner():
@@ -290,6 +316,33 @@ def test_every_public_name_resolves_to_its_home_object():
     assert AUDIT_NAMES <= set(dir(zetaseries))
     with pytest.raises(AttributeError):
         zetaseries.no_such_name
+
+
+def _readme_bullets():
+    """(module, backtick spans) of each bullet of the README's "What each
+    module promises", the module's own name left out."""
+    text = (PACKAGE.parent.parent / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## What each module promises\n", 1)[1].split("\n## ", 1)[0]
+    for bullet in section.split("\n- ")[1:]:
+        module, *spans = re.findall(r"`([^`]*)`", bullet)
+        yield module, spans
+
+
+def test_each_readme_bullet_names_the_public_names_of_its_module():
+    # a public name in the bullet of a module that is not its home sends
+    # the reader to the wrong module; the audit bullet also names the
+    # suites, and "harmonic" is both a suite and a function
+    from zetaseries import audit
+    modules = {name: importlib.import_module(f"zetaseries.{name}") for name in LAYERS}
+    public = {name for module in modules.values() for name in getattr(module, "__all__", ())}
+    bullets = dict(_readme_bullets())
+    assert {"stirling", "harmonicnums", "coeffs", "harmonic", "powerseries", "series", "special", "msums",
+            "audit"} <= set(bullets)
+    for module, spans in bullets.items():
+        for span in spans:
+            name = re.match(r"\w*", span).group()
+            if name in public and not (module == "audit" and name in audit.suite_names()):
+                assert name in modules[module].__all__, (module, span)
 
 
 @pytest.mark.parametrize("record,field", [
